@@ -141,6 +141,8 @@ class ArithBackend:
 
 def backend_from_dict(doc: dict) -> ArithBackend:
     """Backend from a config fragment {paradigm, adder:{kind,k}, multiplier:{kind,k}, fp_trunc_bits}."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"backend must be an object, got {doc!r}")
     try:
         paradigm = Paradigm(doc.get("paradigm", "approximate"))
     except ValueError:

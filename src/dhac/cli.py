@@ -105,10 +105,19 @@ def _trace_to_dict(trace: Trace) -> dict:
     }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _trace_from_dict(doc: dict) -> Trace:
     if not isinstance(doc, dict) or "outputs" not in doc or "exports" not in doc:
         raise InputError("trace file needs 'outputs' and 'exports'")
-    return Trace(outputs=tuple(doc["outputs"]), exports=dict(doc["exports"]))
+    outputs, exports = doc["outputs"], doc["exports"]
+    if not isinstance(outputs, list) or not all(map(_is_number, outputs)):
+        raise InputError("trace 'outputs' must be a list of numbers")
+    if not isinstance(exports, dict) or not all(map(_is_number, exports.values())):
+        raise InputError("trace 'exports' must map export ids to numbers")
+    return Trace(outputs=tuple(outputs), exports=exports)
 
 
 def _write_text(path: str | None, text: str) -> None:

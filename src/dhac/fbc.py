@@ -18,9 +18,10 @@ Step kinds:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 from .approx import FpTruncModel, fp_op
 from .errors import SiteError, TraceError, ValidationError
@@ -211,25 +212,31 @@ class FbcVerdict:
         return self.judgement is Judgement.POSITIVE
 
 
+def sentinel_distance(s: Sentinel, exports, delta: float | None = None):
+    """One sentinel's |tapped - roundtrip| over lanes, and whether it fires.
+
+    It fires at or above `delta` (the sentinel's own threshold by default)
+    and on a non-finite distance, which no accurate run produces.
+    """
+    try:
+        a, b = exports[s.entry_export], exports[s.exit_export]
+    except KeyError as e:
+        raise TraceError(f"trace lacks sentinel export {e.args[0]!r}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+    return d, ~np.isfinite(d) | (d >= (s.delta if delta is None else delta))
+
+
 def judge(instrumented: InstrumentedGraph, trace: Trace) -> FbcVerdict:
     """Threshold each sentinel's |tapped - roundtrip| against its delta."""
     results = []
-    any_pos = False
     for s in instrumented.sentinels:
         if s.entry_export is None or s.exit_export is None:
             raise TraceError(f"sentinel at '{s.site}' was never instrumented")
-        try:
-            a = trace.exports[s.entry_export]
-            b = trace.exports[s.exit_export]
-        except KeyError as e:
-            raise TraceError(f"trace lacks sentinel export {e.args[0]!r}") from None
-        d = abs(float(a) - float(b))
-        # non-finite exports cannot come from an accurate run; flag them
-        pos = (not math.isfinite(d)) or d >= s.delta
-        any_pos = any_pos or pos
-        results.append(SentinelResult(kind=s.kind, site=s.site, distance=d, positive=pos))
+        d, pos = sentinel_distance(s, trace.exports)
+        results.append(SentinelResult(kind=s.kind, site=s.site, distance=float(d), positive=bool(pos)))
     return FbcVerdict(
-        judgement=Judgement.POSITIVE if any_pos else Judgement.NEGATIVE,
+        judgement=Judgement.POSITIVE if any(r.positive for r in results) else Judgement.NEGATIVE,
         results=tuple(results),
     )
 
@@ -292,20 +299,32 @@ def instrumented_to_dict(ins: InstrumentedGraph) -> dict:
 
 
 def instrumented_from_dict(d: dict) -> InstrumentedGraph:
-    if "graph" not in d or "sentinels" not in d:
+    if not isinstance(d, dict) or "graph" not in d or "sentinels" not in d:
         raise ValidationError("instrumented file needs 'graph' and 'sentinels'")
+    if not isinstance(d["sentinels"], list):
+        raise ValidationError("'sentinels' must be a list")
     g = parse_program_dict(d["graph"])
     sentinels = []
-    for sd in d["sentinels"]:
-        sentinels.append(
-            Sentinel(
-                kind=SentinelKind(sd["kind"]),
-                site=sd["site"],
-                n=int(sd["n"]),
-                operands=tuple(float(x) for x in sd["operands"]),
-                delta=float(sd["delta"]),
-                entry_export=sd.get("entry_export"),
-                exit_export=sd.get("exit_export"),
+    for i, sd in enumerate(d["sentinels"]):
+        if not isinstance(sd, dict):
+            raise ValidationError(f"sentinels[{i}] must be an object")
+        exports = (sd.get("entry_export"), sd.get("exit_export"))
+        if not all(e is None or isinstance(e, str) for e in exports):
+            raise ValidationError(f"sentinels[{i}]: export ids must be strings")
+        try:
+            sentinels.append(
+                Sentinel(
+                    kind=SentinelKind(sd["kind"]),
+                    site=str(sd["site"]),
+                    n=int(sd["n"]),
+                    operands=tuple(float(x) for x in sd["operands"]),
+                    delta=float(sd["delta"]),
+                    entry_export=exports[0],
+                    exit_export=exports[1],
+                )
             )
-        )
+        except KeyError as e:
+            raise ValidationError(f"sentinels[{i}] lacks {e.args[0]!r}") from None
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"sentinels[{i}]: {e}") from None
     return InstrumentedGraph(graph=g, sentinels=tuple(sentinels))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 
@@ -75,22 +76,23 @@ class Trace:
 
 @dataclass
 class DFGraph:
+    """A validated program: construction raises ValidationError on a bad graph."""
+
     name: str
     dtype: ScalarType
     nodes: list[DFNode]
     inputs: list[str]
     outputs: list[str]
     # caches filled by validate()
-    _node_map: dict[str, DFNode] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _topo: tuple[str, ...] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _types: dict[str, ScalarType] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _node_map: dict[str, DFNode] = field(init=False, repr=False, compare=False)
+    _topo: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _types: dict[str, ScalarType] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     def node(self, node_id: str) -> DFNode:
         return self._node_map[node_id]
-
-    @property
-    def node_map(self) -> dict[str, DFNode]:
-        return self._node_map
 
     @property
     def topo_order(self) -> tuple[str, ...]:
@@ -102,12 +104,22 @@ class DFGraph:
     def node_types(self) -> dict[str, ScalarType]:
         return self._types
 
-    def consumers(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for op_id in n.operands:
-                out[op_id].append(n.id)
-        return out
+    @cached_property
+    def dead_after(self) -> tuple[tuple[str, ...], ...]:
+        """Per topo position, the operands that no later node reads.
+
+        Interpreters free these lanes once that node has run, so peak memory
+        tracks graph width. Outputs and export taps are never listed.
+        """
+        last: dict[str, int] = {}
+        for i, nid in enumerate(self._topo):
+            for op_id in self._node_map[nid].operands:
+                last[op_id] = i
+        dead: list[list[str]] = [[] for _ in self._topo]
+        for op_id, i in last.items():
+            if self._node_map[op_id].op not in PASSTHROUGH_OPS:
+                dead[i].append(op_id)
+        return tuple(map(tuple, dead))
 
     def validate(self) -> None:
         """Check structure; fills node-map/topo/type caches. Raises ValidationError."""
@@ -151,15 +163,15 @@ class DFGraph:
         for n in self.nodes:
             for op_id in n.operands:
                 consumers[op_id].append(n.id)
-        ready = [n.id for n in self.nodes if indeg[n.id] == 0]
-        topo: list[str] = []
-        while ready:
-            nid = ready.pop(0)
-            topo.append(nid)
-            for c in consumers[nid]:
+        # `topo` doubles as the FIFO queue, read at `head`; pop(0) would be quadratic
+        topo = [n.id for n in self.nodes if indeg[n.id] == 0]
+        head = 0
+        while head < len(topo):
+            for c in consumers[topo[head]]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
+                    topo.append(c)
+            head += 1
         if len(topo) != len(self.nodes):
             stuck = next(nid for nid, d in indeg.items() if d > 0)
             raise ValidationError(f"graph contains a cycle through node '{stuck}'")
@@ -216,10 +228,8 @@ def graph_of(
     inputs: list[str],
     outputs: list[str],
 ) -> DFGraph:
-    """Build and validate a graph in one step."""
-    g = DFGraph(name=name, dtype=dtype, nodes=nodes, inputs=inputs, outputs=outputs)
-    g.validate()
-    return g
+    """Build a validated graph."""
+    return DFGraph(name=name, dtype=dtype, nodes=nodes, inputs=inputs, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------

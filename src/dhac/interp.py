@@ -51,8 +51,6 @@ def _check_scalar_input(x, t: ScalarType, pos: int):
 
 def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBackend) -> Trace:
     """Run one input vector through the graph; returns outputs and export taps."""
-    if graph.topo_order is None:
-        graph.validate()
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
 
@@ -136,19 +134,9 @@ def evaluate_batch(
     Intermediate lanes are freed as soon as their last consumer has run, so
     peak memory tracks graph width rather than graph size.
     """
-    if graph.topo_order is None:
-        graph.validate()
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
     n = int(np.asarray(inputs[0]).shape[0]) if len(inputs) else 0
-
-    topo = graph.topo_order
-    topo_index = {nid: i for i, nid in enumerate(topo)}
-    last_use: dict[str, int] = {nid: topo_index[nid] for nid in topo}
-    for nid in topo:
-        for op_id in graph.node(nid).operands:
-            last_use[op_id] = max(last_use[op_id], topo_index[nid])
-    keep = set(graph.outputs)
 
     values: dict[str, np.ndarray | int | float] = {}
     for pos, nid in enumerate(graph.inputs):
@@ -156,7 +144,7 @@ def evaluate_batch(
 
     fp_bits = backend.fp.bits
     exports: dict[str, np.ndarray] = {}
-    for idx, nid in enumerate(topo):
+    for nid, dead in zip(graph.topo_order, graph.dead_after):
         node = graph.node(nid)
         t = graph.node_type(nid)
         if node.op is Op.INPUT:
@@ -168,7 +156,6 @@ def evaluate_batch(
             values[nid] = v
             if node.op is Op.EXPORT:
                 exports[nid] = v
-                keep.add(nid)
         elif t is ScalarType.INT16:
             a, b = (values[x] for x in node.operands)
             if node.op is Op.ADD:
@@ -211,9 +198,8 @@ def evaluate_batch(
                 raise EvalError("non-finite", nid)
             values[nid] = r
 
-        for op_id in set(node.operands):
-            if last_use[op_id] == idx and op_id not in keep:
-                del values[op_id]
+        for op_id in dead:
+            del values[op_id]
 
     def widen(v) -> np.ndarray:
         arr = np.asarray(v)

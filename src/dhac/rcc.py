@@ -16,23 +16,14 @@ skipped the verdict is Inconclusive.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InputError, ModulusError, NoInverseError, ValidationError
-from .graph import (
-    ARITH_OPS,
-    INT16_MAX,
-    INT16_MIN,
-    DFGraph,
-    DFNode,
-    Op,
-    ScalarType,
-    graph_of,
-)
+from .graph import INT16_MAX, INT16_MIN, PASSTHROUGH_OPS, DFGraph, Op, ScalarType
 
 
 def is_prime(m: int) -> bool:
@@ -136,59 +127,105 @@ class ModuleSet:
         return len(self.moduli)
 
 
-def _require_integer_graph(graph: DFGraph) -> None:
-    types = graph.node_types()
-    for nid, t in types.items():
+def _require_residue_graph(graph: DFGraph) -> None:
+    for nid, t in graph.node_types().items():
         if t is not ScalarType.INT16:
             raise ValidationError(f"residue evaluation needs an all-integer graph; node '{nid}' is {t.value}")
+    if len(graph.outputs) != 1:
+        raise ValidationError(f"residue evaluation needs exactly one output, got {len(graph.outputs)}")
 
 
-def _check_int_inputs(graph: DFGraph, inputs) -> dict:
+# b^-1 mod m, or -1 where gcd(b, m) > 1
+_inverse_lanes = np.frompyfunc(lambda b, m: pow(b, -1, m) if math.gcd(b, m) == 1 else -1, 2, 1)
+
+
+def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
+    """Output residues for a batch of input columns, in one walk over the graph.
+
+    `moduli` is one modulus, giving shape (n,), or a sequence of k moduli,
+    giving shape (k, n). Division multiplies by the divisor's inverse mod m;
+    a (modulus, lane) pair where any divisor has no inverse reads -1. The
+    result is int64, or Python ints for moduli above 2^31.5.
+    """
+    single = isinstance(moduli, (int, np.integer))
+    mods = [int(moduli)] if single else [int(m) for m in moduli]
+    for m in mods:
+        if m < 2:
+            raise ModulusError(f"modulus must be >= 2, got {m}")
+    _require_residue_graph(graph)
+    if len(inputs) != len(graph.inputs):
+        raise InputError(f"expected {len(graph.inputs)} input columns, got {len(inputs)}")
+
+    # the narrowest lanes that hold a product of two residues
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if (max(mods) - 1) ** 2 <= np.iinfo(t).max), object)
+    m = np.array(mods, dtype=dtype)[:, None]
+    vals: dict[str, np.ndarray] = {
+        nid: (np.asarray(col, dtype=np.int64)[None, :] % m).astype(dtype)
+        for nid, col in zip(graph.inputs, inputs)
+    }
+    n = len(np.asarray(inputs[0]))
+    no_inverse = np.zeros((len(mods), n), dtype=bool)
+    for nid, dead in zip(graph.topo_order, graph.dead_after):
+        node = graph.node(nid)
+        if node.op is Op.CONST:
+            vals[nid] = int(node.value) % m
+        elif node.op in PASSTHROUGH_OPS:
+            vals[nid] = vals[node.operands[0]]
+        elif node.op is not Op.INPUT:
+            a, b = (vals[x] for x in node.operands)
+            if node.op is Op.ADD:
+                vals[nid] = (a + b) % m
+            elif node.op is Op.SUB:
+                vals[nid] = (a - b) % m
+            elif node.op is Op.MUL:
+                vals[nid] = a * b % m
+            else:
+                inv = _inverse_lanes(b, m).astype(dtype)
+                no_inverse |= inv < 0
+                vals[nid] = a * inv % m
+        for op_id in dead:
+            del vals[op_id]
+
+    out = np.where(no_inverse, -1, vals[graph.outputs[0]]).astype(np.result_type(dtype, np.int64))
+    return out[0] if single else out
+
+
+def failed_rounds(residues: np.ndarray, claimed, moduli) -> np.ndarray:
+    """Per lane, the 1-based round of the first mismatch in module order, or 0.
+
+    `residues` is residues_batch's (k, n) result. A round whose residue is
+    -1 (no inverse) is skipped: it never fails, but keeps its number.
+    """
+    m = np.array([int(x) for x in moduli], dtype=residues.dtype)[:, None]
+    mismatch = (residues >= 0) & (residues != np.asarray(claimed, dtype=np.int64) % m)
+    return np.where(mismatch.any(axis=0), mismatch.argmax(axis=0) + 1, 0)
+
+
+def _one_vector(graph: DFGraph, inputs, moduli) -> np.ndarray:
+    """residues_batch at n=1, checking each input value as the scalar judge does."""
+    _require_residue_graph(graph)
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    vals = {}
+    cols = []
     for nid, v in zip(graph.inputs, inputs):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise InputError(f"input '{nid}' must be an integer, got {type(v).__name__}")
         if not INT16_MIN <= int(v) <= INT16_MAX:
             raise InputError(f"input '{nid}'={v} outside int16")
-        vals[nid] = int(v)
-    return vals
+        cols.append([int(v)])
+    return residues_batch(graph, cols, moduli)[..., 0]
 
 
 def evaluate_mod(graph: DFGraph, inputs, m: int) -> Residue:
     """Evaluate the dataflow in Z_m and return the output residue.
 
     The graph must be all-integer with a single output. Division raises
-    NoInverseError when the divisor is not a unit mod m.
+    NoInverseError when a divisor is not a unit mod m.
     """
-    if m < 2:
-        raise ModulusError(f"modulus must be >= 2, got {m}")
-    _require_integer_graph(graph)
-    if len(graph.outputs) != 1:
-        raise ValidationError(f"residue evaluation needs exactly one output, got {len(graph.outputs)}")
-    in_vals = _check_int_inputs(graph, inputs)
-
-    vals: dict[str, Residue] = {}
-    for nid in graph.topo_order:
-        node = graph.node(nid)
-        if node.op is Op.INPUT:
-            vals[node.id] = to_residue(in_vals[node.id], m)
-        elif node.op is Op.CONST:
-            vals[node.id] = to_residue(node.value, m)
-        elif node.op in (Op.OUTPUT, Op.EXPORT):
-            vals[node.id] = vals[node.operands[0]]
-        elif node.op is Op.ADD:
-            vals[node.id] = ring_add(vals[node.operands[0]], vals[node.operands[1]])
-        elif node.op is Op.SUB:
-            vals[node.id] = ring_sub(vals[node.operands[0]], vals[node.operands[1]])
-        elif node.op is Op.MUL:
-            vals[node.id] = ring_mul(vals[node.operands[0]], vals[node.operands[1]])
-        elif node.op is Op.DIV:
-            vals[node.id] = ring_div(vals[node.operands[0]], vals[node.operands[1]])
-        else:
-            raise ValidationError(f"op '{node.op.value}' not supported in residue evaluation")
-    return vals[graph.outputs[0]]
+    value = int(_one_vector(graph, inputs, m))
+    if value < 0:
+        raise NoInverseError(f"a divisor has no inverse mod {m}")
+    return Residue(value, m)
 
 
 class Judgement(Enum):
@@ -223,184 +260,13 @@ def rcc_check(graph: DFGraph, inputs, claimed: int, modules: ModuleSet | None = 
     if not INT16_MIN <= claimed <= INT16_MAX:
         raise InputError(f"claimed result {claimed} outside int16")
 
-    skipped = []
-    rounds_run = 0
-    for j, m in enumerate(modules):
-        try:
-            got = evaluate_mod(graph, inputs, m)
-        except NoInverseError:
-            skipped.append(m)
-            continue
-        rounds_run += 1
-        if got.value != to_residue(claimed, m).value:
-            return RccVerdict(Judgement.POSITIVE, j + 1, rounds_run, tuple(skipped))
+    residues = _one_vector(graph, inputs, modules)
+    failed = int(failed_rounds(residues[:, None], claimed, modules)[0])
+    ran = residues[: failed or len(modules)] >= 0
+    skipped = tuple(m for m, r in zip(modules, ran) if not r)
+    rounds_run = int(ran.sum())
+    if failed:
+        return RccVerdict(Judgement.POSITIVE, failed, rounds_run, skipped)
     if rounds_run == 0:
-        return RccVerdict(Judgement.INCONCLUSIVE, None, 0, tuple(skipped))
-    return RccVerdict(Judgement.NEGATIVE, None, rounds_run, tuple(skipped))
-
-
-# ---------------------------------------------------------------------------
-# batch helper for the trial runners (scalar rcc_check is the reference)
-
-
-def residues_batch(graph: DFGraph, inputs, m: int) -> np.ndarray:
-    """Output residues for a batch of input columns (int64 arrays).
-
-    Restricted to division-free graphs; rcc_check covers the general case.
-    """
-    if m < 2:
-        raise ModulusError(f"modulus must be >= 2, got {m}")
-    _require_integer_graph(graph)
-    if len(graph.outputs) != 1:
-        raise ValidationError("residue evaluation needs exactly one output")
-    if len(inputs) != len(graph.inputs):
-        raise InputError(f"expected {len(graph.inputs)} input columns, got {len(inputs)}")
-
-    in_vals = {nid: np.asarray(col, dtype=np.int64) % m for nid, col in zip(graph.inputs, inputs)}
-    last_use: dict[str, int] = {}
-    order = [graph.node(nid) for nid in graph.topo_order]
-    for idx, node in enumerate(order):
-        for op_id in node.operands:
-            last_use[op_id] = idx
-    keep = set(graph.outputs)
-
-    vals: dict[str, np.ndarray | int] = {}
-    for idx, node in enumerate(order):
-        if node.op is Op.INPUT:
-            v = in_vals[node.id]
-        elif node.op is Op.CONST:
-            v = int(node.value) % m
-        elif node.op in (Op.OUTPUT, Op.EXPORT):
-            v = vals[node.operands[0]]
-        elif node.op is Op.ADD:
-            v = (vals[node.operands[0]] + vals[node.operands[1]]) % m
-        elif node.op is Op.SUB:
-            v = (vals[node.operands[0]] - vals[node.operands[1]]) % m
-        elif node.op is Op.MUL:
-            v = (vals[node.operands[0]] * vals[node.operands[1]]) % m
-        elif node.op is Op.DIV:
-            raise ValidationError("division not supported in batched residue evaluation")
-        else:
-            raise ValidationError(f"op '{node.op.value}' not supported in residue evaluation")
-        vals[node.id] = v
-        for op_id in set(node.operands):
-            if last_use.get(op_id) == idx and op_id not in keep:
-                del vals[op_id]
-
-    out = vals[graph.outputs[0]]
-    if not isinstance(out, np.ndarray):
-        n = len(in_vals[graph.inputs[0]]) if graph.inputs else 1
-        out = np.full(n, out, dtype=np.int64)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# segment extraction for mixed-type graphs
-
-
-@dataclass(frozen=True)
-class CheckSegment:
-    """A standalone integer region, checkable on its own.
-
-    entry/exit name the probe points in the parent graph: entry is the seed
-    node, exit the final node of the region. subgraph re-derives exit's
-    value from the region's boundary values and exposes it as the single
-    output.
-    """
-
-    subgraph: DFGraph
-    entry: str
-    exit: str
-    depth: int
-
-
-def extract_segments(graph: DFGraph, max_depth: int | None = None) -> list[CheckSegment]:
-    """Find integer arithmetic regions reachable within max_depth layers.
-
-    Seeds are integer arithmetic nodes taken in topological order; each seed
-    is grown downstream through integer arithmetic (bounded by max_depth
-    layers), then closed over the integer arithmetic feeding the collected
-    nodes so the region is self-contained. Regions wholly inside an earlier
-    one are dropped.
-    """
-    if max_depth is not None and max_depth < 0:
-        raise ValidationError("max_depth must be >= 0 or None")
-    types = graph.node_types()
-    order = [graph.node(nid) for nid in graph.topo_order]
-    node_by_id = {n.id: n for n in order}
-    consumers: dict[str, list[str]] = {n.id: [] for n in order}
-    for n in order:
-        for op_id in n.operands:
-            consumers[op_id].append(n.id)
-
-    def is_int_arith(nid: str) -> bool:
-        n = node_by_id[nid]
-        return n.op in ARITH_OPS and types[nid] is ScalarType.INT16
-
-    covered: set[str] = set()
-    segments: list[CheckSegment] = []
-    seg_idx = 0
-    for seed in order:
-        if seed.op not in ARITH_OPS or types[seed.id] is not ScalarType.INT16:
-            continue
-        if seed.id in covered:
-            continue
-
-        # grow downstream, layer by layer
-        region = {seed.id}
-        frontier = [seed.id]
-        depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
-            nxt = []
-            for nid in frontier:
-                for c in consumers[nid]:
-                    if c not in region and is_int_arith(c):
-                        region.add(c)
-                        nxt.append(c)
-            if not nxt:
-                break
-            frontier = nxt
-            depth += 1
-
-        # close over integer arithmetic operands so the region computes
-        # its own sink from boundary values only
-        stack = deque(region)
-        while stack:
-            nid = stack.pop()
-            for op_id in node_by_id[nid].operands:
-                if op_id not in region and is_int_arith(op_id):
-                    region.add(op_id)
-                    stack.append(op_id)
-
-        if region <= covered:
-            continue
-
-        region_order = [n for n in order if n.id in region]
-        sinks = [n.id for n in region_order if not any(c in region for c in consumers[n.id])]
-        exit_id = sinks[-1]
-
-        # boundary operands become subgraph inputs (consts are copied)
-        sub_nodes: list[DFNode] = []
-        sub_inputs: list[str] = []
-        added: set[str] = set()
-        for n in region_order:
-            for op_id in n.operands:
-                if op_id in region or op_id in added:
-                    continue
-                src = node_by_id[op_id]
-                if src.op is Op.CONST:
-                    sub_nodes.append(DFNode(id=op_id, op=Op.CONST, operands=(), value=src.value))
-                else:
-                    sub_nodes.append(DFNode(id=op_id, op=Op.INPUT, operands=()))
-                    sub_inputs.append(op_id)
-                added.add(op_id)
-            sub_nodes.append(DFNode(id=n.id, op=n.op, operands=n.operands))
-        out_id = f"{exit_id}__segout"
-        sub_nodes.append(DFNode(id=out_id, op=Op.OUTPUT, operands=(exit_id,)))
-        sub = graph_of(f"{graph.name}#seg{seg_idx}", ScalarType.INT16, sub_nodes, sub_inputs, [out_id])
-
-        segments.append(CheckSegment(subgraph=sub, entry=seed.id, exit=exit_id, depth=depth))
-        covered |= region
-        seg_idx += 1
-
-    return segments
+        return RccVerdict(Judgement.INCONCLUSIVE, None, 0, skipped)
+    return RccVerdict(Judgement.NEGATIVE, None, rounds_run, skipped)

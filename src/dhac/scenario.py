@@ -29,11 +29,12 @@ from .fbc import (
     auto_sites,
     instrument,
     make_sentinel,
+    sentinel_distance,
 )
 from .graph import DFGraph, ScalarType, Trace, op_census
 from .interp import evaluate, evaluate_batch
 from .programs import INTEGER_SHORTHANDS, builtin_spec, draw_inputs
-from .rcc import ModuleSet, residues_batch
+from .rcc import ModuleSet, failed_rounds, residues_batch
 from .rng import substream
 
 REPORT_VERSION = "dhac-report-v1"
@@ -166,10 +167,36 @@ class ScenarioConfig:
             raise ConfigError("trials must be >= 1")
 
 
+def _section(doc: dict, key: str) -> dict:
+    sec = doc.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return sec
+
+
+def _listed(sec: dict, key: str, convert) -> tuple:
+    if not isinstance(sec[key], list):
+        raise ConfigError(f"'{key}' must be a list")
+    return tuple(convert(x) for x in sec[key])
+
+
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a campaign config from a parsed JSON document."""
+    """Build a campaign config from a parsed JSON document.
+
+    A malformed document raises ConfigError (ModulusError for a bad modulus).
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = set(doc) - {"seed", "trials", "strategy", "moduli", "rcc", "fbc", "keep_records"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    try:
+        return _config_from_dict(doc)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad config value: {e}") from None
+
+
+def _config_from_dict(doc: dict) -> ScenarioConfig:
     kw: dict = {}
     if "seed" in doc:
         kw["seed"] = int(doc["seed"])
@@ -185,20 +212,20 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             dishonest_prob=float(s.get("dishonest_prob", 1.0)),
         )
     if "moduli" in doc:
-        kw["moduli"] = ModuleSet(tuple(int(m) for m in doc["moduli"]))
-    rcc = doc.get("rcc", {})
+        kw["moduli"] = ModuleSet(_listed(doc, "moduli", int))
+    rcc = _section(doc, "rcc")
     if "programs" in rcc:
-        kw["rcc_programs"] = tuple(_program_entry(p) for p in rcc["programs"])
+        kw["rcc_programs"] = _listed(rcc, "programs", _program_entry)
     if "combos" in rcc and rcc["combos"] != "default":
-        kw["combos"] = tuple(backend_from_dict(b) for b in rcc["combos"])
-    fbc = doc.get("fbc", {})
+        kw["combos"] = _listed(rcc, "combos", backend_from_dict)
+    fbc = _section(doc, "fbc")
     if "programs" in fbc:
-        kw["fbc_programs"] = tuple(_program_entry(p) for p in fbc["programs"])
+        kw["fbc_programs"] = _listed(fbc, "programs", _program_entry)
     if "fp_bits" in fbc:
-        kw["fp_bits"] = tuple(int(b) for b in fbc["fp_bits"])
+        kw["fp_bits"] = _listed(fbc, "fp_bits", int)
     if "kinds" in fbc:
         try:
-            kw["fbc_kinds"] = tuple(SentinelKind(k) for k in fbc["kinds"])
+            kw["fbc_kinds"] = _listed(fbc, "kinds", SentinelKind)
         except ValueError as e:
             raise ConfigError(f"unknown sentinel kind in config: {e}") from None
     if "n" in fbc:
@@ -206,11 +233,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     if "delta" in fbc:
         kw["fbc_delta"] = float(fbc["delta"])
     if "sites" in fbc and fbc["sites"] != "auto":
-        kw["fbc_sites"] = tuple(str(s) for s in fbc["sites"])
-    known = {"seed", "trials", "strategy", "moduli", "rcc", "fbc", "keep_records"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        kw["fbc_sites"] = _listed(fbc, "sites", str)
     if "keep_records" in doc:
         kw["keep_records"] = bool(doc["keep_records"])
     return ScenarioConfig(**kw)
@@ -282,6 +305,15 @@ def _rate(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
+def _row(program, combo, check, raw_rate, per_detectable_rate, fp, fn) -> dict:
+    return dict(zip(DETECTION_COLUMNS, (program, combo, check, raw_rate, per_detectable_rate, fp, fn)))
+
+
+def _detectable_row(program: str, combo: str, n_det: int, n_approx: int) -> dict:
+    """The row each cell opens with: the share of approximate trials that changed the output."""
+    return _row(program, combo, "detectable", _rate(n_det, n_approx), None if n_det == 0 else 1.0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # residue-check campaign
 
@@ -303,40 +335,17 @@ def _rcc_cell(cfg: ScenarioConfig, entry: ProgramEntry, backend: ArithBackend):
         claimed[mask] = np.asarray(evaluate_batch(g, sub, backend).outputs[0])
     detectable = mask & (claimed != exact)
 
-    first_fail = np.zeros(n, dtype=np.int64)
-    for j, m in enumerate(cfg.moduli):
-        res = residues_batch(g, cols, m)
-        mismatch = (claimed % m) != res
-        newly = (first_fail == 0) & mismatch
-        first_fail[newly] = j + 1
+    first_fail = failed_rounds(residues_batch(g, cols, cfg.moduli), claimed, cfg.moduli)
 
     n_approx = int(mask.sum())
     n_det = int(detectable.sum())
     fp = int(((~mask) & (first_fail > 0)).sum())
 
-    rows = [
-        {
-            "program": entry.label,
-            "combo": combo,
-            "check": "detectable",
-            "raw_rate": _rate(n_det, n_approx),
-            "per_detectable_rate": None if n_det == 0 else 1.0,
-            "fp": 0,
-            "fn": 0,
-        }
-    ]
+    rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
     for j in range(len(cfg.moduli)):
         det_j = int((mask & (first_fail > 0) & (first_fail <= j + 1)).sum())
         rows.append(
-            {
-                "program": entry.label,
-                "combo": combo,
-                "check": f"round{j + 1}",
-                "raw_rate": _rate(det_j, n_approx),
-                "per_detectable_rate": _rate(det_j, n_det),
-                "fp": fp,
-                "fn": n_det - det_j,
-            }
+            _row(entry.label, combo, f"round{j + 1}", _rate(det_j, n_approx), _rate(det_j, n_det), fp, n_det - det_j)
         )
 
     stats = None
@@ -403,8 +412,12 @@ def build_instrumented(cfg: ScenarioConfig, entry: ProgramEntry) -> Instrumented
     return instrument(spec.graph, sentinels)
 
 
-def _fbc_cell_distances(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
-    """Per-trial sentinel distances for one (program, fp-bits) cell."""
+def _fbc_cell_taps(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
+    """Per-trial sentinel export lanes for one (program, fp-bits) cell.
+
+    Approximate trials read their exports from the approximate run, the
+    others from the accurate one, as the server would report them.
+    """
     spec = entry.spec()
     ins = build_instrumented(cfg, entry)
     g = ins.graph
@@ -423,14 +436,13 @@ def _fbc_cell_distances(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
     else:
         approx_tr = None
 
-    dists: dict[SentinelKind, np.ndarray] = {}
+    taps: dict[str, np.ndarray] = {}
     for s in ins.sentinels:
-        d = np.abs(exact_tr.exports[s.entry_export] - exact_tr.exports[s.exit_export])
-        if approx_tr is not None:
-            da = np.abs(approx_tr.exports[s.entry_export] - approx_tr.exports[s.exit_export])
-            d = d.copy()
-            d[mask] = da
-        dists[s.kind] = d
+        for k in (s.entry_export, s.exit_export):
+            taps[k] = exact_tr.exports[k]
+            if approx_tr is not None:
+                taps[k] = taps[k].copy()
+                taps[k][mask] = approx_tr.exports[k]
 
     detectable = np.zeros(n, dtype=bool)
     if approx_tr is not None:
@@ -439,53 +451,27 @@ def _fbc_cell_distances(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
             diff |= np.asarray(e_out)[mask] != np.asarray(a_out)
         detectable[mask] = diff
 
-    return ins, dists, mask, detectable
+    return ins, taps, mask, detectable
 
 
 def _fbc_cell_rows(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
-    ins, dists, mask, detectable = _fbc_cell_distances(cfg, entry, bits)
+    ins, taps, mask, detectable = _fbc_cell_taps(cfg, entry, bits)
     n_approx = int(mask.sum())
     n_det = int(detectable.sum())
     combo = f"fp_trunc({bits})"
 
-    rows = [
-        {
-            "program": entry.label,
-            "combo": combo,
-            "check": "detectable",
-            "raw_rate": _rate(n_det, n_approx),
-            "per_detectable_rate": None if n_det == 0 else 1.0,
-            "fp": 0,
-            "fn": 0,
-        }
-    ]
+    def flag_row(check: str, flag: np.ndarray) -> dict:
+        hits, caught = int((flag & mask).sum()), int((flag & detectable).sum())
+        fp, fn = int((flag & ~mask).sum()), int((detectable & ~flag).sum())
+        return _row(entry.label, combo, check, _rate(hits, n_approx), _rate(caught, n_det), fp, fn)
+
+    rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
     any_flag = np.zeros(len(mask), dtype=bool)
     for s in ins.sentinels:
-        d = dists[s.kind]
-        flag = (~np.isfinite(d)) | (d >= s.delta)
+        _, flag = sentinel_distance(s, taps)
         any_flag |= flag
-        rows.append(
-            {
-                "program": entry.label,
-                "combo": combo,
-                "check": f"sentinel-{s.kind.value}",
-                "raw_rate": _rate(int((flag & mask).sum()), n_approx),
-                "per_detectable_rate": _rate(int((flag & detectable).sum()), n_det),
-                "fp": int((flag & ~mask).sum()),
-                "fn": int((detectable & ~flag).sum()),
-            }
-        )
-    rows.append(
-        {
-            "program": entry.label,
-            "combo": combo,
-            "check": "overall",
-            "raw_rate": _rate(int((any_flag & mask).sum()), n_approx),
-            "per_detectable_rate": _rate(int((any_flag & detectable).sum()), n_det),
-            "fp": int((any_flag & ~mask).sum()),
-            "fn": int((detectable & ~any_flag).sum()),
-        }
-    )
+        rows.append(flag_row(f"sentinel-{s.kind.value}", flag))
+    rows.append(flag_row("overall", any_flag))
     return rows
 
 
@@ -499,10 +485,10 @@ def run_fbc_trials(cfg: ScenarioConfig) -> DetectionReport:
 
 
 def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
-    """Re-threshold recorded sentinel distances at each delta.
+    """Re-threshold recorded sentinel taps at each delta.
 
-    Distances are computed once per cell; a trial counts as flagged when
-    any sentinel's distance reaches the threshold.
+    Each cell is evaluated once; a trial counts as flagged when any
+    sentinel fires at the threshold.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -510,15 +496,15 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
     cells = []
     for entry in cfg.fbc_programs:
         for bits in cfg.fp_bits:
-            _, dists, mask, _ = _fbc_cell_distances(cfg, entry, bits)
-            cells.append((dists, mask))
+            ins, taps, mask, _ = _fbc_cell_taps(cfg, entry, bits)
+            cells.append((ins.sentinels, taps, mask))
     report = DetectionReport("sweep", _config_echo(cfg), SWEEP_COLUMNS, [])
     for delta in deltas:
         fp = acc = miss = approx = 0
-        for dists, mask in cells:
+        for sentinels, taps, mask in cells:
             any_flag = np.zeros(len(mask), dtype=bool)
-            for d in dists.values():
-                any_flag |= (~np.isfinite(d)) | (d >= delta)
+            for s in sentinels:
+                any_flag |= sentinel_distance(s, taps, delta)[1]
             fp += int((any_flag & ~mask).sum())
             acc += int((~mask).sum())
             miss += int((~any_flag & mask).sum())

@@ -286,6 +286,40 @@ class TestFbcJudge:
         assert main(["fbc-judge", "--instrumented", instrumented, "--trace", bad]) == 1
         assert "lacks sentinel export" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "trace,msg",
+        [
+            ({"outputs": 5, "exports": {}}, "'outputs' must be a list of numbers"),
+            ({"outputs": [0.0], "exports": []}, "'exports' must map"),
+            ({"outputs": [0.0], "exports": {"e": None}}, "'exports' must map"),
+        ],
+    )
+    def test_malformed_trace(self, tmp_path, instrumented, capsys, trace, msg):
+        bad = _json_file(tmp_path, "bad.json", trace)
+        assert main(["fbc-judge", "--instrumented", instrumented, "--trace", bad]) == 1
+        err = capsys.readouterr().err
+        assert msg in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mutate,msg",
+        [
+            (lambda doc: doc["sentinels"][0].pop("kind"), "sentinels[0] lacks 'kind'"),
+            (lambda doc: doc.update(sentinels=5), "'sentinels' must be a list"),
+            (lambda doc: doc["sentinels"].append(3), "sentinels[3] must be an object"),
+            (lambda doc: doc["sentinels"][1].update(n="x"), "sentinels[1]:"),
+            (lambda doc: doc["sentinels"][0].update(exit_export=[1]), "export ids must be strings"),
+        ],
+    )
+    def test_malformed_instrumented_file(self, tmp_path, instrumented, capsys, mutate, msg):
+        trace = self._trace(tmp_path, instrumented)
+        doc = json.loads(Path(instrumented).read_text())
+        mutate(doc)
+        bad = _json_file(tmp_path, "bad_ins.json", doc)
+        capsys.readouterr()
+        assert main(["fbc-judge", "--instrumented", bad, "--trace", trace]) == 1
+        err = capsys.readouterr().err
+        assert msg in err and err.count("\n") == 1
+
 
 class TestBench:
     def test_quick_report_shape(self, tmp_path, capsys):

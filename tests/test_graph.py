@@ -40,7 +40,7 @@ class TestValidation:
     def test_valid_graph_has_caches(self):
         g = tiny_int_graph()
         assert g.node("m").op is Op.MUL
-        assert set(g.node_map) == {"x", "y", "c", "m", "s", "out"}
+        assert [g.node(n.id) for n in g.nodes] == g.nodes
         assert g.node_type("m") is ScalarType.INT16
 
     def test_topo_order_respects_edges(self):
@@ -50,13 +50,6 @@ class TestValidation:
         for node in g.nodes:
             for op_id in node.operands:
                 assert pos[op_id] < pos[node.id]
-
-    def test_consumers(self):
-        g = tiny_int_graph()
-        cons = g.consumers()
-        assert cons["x"] == ["m"]
-        assert cons["m"] == ["s"]
-        assert cons["out"] == []
 
     def test_duplicate_id(self):
         nodes = [n("x", Op.INPUT), n("x", Op.INPUT), n("out", Op.OUTPUT, "x")]

@@ -1,4 +1,4 @@
-"""Residue arithmetic, modular re-evaluation, verdicts, segment extraction."""
+"""Residue arithmetic, modular re-evaluation, verdicts."""
 
 import dataclasses
 import math
@@ -24,8 +24,8 @@ from dhac import (
     builtin_spec,
     draw_inputs,
     evaluate,
+    evaluate_batch,
     evaluate_mod,
-    extract_segments,
     graph_of,
     rcc_check,
     ring_add,
@@ -287,9 +287,30 @@ class TestResiduesBatch:
             for r in range(64):
                 assert got[r] == evaluate_mod(spec.graph, cols[:, r], m).value
 
-    def test_division_rejected(self):
-        with pytest.raises(ValidationError, match="division"):
-            residues_batch(int_div_graph(), [np.array([4]), np.array([2])], 7)
+    def test_division_matches_scalar_and_marks_non_units(self):
+        g = int_div_graph()
+        xs = np.array([4, -100, 7, 0, 9, -3])
+        ys = np.array([2, 3, 5, 7, 14, -7])
+        moduli = (3, 5, 7, 9)
+        got = residues_batch(g, [xs, ys], moduli)
+        assert got.shape == (4, 6)
+        for j, m in enumerate(moduli):
+            for r in range(6):
+                if math.gcd(int(ys[r]), m) == 1:
+                    assert got[j, r] == evaluate_mod(g, [int(xs[r]), int(ys[r])], m).value
+                else:
+                    assert got[j, r] == -1
+                    with pytest.raises(NoInverseError):
+                        evaluate_mod(g, [int(xs[r]), int(ys[r])], m)
+
+    def test_modulus_above_int32_does_not_overflow(self):
+        spec = builtin_spec("rk3")
+        cols = draw_inputs(spec, substream(12, "batch-res", "big"), 200)
+        exact = evaluate_batch(spec.graph, cols, ACC).outputs[0]
+        m = 4294967311
+        got = residues_batch(spec.graph, cols, (7, m))
+        assert got[0].tolist() == (exact % 7).tolist()
+        assert got[1].tolist() == [int(v) % m for v in exact]
 
     def test_float_graph_rejected(self):
         with pytest.raises(ValidationError, match="all-integer"):
@@ -314,64 +335,3 @@ class TestResiduesBatch:
         got = residues_batch(g, [np.array([1, 2, 3])], 3)
         assert got.tolist() == [2, 2, 2]
 
-
-class TestExtractSegments:
-    def test_fir_is_one_segment(self):
-        spec = builtin_spec("fir")
-        segs = extract_segments(spec.graph)
-        assert len(segs) == 1
-        seg = segs[0]
-        assert seg.entry == "m0"
-        assert seg.exit == "s10"
-        assert seg.depth == 10
-        assert len(seg.subgraph.outputs) == 1
-
-        ins = draw_inputs(spec, substream(2, "seg", "fir"))
-        by_name = dict(zip(spec.graph.inputs, ins))
-        sub_ins = [by_name[nid] for nid in seg.subgraph.inputs]
-        assert (
-            evaluate(seg.subgraph, sub_ins, ACC).outputs[0]
-            == evaluate(spec.graph, ins, ACC).outputs[0]
-        )
-
-    def test_mixed_graph_two_regions(self):
-        segs = extract_segments(mixed_graph())
-        assert [(s.entry, s.exit, s.depth) for s in segs] == [("d", "q", 1), ("m", "s", 1)]
-        assert len({s.subgraph.name for s in segs}) == 2
-
-        by_name = {"x0": 9, "x1": -4, "y0": 12, "y1": 5}
-        vals = {"s": 9 * 3 + (-4), "q": (12 - 5) ** 2}
-        for seg in segs:
-            sub_ins = [by_name[nid] for nid in seg.subgraph.inputs]
-            assert evaluate(seg.subgraph, sub_ins, ACC).outputs[0] == vals[seg.exit]
-
-    def test_depth_zero_splits_per_node(self):
-        segs = extract_segments(mixed_graph(), max_depth=0)
-        assert [s.exit for s in segs] == ["d", "m", "q", "s"]
-        assert all(s.depth == 0 for s in segs)
-
-        by_name = {"x0": 9, "x1": -4, "y0": 12, "y1": 5}
-        vals = {"m": 27, "s": 23, "d": 7, "q": 49}
-        for seg in segs:
-            sub_ins = [by_name[nid] for nid in seg.subgraph.inputs]
-            assert evaluate(seg.subgraph, sub_ins, ACC).outputs[0] == vals[seg.exit]
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValidationError, match="max_depth"):
-            extract_segments(mixed_graph(), max_depth=-1)
-
-    def test_float_only_graph_has_none(self):
-        assert extract_segments(float_graph()) == []
-        assert extract_segments(builtin_spec("conv_layer").graph) == []
-
-    def test_division_region(self):
-        segs = extract_segments(int_div_graph())
-        assert len(segs) == 1
-        assert (segs[0].entry, segs[0].exit) == ("p", "q")
-        assert evaluate(segs[0].subgraph, [9, 5], ACC).outputs[0] == 9
-
-    def test_segments_are_checkable(self):
-        # an extracted region feeds straight into the residue check
-        seg = extract_segments(mixed_graph())[0]
-        assert not rcc_check(seg.subgraph, [12, 5], 49).positive
-        assert rcc_check(seg.subgraph, [12, 5], 50).positive

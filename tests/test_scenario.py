@@ -19,6 +19,7 @@ from dhac import (
     draw_inputs,
     evaluate,
     ground_truth_oracle,
+    rcc_check,
     report_to_csv,
     run_bench,
     run_fbc_trials,
@@ -229,6 +230,20 @@ class TestConfig:
             config_from_dict({"trials": 0})
         with pytest.raises(ConfigError, match="program entry"):
             config_from_dict({"rcc": {"programs": [7]}})
+        with pytest.raises(ConfigError, match="'rcc' must be an object"):
+            config_from_dict({"rcc": 5})
+        with pytest.raises(ConfigError, match="'fbc' must be an object"):
+            config_from_dict({"fbc": 7})
+        with pytest.raises(ConfigError, match="'moduli' must be a list"):
+            config_from_dict({"moduli": 5})
+        with pytest.raises(ConfigError, match="'kinds' must be a list"):
+            config_from_dict({"fbc": {"kinds": 3}})
+        with pytest.raises(ConfigError, match="'programs' must be a list"):
+            config_from_dict({"rcc": {"programs": 5}})
+        with pytest.raises(ConfigError, match="backend must be an object"):
+            config_from_dict({"rcc": {"combos": [5]}})
+        with pytest.raises(ConfigError, match="bad config value"):
+            config_from_dict({"seed": None})
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +321,33 @@ class TestRccTrials:
     def test_deterministic(self, report):
         again = run_rcc_trials(small_cfg(keep_records=True))
         assert report_to_csv(again) == report_to_csv(report)
+
+    def test_failed_round_is_the_judges(self, report):
+        cfg = small_cfg()
+        for entry in cfg.rcc_programs:
+            spec = entry.spec()
+            for backend in cfg.combos:
+                combo = backend.label()
+                cols = draw_inputs(spec, substream(cfg.seed, "rcc", entry.label, combo, "inputs"), cfg.trials)
+                cell = [r for r in report.records if r.program == entry.label and r.combo == combo]
+                assert len(cell) == cfg.trials
+                for r in cell:
+                    v = rcc_check(spec.graph, [int(c[r.index]) for c in cols], r.detail["claimed"], cfg.moduli)
+                    assert v.failed_round == r.detail["failed_round"]
+                    assert v.judgement.value == r.judgement
+
+    def test_modulus_above_int32_flags_no_honest_trial(self):
+        cfg = config_from_dict(
+            {
+                "trials": 200,
+                "moduli": [4294967311],
+                "strategy": {"dishonest_prob": 0},
+                "rcc": {"programs": ["rk3", "euler3"], "combos": [{"adder": {"kind": "loa", "k": 4}}]},
+            }
+        )
+        report = run_rcc_trials(cfg)
+        assert len(report.rows) == 2 * 2
+        assert all(row["fp"] == 0 for row in report.rows)
 
 
 class TestFbcTrials:
