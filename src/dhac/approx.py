@@ -1,8 +1,8 @@
 """Behavioral models of approximate 16-bit arithmetic units and FP truncation.
 
 Integer units operate on 16-bit two's-complement patterns and return signed
-values; both paradigms wrap at 16 bits, the approximate ones additionally
-lose information:
+values, on Python ints and int64 numpy lanes alike; both paradigms wrap at
+16 bits, the approximate ones additionally lose information:
 
   adders       loa(k)          low k result bits are OR of the operand low bits,
                                high bits are the exact sum of the high parts with
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EvalError, StatsError
+from .errors import ConfigError, StatsError
 from .graph import ScalarType
 
 _MASK16 = 0xFFFF
@@ -174,130 +174,72 @@ def backend_to_dict(backend: ArithBackend) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 16-bit integer units (scalar)
+# 16-bit integer units: one definition, on Python ints and int64 lanes alike
 
 
-def _s16(u: int) -> int:
-    return u - 0x10000 if u & 0x8000 else u
+def wrap16(x):
+    """x reduced to a signed int16 (two's-complement wrap)."""
+    return ((x & _MASK16) ^ 0x8000) - 0x8000
 
 
-def neg16(x: int) -> int:
-    """Two's-complement negation pattern of x."""
-    return (-x) & _MASK16
+def add16_batch(model: IntUnitModel, a, b):
+    """16-bit add under the given adder model; signed int16 result.
 
-
-def add16(model: IntUnitModel, a: int, b: int) -> int:
-    """16-bit add under the given adder model; signed int16 result."""
-    a &= _MASK16
-    b &= _MASK16
-    k = model.param
-    if model.kind == "exact" or model.is_exact:
-        u = (a + b) & _MASK16
-    elif model.kind == "loa":
-        mask = (1 << k) - 1
-        high = ((a >> k) + (b >> k)) & ((1 << (16 - k)) - 1)
-        u = (high << k) | ((a | b) & mask)
-    elif model.kind == "trunc_add":
-        mask = (1 << k) - 1
-        u = ((a & ~mask) + (b & ~mask)) & _MASK16
-    elif model.kind == "seg_carry":
-        u = 0
-        for lo in range(0, 16, k):
-            w = min(k, 16 - lo)
-            m = (1 << w) - 1
-            u |= ((((a >> lo) & m) + ((b >> lo) & m)) & m) << lo
-    else:  # pragma: no cover - guarded by check()
-        raise ConfigError(f"'{model.kind}' is not an adder model")
-    return _s16(u)
-
-
-def mul16(model: IntUnitModel, a: int, b: int) -> int:
-    """16-bit multiply under the given multiplier model; signed int16 result."""
-    a &= _MASK16
-    b &= _MASK16
-    k = model.param
-    if model.kind == "log_approx":
-        u = _mitchell(a, b) & _MASK16
-    elif model.kind == "exact" or model.is_exact:
-        u = (a * b) & _MASK16
-    elif model.kind == "trunc_mul":
-        u = (a * (b & ~((1 << k) - 1))) & _MASK16
-    elif model.kind == "broken_array":
-        u = (a * b) & _MASK16 & ~((1 << k) - 1)
-    else:  # pragma: no cover - guarded by check()
-        raise ConfigError(f"'{model.kind}' is not a multiplier model")
-    return _s16(u)
-
-
-def _mitchell(a: int, b: int) -> int:
-    # log2(x) ~ k + (x - 2^k)/2^k; antilog of the characteristic/fraction sum.
-    if a == 0 or b == 0:
-        return 0
-    k1 = a.bit_length() - 1
-    k2 = b.bit_length() - 1
-    m1 = a - (1 << k1)
-    m2 = b - (1 << k2)
-    frac = m1 * (1 << k2) + m2 * (1 << k1)  # (x1 + x2) * 2^(k1+k2)
-    if frac < (1 << (k1 + k2)):
-        return (1 << (k1 + k2)) + frac
-    return 2 * frac
-
-
-# ---------------------------------------------------------------------------
-# 16-bit integer units (batch lanes, bit-identical to the scalar path)
-
-
-def add16_batch(model: IntUnitModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64) & _MASK16
-    b = np.asarray(b, dtype=np.int64) & _MASK16
+    a and b are Python ints or int64 lanes; the result has the same form.
+    """
+    a = a & _MASK16
+    b = b & _MASK16
     k = model.param
     if model.is_exact:
-        u = (a + b) & _MASK16
-    elif model.kind == "loa":
-        mask = (1 << k) - 1
-        high = ((a >> k) + (b >> k)) & ((1 << (16 - k)) - 1)
-        u = (high << k) | ((a | b) & mask)
+        u = a + b
+    elif model.kind == "loa":  # high parts added with carry-in 0, low bits ORed
+        u = (((a >> k) + (b >> k)) << k) | ((a | b) & ((1 << k) - 1))
     elif model.kind == "trunc_add":
-        mask = (1 << k) - 1
-        u = ((a & ~mask) + (b & ~mask)) & _MASK16
-    else:  # seg_carry
-        u = np.zeros_like(a)
+        mask = ~((1 << k) - 1)
+        u = (a & mask) + (b & mask)
+    else:  # seg_carry: the carry out of each segment is masked off
+        u = 0
         for lo in range(0, 16, k):
-            w = min(k, 16 - lo)
-            m = (1 << w) - 1
-            u |= ((((a >> lo) & m) + ((b >> lo) & m)) & m) << lo
-    return np.where(u & 0x8000, u - 0x10000, u)
+            seg = ((1 << min(k, 16 - lo)) - 1) << lo
+            u = u | (((a & seg) + (b & seg)) & seg)
+    return wrap16(u)
 
 
-def mul16_batch(model: IntUnitModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64) & _MASK16
-    b = np.asarray(b, dtype=np.int64) & _MASK16
+def mul16_batch(model: IntUnitModel, a, b):
+    """16-bit multiply under the given multiplier model; signed int16 result.
+
+    a and b are Python ints or int64 lanes; the result has the same form.
+    """
+    a = a & _MASK16
+    b = b & _MASK16
     k = model.param
     if model.kind == "log_approx":
-        u = _mitchell_batch(a, b) & _MASK16
+        u = _mitchell(a, b)
     elif model.is_exact:
-        u = (a * b) & _MASK16
+        u = a * b
     elif model.kind == "trunc_mul":
-        u = (a * (b & ~((1 << k) - 1))) & _MASK16
+        u = a * (b & ~((1 << k) - 1))
     else:  # broken_array
-        u = (a * b) & _MASK16 & ~((1 << k) - 1)
-    return np.where(u & 0x8000, u - 0x10000, u)
+        u = a * b & ~((1 << k) - 1)
+    return wrap16(u)
 
 
-def _mitchell_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # floor(log2) via frexp; exact for integers below 2^53.
-    safe_a = np.maximum(a, 1)
-    safe_b = np.maximum(b, 1)
-    k1 = np.frexp(safe_a.astype(np.float64))[1].astype(np.int64) - 1
-    k2 = np.frexp(safe_b.astype(np.float64))[1].astype(np.int64) - 1
-    p1 = np.int64(1) << k1
-    p2 = np.int64(1) << k2
-    m1 = safe_a - p1
-    m2 = safe_b - p2
-    frac = m1 * p2 + m2 * p1
+def _log2_16(x):
+    """floor(log2(x)) of a 16-bit pattern x (0 for x = 0), by halving the search."""
+    k = (x > 0xFF) * 8
+    k = k + ((x >> k) > 0xF) * 4
+    k = k + ((x >> k) > 0x3) * 2
+    return k + ((x >> k) > 0x1)
+
+
+def _mitchell(a, b):
+    # log2(x) ~ k + (x - 2^k)/2^k; antilog of the characteristic/fraction sum.
+    p1, p2 = 1 << _log2_16(a), 1 << _log2_16(b)
+    frac = (a - p1) * p2 + (b - p2) * p1  # (x1 + x2) * 2^(k1+k2)
     base = p1 * p2
-    out = np.where(frac < base, base + frac, 2 * frac)
-    return np.where((a == 0) | (b == 0), np.int64(0), out)
+    # base + frac while the fraction sum stays below 1, else 2 * frac
+    out = 2 * frac + (frac < base) * (base - frac)
+    return out * ((a != 0) & (b != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +263,6 @@ def trunc_mantissa_batch(x: np.ndarray, bits: int) -> np.ndarray:
     u = x.view(np.uint64) & np.uint64(~((1 << bits) - 1) & 0xFFFFFFFFFFFFFFFF)
     y = u.view(np.float64)
     return np.where(np.isfinite(x), y, x)
-
-
-_FP_BINOPS = ("add", "sub", "mul", "div")
-_FP_UNOPS = ("tan", "arctan")
-
-
-def fp_op(model: FpTruncModel, op: str, a: float, b: float | None = None) -> float:
-    """Apply one float op with truncated operands; the op itself is exact double math."""
-    ta = trunc_mantissa(float(a), model.bits)
-    if op in _FP_UNOPS:
-        return math.tan(ta) if op == "tan" else math.atan(ta)
-    if b is None:
-        raise EvalError(f"fp op '{op}' needs two operands")
-    tb = trunc_mantissa(float(b), model.bits)
-    if op == "add":
-        return ta + tb
-    if op == "sub":
-        return ta - tb
-    if op == "mul":
-        return ta * tb
-    if op == "div":
-        if tb == 0.0:
-            raise EvalError("div-by-zero")
-        return ta / tb
-    raise EvalError(f"unknown fp op '{op}'")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .fbc import (
     judge,
     make_sentinel,
 )
-from .graph import DFGraph, Trace, parse_program
+from .graph import DFGraph, Trace, parse_program_dict
 from .interp import evaluate
 from .programs import SHORTHAND, builtin_program
 from .rcc import Judgement, ModuleSet, rcc_check
@@ -59,12 +59,10 @@ def _load_json(path: str):
 
 def _load_program(value: str) -> DFGraph:
     if os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as f:
-            text = f.read()
-        doc = json.loads(text)
+        doc = _load_json(value)
         if isinstance(doc, dict) and "sentinels" in doc:
             return instrumented_from_dict(doc).graph
-        return parse_program(text)
+        return parse_program_dict(doc)
     if value in SHORTHAND:
         return builtin_program(value)
     raise InputError(f"'{value}' is neither a file nor a builtin name")

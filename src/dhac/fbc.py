@@ -23,7 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from .approx import FpTruncModel, fp_op
 from .errors import SiteError, TraceError, ValidationError
 from .graph import (
     ARITH_OPS,
@@ -120,20 +119,6 @@ def backward_steps(s: Sentinel) -> list[tuple[Op, float | None]]:
     if s.kind is SentinelKind.MULTIPLICATION:
         return [(Op.DIV, r) for r in reversed(s.operands)]
     return [(Op.TAN, None)]
-
-
-def sentinel_roundtrip(s: Sentinel, value: float, fp: FpTruncModel | None = None):
-    """Run the detour outside any graph; returns (restored, distance).
-
-    Bit-identical to evaluating the instrumented graph under the same float
-    unit model.
-    """
-    fp = fp if fp is not None else FpTruncModel(0)
-    v = float(value)
-    for op, r in forward_steps(s) + backward_steps(s):
-        v = fp_op(fp, op.value, v, r)
-    d = abs(float(value) - v)
-    return v, d
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,109 @@
 """Graph evaluation under an arithmetic backend.
 
-`evaluate` is the scalar reference interpreter. `evaluate_batch` runs many
-input vectors through one topological sweep with numpy lanes and is
-bit-identical to the scalar path (Tan/Arctan lanes go through math.tan /
-math.atan elementwise on purpose: numpy's vectorized transcendentals may
-differ from libm in the last ulp).
+`evaluate` runs one input vector on Python scalars and `evaluate_batch` runs
+n vectors at once on numpy lanes. Both are the same topological walk over
+the same unit definitions; only a handful of primitives differ by form.
+Tan/Arctan lanes go through math.tan / math.atan elementwise on purpose:
+numpy's vectorized transcendentals may differ from libm in the last ulp, so
+the two forms stay bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .approx import (
-    ArithBackend,
-    add16,
-    add16_batch,
-    fp_op,
-    mul16,
-    mul16_batch,
-    neg16,
-    trunc_mantissa_batch,
-)
+from .approx import ArithBackend, add16_batch, mul16_batch, trunc_mantissa, trunc_mantissa_batch, wrap16
 from .errors import EvalError, InputError
 from .graph import INT16_MAX, INT16_MIN, DFGraph, Op, ScalarType, Trace
 
-_FP_OPNAME = {Op.ADD: "add", Op.SUB: "sub", Op.MUL: "mul", Op.DIV: "div",
-              Op.TAN: "tan", Op.ARCTAN: "arctan"}
-
 _tan_lane = np.frompyfunc(math.tan, 1, 1)
 _atan_lane = np.frompyfunc(math.atan, 1, 1)
+
+
+def _float_lanes(v) -> np.ndarray:
+    return np.asarray(v, dtype=np.float64)
+
+
+# (all finite, any true, mantissa truncation, tan, arctan, widen int16 to float64)
+_SCALAR_PRIMITIVES = (math.isfinite, bool, trunc_mantissa, math.tan, math.atan, float)
+_LANE_PRIMITIVES = (
+    lambda r: np.isfinite(r).all(),
+    np.any,
+    trunc_mantissa_batch,
+    lambda x: _float_lanes(_tan_lane(x)),
+    lambda x: _float_lanes(_atan_lane(x)),
+    _float_lanes,
+)
+
+
+def _walk(graph: DFGraph, values: dict, backend: ArithBackend, lanes: bool):
+    """Evaluate every node in topological order, starting from the checked inputs.
+
+    Values are Python scalars, or numpy lanes when `lanes` is set; a constant
+    stays a scalar in either form. Returns (outputs, exports).
+    """
+    all_finite, any_true, trunc, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
+    adder, multiplier, bits = backend.adder, backend.multiplier, backend.fp.bits
+    # Lanes are freed after their last use, so peak memory tracks graph
+    # width; for scalars the liveness pass would cost more than it saves.
+    dead_after = graph.dead_after if lanes else repeat(())
+    exports = {}
+    for nid, dead in zip(graph.topo_order, dead_after):
+        node = graph.node(nid)
+        op = node.op
+        if op is Op.INPUT:
+            r = values[nid]
+        elif op is Op.CONST:
+            r = int(node.value) if graph.node_type(nid) is ScalarType.INT16 else float(node.value)
+        elif op is Op.OUTPUT or op is Op.EXPORT:  # not `in`: Enum hashing is slow per node
+            r = values[node.operands[0]]
+            if op is Op.EXPORT:
+                exports[nid] = r
+        elif graph.node_type(nid) is ScalarType.INT16:
+            a, b = values[node.operands[0]], values[node.operands[1]]
+            if op is Op.ADD:
+                r = add16_batch(adder, a, b)
+            elif op is Op.SUB:
+                # subtraction routes through the adder on the negated operand
+                r = add16_batch(adder, a, -b)
+            elif op is Op.MUL:
+                r = mul16_batch(multiplier, a, b)
+            else:  # integer division: exact in both paradigms
+                if any_true(b == 0):
+                    raise EvalError("div-by-zero", nid)
+                if any_true(a % b != 0):
+                    raise EvalError("inexact-div", nid)
+                r = wrap16(a // b)
+        else:
+            # int16 operands widen exactly; float units truncate their
+            # operands and then do exact double math
+            args = [widen(values[x]) for x in node.operands]
+            if bits:
+                args = [trunc(v, bits) for v in args]
+            if op is Op.TAN:
+                r = tan(args[0])
+            elif op is Op.ARCTAN:
+                r = atan(args[0])
+            elif op is Op.ADD:
+                r = args[0] + args[1]
+            elif op is Op.SUB:
+                r = args[0] - args[1]
+            elif op is Op.MUL:
+                r = args[0] * args[1]
+            else:
+                if any_true(args[1] == 0.0):
+                    raise EvalError("div-by-zero", nid)
+                r = args[0] / args[1]
+            if not all_finite(r):
+                raise EvalError("non-finite", nid)
+        values[nid] = r
+        for op_id in dead:
+            del values[op_id]
+    return [values[o] for o in graph.outputs], exports
 
 
 def _check_scalar_input(x, t: ScalarType, pos: int):
@@ -50,65 +122,15 @@ def _check_scalar_input(x, t: ScalarType, pos: int):
 
 
 def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBackend) -> Trace:
-    """Run one input vector through the graph; returns outputs and export taps."""
+    """Run one input vector through the graph; returns outputs and export taps.
+
+    Every value in the trace is a Python int or float.
+    """
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-
-    values: dict[str, int | float] = {}
-    for pos, nid in enumerate(graph.inputs):
-        values[nid] = _check_scalar_input(inputs[pos], graph.node_type(nid), pos)
-
-    exports: dict[str, int | float] = {}
-    for nid in graph.topo_order:
-        n = graph.node(nid)
-        t = graph.node_type(nid)
-        if n.op is Op.INPUT:
-            continue
-        if n.op is Op.CONST:
-            values[nid] = int(n.value) if t is ScalarType.INT16 else float(n.value)
-            continue
-        if n.op in (Op.OUTPUT, Op.EXPORT):
-            v = values[n.operands[0]]
-            values[nid] = v
-            if n.op is Op.EXPORT:
-                exports[nid] = v
-            continue
-
-        args = [values[x] for x in n.operands]
-        if t is ScalarType.INT16:
-            a, b = args
-            if n.op is Op.ADD:
-                values[nid] = add16(backend.adder, a, b)
-            elif n.op is Op.SUB:
-                # subtraction routes through the adder on the two's-complement negation
-                values[nid] = add16(backend.adder, a, neg16(b))
-            elif n.op is Op.MUL:
-                values[nid] = mul16(backend.multiplier, a, b)
-            else:  # integer division: exact in both paradigms
-                if b == 0:
-                    raise EvalError("div-by-zero", nid)
-                if a % b != 0:
-                    raise EvalError("inexact-div", nid)
-                q = a // b
-                values[nid] = (q & 0xFFFF) - 0x10000 if q & 0x8000 else q & 0xFFFF
-        else:
-            fargs = [float(v) for v in args]  # int16 operands widen exactly
-            try:
-                r = fp_op(backend.fp, _FP_OPNAME[n.op], *fargs)
-            except EvalError as e:
-                raise EvalError(e.reason, nid) from None
-            if not math.isfinite(r):
-                raise EvalError("non-finite", nid)
-            values[nid] = r
-
-    return Trace(
-        outputs=tuple(values[o] for o in graph.outputs),
-        exports=exports,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batch path
+    values = {nid: _check_scalar_input(inputs[pos], graph.node_type(nid), pos) for pos, nid in enumerate(graph.inputs)}
+    outputs, exports = _walk(graph, values, backend, lanes=False)
+    return Trace(outputs=tuple(outputs), exports=exports)
 
 
 def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.ndarray:
@@ -126,80 +148,30 @@ def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.n
     return out
 
 
+def _batch_columns(graph: DFGraph, inputs) -> tuple[int, dict[str, np.ndarray]]:
+    """The lane count n and each input column checked against its node's type.
+
+    Every column must be 1-d with the first column's length (InputError).
+    """
+    cols = [np.asarray(c) for c in inputs]
+    n = cols[0].shape[0] if cols and cols[0].ndim else 0
+    return n, {
+        nid: _check_batch_input(col, graph.node_type(nid), pos, n)
+        for pos, (nid, col) in enumerate(zip(graph.inputs, cols))
+    }
+
+
 def evaluate_batch(
     graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithBackend
 ) -> Trace:
-    """Evaluate n trials at once; outputs/exports are length-n arrays.
-
-    Intermediate lanes are freed as soon as their last consumer has run, so
-    peak memory tracks graph width rather than graph size.
-    """
+    """Evaluate n trials at once; outputs/exports are length-n arrays."""
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    n = int(np.asarray(inputs[0]).shape[0]) if len(inputs) else 0
-
-    values: dict[str, np.ndarray | int | float] = {}
-    for pos, nid in enumerate(graph.inputs):
-        values[nid] = _check_batch_input(np.asarray(inputs[pos]), graph.node_type(nid), pos, n)
-
-    fp_bits = backend.fp.bits
-    exports: dict[str, np.ndarray] = {}
-    for nid, dead in zip(graph.topo_order, graph.dead_after):
-        node = graph.node(nid)
-        t = graph.node_type(nid)
-        if node.op is Op.INPUT:
-            pass
-        elif node.op is Op.CONST:
-            values[nid] = int(node.value) if t is ScalarType.INT16 else float(node.value)
-        elif node.op in (Op.OUTPUT, Op.EXPORT):
-            v = values[node.operands[0]]
-            values[nid] = v
-            if node.op is Op.EXPORT:
-                exports[nid] = v
-        elif t is ScalarType.INT16:
-            a, b = (values[x] for x in node.operands)
-            if node.op is Op.ADD:
-                values[nid] = add16_batch(backend.adder, a, b)
-            elif node.op is Op.SUB:
-                values[nid] = add16_batch(backend.adder, a, np.asarray(b, dtype=np.int64) * -1)
-            elif node.op is Op.MUL:
-                values[nid] = mul16_batch(backend.multiplier, a, b)
-            else:
-                aa = np.asarray(a, dtype=np.int64)
-                bb = np.asarray(b, dtype=np.int64)
-                if np.any(bb == 0):
-                    raise EvalError("div-by-zero", nid)
-                if np.any(aa % bb != 0):
-                    raise EvalError("inexact-div", nid)
-                q = aa // bb
-                u = q & 0xFFFF
-                values[nid] = np.where(u & 0x8000, u - 0x10000, u)
-        else:
-            args = [np.asarray(values[x], dtype=np.float64) for x in node.operands]
-            if fp_bits:
-                args = [trunc_mantissa_batch(v, fp_bits) for v in args]
-            # overflow surfaces as the non-finite EvalError below, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                if node.op is Op.TAN:
-                    r = _tan_lane(args[0]).astype(np.float64)
-                elif node.op is Op.ARCTAN:
-                    r = _atan_lane(args[0]).astype(np.float64)
-                elif node.op is Op.ADD:
-                    r = args[0] + args[1]
-                elif node.op is Op.SUB:
-                    r = args[0] - args[1]
-                elif node.op is Op.MUL:
-                    r = args[0] * args[1]
-                else:
-                    if np.any(args[1] == 0.0):
-                        raise EvalError("div-by-zero", nid)
-                    r = args[0] / args[1]
-            if not np.all(np.isfinite(r)):
-                raise EvalError("non-finite", nid)
-            values[nid] = r
-
-        for op_id in dead:
-            del values[op_id]
+    n, values = _batch_columns(graph, inputs)
+    # lane overflow surfaces as the walk's non-finite EvalError, not a
+    # warning; Python floats never warn, so the scalar walk skips this
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs, exports = _walk(graph, values, backend, lanes=True)
 
     def widen(v) -> np.ndarray:
         arr = np.asarray(v)
@@ -208,6 +180,6 @@ def evaluate_batch(
         return arr
 
     return Trace(
-        outputs=tuple(widen(values[o]) for o in graph.outputs),
+        outputs=tuple(widen(v) for v in outputs),
         exports={k: widen(v) for k, v in exports.items()},
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InputError, ModulusError, NoInverseError, ValidationError
 from .graph import INT16_MAX, INT16_MIN, PASSTHROUGH_OPS, DFGraph, Op, ScalarType
+from .interp import _batch_columns
 
 
 def is_prime(m: int) -> bool:
@@ -145,7 +146,8 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     `moduli` is one modulus, giving shape (n,), or a sequence of k moduli,
     giving shape (k, n). Division multiplies by the divisor's inverse mod m;
     a (modulus, lane) pair where any divisor has no inverse reads -1. The
-    result is int64, or Python ints for moduli above 2^31.5.
+    result is int64, or Python ints for moduli above 2^31.5. The columns
+    must be 1-d integer arrays of one length within int16 (InputError).
     """
     single = isinstance(moduli, (int, np.integer))
     mods = [int(moduli)] if single else [int(m) for m in moduli]
@@ -155,15 +157,12 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     _require_residue_graph(graph)
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} input columns, got {len(inputs)}")
+    n, cols = _batch_columns(graph, inputs)  # int16 columns: the graph is all-integer
 
     # the narrowest lanes that hold a product of two residues
     dtype = next((t for t in (np.int16, np.int32, np.int64) if (max(mods) - 1) ** 2 <= np.iinfo(t).max), object)
     m = np.array(mods, dtype=dtype)[:, None]
-    vals: dict[str, np.ndarray] = {
-        nid: (np.asarray(col, dtype=np.int64)[None, :] % m).astype(dtype)
-        for nid, col in zip(graph.inputs, inputs)
-    }
-    n = len(np.asarray(inputs[0]))
+    vals: dict[str, np.ndarray] = {nid: (col[None, :] % m).astype(dtype) for nid, col in cols.items()}
     no_inverse = np.zeros((len(mods), n), dtype=bool)
     for nid, dead in zip(graph.topo_order, graph.dead_after):
         node = graph.node(nid)

@@ -392,13 +392,16 @@ def build_instrumented(cfg: ScenarioConfig, entry: ProgramEntry) -> Instrumented
     Sentinel operands depend only on (seed, program, kind), so every
     backend cell sees the same instrumented job.
     """
-    spec = entry.spec()
+    return _instrument(cfg, entry, entry.spec().graph)
+
+
+def _instrument(cfg: ScenarioConfig, entry: ProgramEntry, graph: DFGraph) -> InstrumentedGraph:
     if cfg.fbc_sites is not None:
         sites = list(cfg.fbc_sites)
         if len(sites) != len(cfg.fbc_kinds):
             raise ConfigError(f"{len(cfg.fbc_kinds)} sentinel kinds but {len(sites)} sites")
     else:
-        sites = auto_sites(spec.graph, len(cfg.fbc_kinds))
+        sites = auto_sites(graph, len(cfg.fbc_kinds))
     sentinels = [
         make_sentinel(
             kind,
@@ -409,7 +412,7 @@ def build_instrumented(cfg: ScenarioConfig, entry: ProgramEntry) -> Instrumented
         )
         for kind, site in zip(cfg.fbc_kinds, sites)
     ]
-    return instrument(spec.graph, sentinels)
+    return instrument(graph, sentinels)
 
 
 def _fbc_cell_taps(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
@@ -419,7 +422,7 @@ def _fbc_cell_taps(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
     others from the accurate one, as the server would report them.
     """
     spec = entry.spec()
-    ins = build_instrumented(cfg, entry)
+    ins = _instrument(cfg, entry, spec.graph)
     g = ins.graph
     census = op_census(g)["total"]
     n = cfg.trials
@@ -548,8 +551,9 @@ def run_bench(cfg: ScenarioConfig, jobs: int = 1) -> DetectionReport:
             tasks.append(("fbc", entry, bits))
 
     report = DetectionReport("bench", _config_echo(cfg), DETECTION_COLUMNS, [])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(tasks))  # the pool would start all `jobs` workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(partial(_bench_cell, cfg), tasks))
     else:
         results = [_bench_cell(cfg, t) for t in tasks]

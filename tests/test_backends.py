@@ -1,4 +1,8 @@
-"""Arithmetic unit models against independent bit-level references."""
+"""Arithmetic unit models against independent bit-level references.
+
+Each unit has one definition that takes Python ints and int64 lanes alike;
+the tests call it both ways.
+"""
 
 import math
 import struct
@@ -10,17 +14,9 @@ from hypothesis import strategies as st
 
 import oracles as O
 from dhac import ArithBackend, ConfigError, ErrorStats, EvalError, FpTruncModel, IntUnitModel, Paradigm, StatsError
-from dhac import backend_from_dict, backend_to_dict, error_stats, trunc_mantissa
-from dhac.approx import (
-    _mitchell,
-    add16,
-    add16_batch,
-    fp_op,
-    mul16,
-    mul16_batch,
-    neg16,
-    trunc_mantissa_batch,
-)
+from dhac import DFNode, Op, ScalarType, backend_from_dict, backend_to_dict, error_stats, evaluate, evaluate_batch
+from dhac import graph_of, trunc_mantissa
+from dhac.approx import _mitchell, add16_batch, mul16_batch, trunc_mantissa_batch
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 s16 = st.integers(min_value=-32768, max_value=32767)
@@ -33,52 +29,55 @@ s16 = st.integers(min_value=-32768, max_value=32767)
 class TestAdders:
     def test_exact_wraps_like_int16(self):
         m = IntUnitModel("exact")
-        assert add16(m, 32767, 1) == -32768
-        assert add16(m, -32768, -1) == 32767
-        assert add16(m, -5, 5) == 0
+        assert add16_batch(m, 32767, 1) == -32768
+        assert add16_batch(m, -32768, -1) == 32767
+        assert add16_batch(m, -5, 5) == 0
 
     @given(u16, u16, st.integers(min_value=0, max_value=15))
     def test_loa_matches_reference(self, a, b, k):
-        assert add16(IntUnitModel("loa", k), a, b) == O.ref_loa(a, b, k)
+        assert add16_batch(IntUnitModel("loa", k), a, b) == O.ref_loa(a, b, k)
 
     @given(u16, u16, st.integers(min_value=0, max_value=15))
     def test_trunc_add_matches_reference(self, a, b, k):
-        assert add16(IntUnitModel("trunc_add", k), a, b) == O.ref_trunc_add(a, b, k)
+        assert add16_batch(IntUnitModel("trunc_add", k), a, b) == O.ref_trunc_add(a, b, k)
 
     @given(u16, u16, st.integers(min_value=2, max_value=16))
     def test_seg_carry_matches_reference(self, a, b, s):
-        assert add16(IntUnitModel("seg_carry", s), a, b) == O.ref_seg_carry(a, b, s)
+        assert add16_batch(IntUnitModel("seg_carry", s), a, b) == O.ref_seg_carry(a, b, s)
 
     def test_loa_exhaustive_low_byte(self):
         m = IntUnitModel("loa", 4)
         for a in range(0, 256, 3):
             for b in range(0, 256, 5):
-                assert add16(m, a, b) == O.ref_loa(a, b, 4)
+                assert add16_batch(m, a, b) == O.ref_loa(a, b, 4)
 
     def test_loa_exact_when_low_bits_disjoint(self):
         # OR equals ADD when no low bit is shared, and then no carry is lost
         m = IntUnitModel("loa", 6)
         for a, b in [(0b101010, 0b010101), (0x1230, 0x0F0F), (0, 0xFFFF)]:
             if (a & b) & 0x3F == 0:
-                assert add16(m, a, b) == add16(IntUnitModel("exact"), a, b)
+                assert add16_batch(m, a, b) == add16_batch(IntUnitModel("exact"), a, b)
 
     def test_seg_carry_drops_cross_segment_carry(self):
         # 0x00FF + 0x0001 carries out of the low byte; an 8-bit segment loses it
-        assert add16(IntUnitModel("seg_carry", 8), 0x00FF, 0x0001) == 0x0000
-        assert add16(IntUnitModel("exact"), 0x00FF, 0x0001) == 0x0100
+        assert add16_batch(IntUnitModel("seg_carry", 8), 0x00FF, 0x0001) == 0x0000
+        assert add16_batch(IntUnitModel("exact"), 0x00FF, 0x0001) == 0x0100
 
     def test_param_zero_is_exact(self):
         for kind in ("loa", "trunc_add"):
             m = IntUnitModel(kind, 0)
             assert m.is_exact
             for a, b in [(123, 456), (-7, 7), (32767, 1)]:
-                assert add16(m, a, b) == add16(IntUnitModel("exact"), a, b)
+                assert add16_batch(m, a, b) == add16_batch(IntUnitModel("exact"), a, b)
         assert IntUnitModel("seg_carry", 16).is_exact
 
     def test_neg16(self):
-        assert neg16(1) == 0xFFFF
-        assert neg16(0) == 0
-        assert neg16(-32768) == 0x8000
+        # a - b feeds the adder -b, whose 16-bit pattern is b's two's complement
+        m = IntUnitModel("exact")
+        assert add16_batch(m, 0, -1) == -1
+        assert add16_batch(m, 5, -5) == 0
+        assert add16_batch(m, 0, -(-32768)) == -32768  # the negation wraps to itself
+        assert add16_batch(IntUnitModel("loa", 4), 100, -3) == O.ref_loa(100, -3 & 0xFFFF, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +87,19 @@ class TestAdders:
 class TestMultipliers:
     def test_worked_example_broken_array(self):
         # 3*3 = 0b1001; dropping the two low product columns leaves 0b1000
-        assert mul16(IntUnitModel("broken_array", 2), 3, 3) == 8
+        assert mul16_batch(IntUnitModel("broken_array", 2), 3, 3) == 8
 
     @given(u16, u16, st.integers(min_value=0, max_value=15))
     def test_trunc_mul_matches_reference(self, a, b, k):
-        assert mul16(IntUnitModel("trunc_mul", k), a, b) == O.ref_trunc_mul(a, b, k)
+        assert mul16_batch(IntUnitModel("trunc_mul", k), a, b) == O.ref_trunc_mul(a, b, k)
 
     @given(u16, u16, st.integers(min_value=0, max_value=15))
     def test_broken_array_matches_reference(self, a, b, k):
-        assert mul16(IntUnitModel("broken_array", k), a, b) == O.ref_broken_array(a, b, k)
+        assert mul16_batch(IntUnitModel("broken_array", k), a, b) == O.ref_broken_array(a, b, k)
 
     @given(u16, u16)
     def test_log_approx_matches_reference(self, a, b):
-        assert mul16(IntUnitModel("log_approx"), a, b) == O.ref_mitchell(a, b)
+        assert mul16_batch(IntUnitModel("log_approx"), a, b) == O.ref_mitchell(a, b)
 
     def test_mitchell_never_exceeds_exact(self):
         for a in range(1, 180, 7):
@@ -118,30 +117,40 @@ class TestMultipliers:
     def test_trunc_mul_is_asymmetric(self):
         # only operand b loses low bits
         m = IntUnitModel("trunc_mul", 4)
-        assert mul16(m, 7, 16) == 112
-        assert mul16(m, 16, 7) == 0
+        assert mul16_batch(m, 7, 16) == 112
+        assert mul16_batch(m, 16, 7) == 0
 
     def test_trunc_mul_exact_on_multiple_of_16_b(self):
         m = IntUnitModel("trunc_mul", 4)
         for a in (3, 100, 2000):
             for b in (16, 48, 160):
-                assert mul16(m, a, b) == ((a * b + 2**15) % 2**16) - 2**15
+                assert mul16_batch(m, a, b) == ((a * b + 2**15) % 2**16) - 2**15
 
     def test_param_zero_is_exact(self):
         for kind in ("trunc_mul", "broken_array"):
             m = IntUnitModel(kind, 0)
             assert m.is_exact
-            assert mul16(m, 251, 131) == mul16(IntUnitModel("exact"), 251, 131)
+            assert mul16_batch(m, 251, 131) == mul16_batch(IntUnitModel("exact"), 251, 131)
         assert not IntUnitModel("log_approx").is_exact
 
 
 # ---------------------------------------------------------------------------
-# batch lanes must be bit-identical to the scalar units
+# the same definitions on 4096 int64 lanes and on Python ints
 
 
 class TestBatchParity:
     def rand(self, rng, n=4096):
         return rng.integers(0, 1 << 16, size=n), rng.integers(0, 1 << 16, size=n)
+
+    @staticmethod
+    def check(unit, model, a, b, ref):
+        lanes = unit(model, a, b)
+        assert lanes.dtype == np.int64
+        for x, y, got in zip(a.tolist(), b.tolist(), lanes.tolist()):
+            assert got == ref(x, y)
+        for x, y in zip(a[:256].tolist(), b[:256].tolist()):
+            one = unit(model, x, y)
+            assert type(one) is int and one == ref(x, y)
 
     @pytest.mark.parametrize(
         "model",
@@ -157,11 +166,14 @@ class TestBatchParity:
         ],
     )
     def test_adders(self, model):
-        rng = np.random.default_rng(1)
-        a, b = self.rand(rng)
-        got = add16_batch(model, a, b)
-        want = np.array([add16(model, int(x), int(y)) for x, y in zip(a, b)])
-        assert np.array_equal(got, want)
+        ref = {
+            "exact": lambda x, y: O.ref_exact_add(x, y),
+            "loa": lambda x, y: O.ref_loa(x, y, model.param),
+            "trunc_add": lambda x, y: O.ref_trunc_add(x, y, model.param),
+            "seg_carry": lambda x, y: O.ref_seg_carry(x, y, model.param),
+        }[model.kind]
+        a, b = self.rand(np.random.default_rng(1))
+        self.check(add16_batch, model, a, b, ref)
 
     @pytest.mark.parametrize(
         "model",
@@ -174,13 +186,16 @@ class TestBatchParity:
         ],
     )
     def test_multipliers(self, model):
-        rng = np.random.default_rng(2)
-        a, b = self.rand(rng)
-        a[0] = 0  # zero operands take the special mitchell branch
+        ref = {
+            "exact": lambda x, y: O.signed16(x * y),
+            "trunc_mul": lambda x, y: O.ref_trunc_mul(x, y, model.param),
+            "broken_array": lambda x, y: O.ref_broken_array(x, y, model.param),
+            "log_approx": O.ref_mitchell,
+        }[model.kind]
+        a, b = self.rand(np.random.default_rng(2))
+        a[0] = 0  # zero operands zero the mitchell product
         b[1] = 0
-        got = mul16_batch(model, a, b)
-        want = np.array([mul16(model, int(x), int(y)) for x, y in zip(a, b)])
-        assert np.array_equal(got, want)
+        self.check(mul16_batch, model, a, b, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +307,56 @@ class TestMantissaTruncation:
             assert got.tobytes() == want.tobytes()
 
 
+def _float_op_graph(op: Op, unary: bool = False):
+    """out = op(u) or op(u, v) over float64 inputs."""
+    ins = ["u"] if unary else ["u", "v"]
+    nodes = [DFNode(id=i, op=Op.INPUT) for i in ins]
+    nodes += [DFNode(id="r", op=op, operands=tuple(ins)), DFNode(id="out", op=Op.OUTPUT, operands=("r",))]
+    return graph_of(f"fp_{op.value}", ScalarType.FLOAT64, nodes, ins, ["out"])
+
+
 class TestFpOp:
+    """Float ops as the interpreter applies them, as scalars and as lanes."""
+
+    @staticmethod
+    def both(graph, args, backend):
+        one = evaluate(graph, args, backend).outputs[0]
+        lanes = evaluate_batch(graph, [np.array([x, x]) for x in args], backend).outputs[0]
+        assert type(one) is float and bits_of(one) == bits_of(lanes[0]) == bits_of(lanes[1])
+        return one
+
     def test_operands_truncated_result_not(self):
-        m = FpTruncModel(40)
+        be = ArithBackend.approximate(fp_bits=40)
         a, b = math.pi, math.e
-        assert fp_op(m, "add", a, b) == trunc_mantissa(a, 40) + trunc_mantissa(b, 40)
-        assert fp_op(m, "mul", a, b) == trunc_mantissa(a, 40) * trunc_mantissa(b, 40)
+        ta, tb = O.ref_trunc_mantissa(a, 40), O.ref_trunc_mantissa(b, 40)
+        assert self.both(_float_op_graph(Op.ADD), [a, b], be) == ta + tb
+        assert self.both(_float_op_graph(Op.MUL), [a, b], be) == ta * tb
+        assert self.both(_float_op_graph(Op.DIV), [a, b], be) == ta / tb
 
     def test_unary_ops(self):
-        m = FpTruncModel(0)
-        assert fp_op(m, "tan", 0.5) == math.tan(0.5)
-        assert fp_op(m, "arctan", 0.5) == math.atan(0.5)
+        acc = ArithBackend.accurate()
+        assert self.both(_float_op_graph(Op.TAN, unary=True), [0.5], acc) == math.tan(0.5)
+        assert self.both(_float_op_graph(Op.ARCTAN, unary=True), [0.5], acc) == math.atan(0.5)
 
     def test_div_by_zero(self):
-        with pytest.raises(EvalError, match="div-by-zero"):
-            fp_op(FpTruncModel(0), "div", 1.0, 0.0)
+        g = _float_op_graph(Op.DIV)
+        with pytest.raises(EvalError, match="div-by-zero") as ei:
+            evaluate(g, [1.0, 0.0], ArithBackend.accurate())
+        assert ei.value.node_id == "r"
+        with pytest.raises(EvalError, match="div-by-zero") as ei:
+            evaluate_batch(g, [np.array([1.0, 1.0]), np.array([2.0, 0.0])], ArithBackend.accurate())
+        assert ei.value.node_id == "r"
 
     def test_truncation_can_create_zero_divisor(self):
         tiny = 5e-324  # truncating 10 bits clears the whole value
-        with pytest.raises(EvalError, match="div-by-zero"):
-            fp_op(FpTruncModel(10), "div", 1.0, tiny)
-
-    def test_unknown_op(self):
-        with pytest.raises(EvalError, match="unknown fp op"):
-            fp_op(FpTruncModel(0), "mod", 1.0, 2.0)
-
-    def test_missing_operand(self):
-        with pytest.raises(EvalError, match="two operands"):
-            fp_op(FpTruncModel(0), "add", 1.0)
+        g, fp10 = _float_op_graph(Op.DIV), ArithBackend.approximate(fp_bits=10)
+        assert self.both(g, [tiny, tiny], ArithBackend.accurate()) == 1.0
+        with pytest.raises(EvalError, match="div-by-zero") as ei:
+            evaluate(g, [tiny, tiny], fp10)
+        assert ei.value.node_id == "r"
+        with pytest.raises(EvalError, match="div-by-zero") as ei:
+            evaluate_batch(g, [np.array([1.0, tiny]), np.array([1.0, tiny])], fp10)
+        assert ei.value.node_id == "r"
 
 
 # ---------------------------------------------------------------------------

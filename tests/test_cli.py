@@ -111,6 +111,12 @@ class TestRun:
         assert main(["run", "--program", "fir9000", "--inputs", conv_inputs]) == 1
         assert "neither a file nor a builtin" in capsys.readouterr().err
 
+    def test_invalid_json_program(self, conv_inputs, tmp_path, capsys):
+        prog = _json_file(tmp_path, "g.json", '{"name": "g", "nodes": [')
+        assert main(["run", "--program", prog, "--inputs", conv_inputs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_inputs_shape(self, tmp_path, capsys):
         ins = _json_file(tmp_path, "i.json", {"x": 1})
         assert main(["run", "--program", "conv2x2", "--inputs", ins]) == 1

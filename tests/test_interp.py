@@ -1,4 +1,4 @@
-"""Interpreter: scalar/batch parity, wrapping, errors, export taps."""
+"""Interpreter: scalar/batch parity, wrapping, errors, export taps, value types."""
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from dhac import (
     evaluate_batch,
     graph_of,
 )
-from dhac.approx import add16, mul16, neg16
 from dhac.rng import substream
+from dhac.scenario import default_combos
 from graphs import float_graph, int_div_graph, mixed_graph
 
 ACC = ArithBackend.accurate()
@@ -65,14 +65,14 @@ class TestScalarSemantics:
         m = IntUnitModel("loa", 4)
         be = ArithBackend.approximate(adder=m)
         for x, y in [(1234, 567), (-5, 31), (32767, 1)]:
-            assert evaluate(g, [x, y], be).outputs[0] == add16(m, x, y)
+            assert evaluate(g, [x, y], be).outputs[0] == O.ref_loa(x, y, 4)
 
     def test_sub_routes_through_adder(self):
         g = sub_graph()
         m = IntUnitModel("loa", 4)
         be = ArithBackend.approximate(adder=m)
         for x, y in [(100, 3), (-100, 3), (5, -31)]:
-            assert evaluate(g, [x, y], be).outputs[0] == add16(m, x, neg16(y))
+            assert evaluate(g, [x, y], be).outputs[0] == O.ref_loa(x, -y, 4)
 
     def test_approx_multiplier_applied(self):
         nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("p", Op.MUL, "x", "y"), _n("out", Op.OUTPUT, "p")]
@@ -81,14 +81,14 @@ class TestScalarSemantics:
         be = ArithBackend.approximate(multiplier=m)
         assert evaluate(g, [5, 10], be).outputs[0] == 48
         assert evaluate(g, [5, 10], ACC).outputs[0] == 50
-        assert evaluate(g, [7, 13], be).outputs[0] == mul16(m, 7, 13)
+        assert evaluate(g, [7, 13], be).outputs[0] == O.ref_mitchell(7, 13)
 
     def test_integer_division_exact_both_paradigms(self):
         g = int_div_graph()
         approx = ArithBackend.approximate(IntUnitModel("loa", 4), IntUnitModel("trunc_mul", 4))
         assert evaluate(g, [123, 5], ACC).outputs[0] == 123
         # the approximate multiplier corrupts p, but division itself stays exact
-        p = mul16(IntUnitModel("trunc_mul", 4), 123, 5)
+        p = O.ref_trunc_mul(123, 5, 4)
         if p % 5 == 0:
             assert evaluate(g, [123, 5], approx).outputs[0] == p // 5
 
@@ -157,6 +157,55 @@ class TestScalarSemantics:
         assert evaluate(g, [1, 2], ACC).outputs[0] == 3
 
 
+def int_export_graph():
+    """Every integer op, a constant divisor and an export tap."""
+    nodes = [
+        _n("x", Op.INPUT),
+        _n("y", Op.INPUT),
+        _n("c3", Op.CONST, value=3),
+        _n("c1", Op.CONST, value=1),
+        _n("s", Op.ADD, "x", "c3"),
+        _n("d", Op.SUB, "s", "y"),
+        _n("p", Op.MUL, "d", "y"),
+        _n("q", Op.DIV, "p", "c1"),
+        _n("ex", Op.EXPORT, "d"),
+        _n("o1", Op.OUTPUT, "q"),
+        _n("o2", Op.OUTPUT, "s"),
+    ]
+    return graph_of("intex", ScalarType.INT16, nodes, ["x", "y"], ["o1", "o2"])
+
+
+def mixed_export_graph():
+    g = mixed_graph()
+    nodes = [*g.nodes, _n("qx", Op.EXPORT, "q", dtype=ScalarType.INT16), _n("fx", Op.EXPORT, "fa")]
+    return graph_of("mixedex", g.dtype, nodes, g.inputs, g.outputs)
+
+
+class TestPythonScalars:
+    """evaluate hands back Python ints and floats, never numpy scalars."""
+
+    @pytest.mark.parametrize(
+        "backend", [ACC, *default_combos(), ArithBackend.approximate(fp_bits=10)], ids=lambda b: b.label()
+    )
+    @pytest.mark.parametrize(
+        "make, inputs",
+        [
+            (int_export_graph, [1234, -57]),
+            (float_graph, [0.25, 2.0]),
+            (mixed_export_graph, [10, 5, 9, 2]),
+            (mixed_export_graph, [np.int16(10), np.int64(5), np.int32(9), np.int8(2)]),
+        ],
+        ids=["int", "float", "mixed", "mixed-numpy-inputs"],
+    )
+    def test_trace_holds_python_numbers(self, make, inputs, backend):
+        g = make()
+        tr = evaluate(g, inputs, backend)
+        assert tr.exports
+        values = {**dict(zip(g.outputs, tr.outputs)), **tr.exports}
+        for nid, v in values.items():
+            assert type(v) is (int if g.node_type(nid) is ScalarType.INT16 else float), nid
+
+
 class TestInputChecks:
     def test_wrong_count(self):
         with pytest.raises(InputError, match="expected 2 inputs"):
@@ -187,6 +236,10 @@ class TestInputChecks:
         cols = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
         with pytest.raises(InputError, match="expected integers"):
             evaluate_batch(add_graph(), cols, ACC)
+
+    def test_batch_scalar_column(self):
+        with pytest.raises(InputError, match="input 0: expected a 1-d array"):
+            evaluate_batch(add_graph(), [5, 6], ACC)
 
     def test_batch_out_of_range(self):
         cols = [np.array([1, 70000]), np.array([3, 4])]
@@ -237,6 +290,23 @@ class TestBatchParity:
         for i in idx:
             tr = evaluate(g, [float(cols[0][i]), float(cols[1][i])], ACC)
             assert np.float64(tr.outputs[0]).tobytes() == batch.outputs[0][i].tobytes()
+
+    def test_trig_of_constant(self):
+        # a constant stays a scalar in the lane walk; its tan/arctan must too
+        nodes = [
+            _n("u", Op.INPUT),
+            _n("c", Op.CONST, value=0.5),
+            _n("t", Op.TAN, "c"),
+            _n("at", Op.ARCTAN, "c"),
+            _n("s", Op.ADD, "u", "t"),
+            _n("out", Op.OUTPUT, "s"),
+            _n("out2", Op.OUTPUT, "at"),
+        ]
+        g = graph_of("trigc", ScalarType.FLOAT64, nodes, ["u"], ["out", "out2"])
+        batch = evaluate_batch(g, [np.array([1.0, 2.0])], ACC)
+        for i, u in enumerate([1.0, 2.0]):
+            tr = evaluate(g, [u], ACC)
+            assert [np.float64(v).tobytes() for v in tr.outputs] == [o[i].tobytes() for o in batch.outputs]
 
     def test_mixed_graph(self):
         g = mixed_graph()

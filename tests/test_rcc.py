@@ -325,6 +325,30 @@ class TestResiduesBatch:
         with pytest.raises(ModulusError):
             residues_batch(builtin_spec("fir").graph, [np.array([1])] * 11, 1)
 
+    def test_short_column_not_broadcast(self):
+        cols = [np.array([1, 2, 3])] * 7 + [np.array([4])]
+        with pytest.raises(InputError, match="input 7: expected a 1-d array of length 3"):
+            residues_batch(builtin_spec("conv2x2").graph, cols, (3, 5, 7))
+
+    def test_unequal_column_lengths(self):
+        cols = [np.array([1, 2, 3])] * 7 + [np.array([4, 5])]
+        with pytest.raises(InputError, match="length 3"):
+            residues_batch(builtin_spec("conv2x2").graph, cols, (3, 5, 7))
+
+    def test_scalar_column_rejected(self):
+        with pytest.raises(InputError, match="input 0: expected a 1-d array"):
+            residues_batch(builtin_spec("conv2x2").graph, [5] * 8, 7)
+
+    def test_float_column_rejected(self):
+        cols = [np.array([1, 2, 3])] * 7 + [np.array([1.5, 2, 3])]
+        with pytest.raises(InputError, match="input 7: expected integers"):
+            residues_batch(builtin_spec("conv2x2").graph, cols, 7)
+
+    def test_out_of_range_column_rejected(self):
+        cols = [np.array([1, 2, 3])] * 7 + [np.array([1, 40000, 3])]
+        with pytest.raises(InputError, match="outside int16"):
+            residues_batch(builtin_spec("conv2x2").graph, cols, 7)
+
     def test_const_only_output_broadcast(self):
         nodes = [
             _n("x", Op.INPUT),

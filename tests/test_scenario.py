@@ -30,6 +30,7 @@ from dhac import (
 )
 from dhac.programs import INTEGER_SHORTHANDS
 from dhac.rng import substream
+from dhac import scenario
 from dhac.scenario import REPORT_VERSION, ProgramEntry, _program_entry
 from graphs import float_graph
 
@@ -376,6 +377,18 @@ class TestFbcTrials:
     def test_truncation_is_detected(self, report):
         assert report.row(combo="fp_trunc(20)", check="overall")["per_detectable_rate"] > 0.9
 
+    def test_builtin_built_once_per_cell(self, monkeypatch):
+        calls = []
+
+        def counting_spec(name, **params):
+            calls.append(name)
+            return builtin_spec(name, **params)
+
+        monkeypatch.setattr(scenario, "builtin_spec", counting_spec)
+        small_conv = _program_entry({"name": "conv_layer", "channels": 2, "size": 6})
+        run_fbc_trials(small_cfg(trials=20, fbc_programs=(small_conv,), fp_bits=(10, 20)))
+        assert calls == ["conv_layer", "conv_layer"]
+
 
 class TestSweep:
     def test_monotone_and_anchored(self):
@@ -403,6 +416,28 @@ class TestBench:
         assert report_to_csv(serial) == report_to_csv(parallel)
         assert len(serial.rows) == 4 * 4 + 1 * 5
         assert len(serial.error_stats) == 4
+
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", SerialPool)
+        cfg = small_cfg(trials=20)
+        report = run_bench(cfg, jobs=500)
+        assert started == [2 * 2 + 1]  # (fir, conv2x2) x 2 combos, plus one fp width
+        assert report_to_csv(report) == report_to_csv(run_bench(cfg, jobs=1))
 
     def test_csv_shape(self):
         cfg = small_cfg(trials=60, rcc_programs=(_program_entry("conv2x2"),), combos=(LOA_BACKEND,))
