@@ -18,20 +18,11 @@ from dataclasses import replace
 
 from .approx import ArithBackend, FpTruncModel, IntUnitModel, Paradigm
 from .errors import DhacError, InputError
-from .fbc import (
-    SentinelKind,
-    auto_sites,
-    instrument,
-    instrumented_from_dict,
-    instrumented_to_dict,
-    judge,
-    make_sentinel,
-)
+from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
 from .graph import DFGraph, Trace, parse_program_dict
 from .interp import evaluate
 from .programs import SHORTHAND, builtin_program
 from .rcc import Judgement, ModuleSet, rcc_check
-from .rng import substream
 from .scenario import (
     config_from_dict,
     report_to_csv,
@@ -164,21 +155,11 @@ def _cmd_rcc(args) -> int:
 def _cmd_fbc_instrument(args) -> int:
     g = _load_program(args.program)
     kinds = [SentinelKind(k) for k in args.kinds.split(",")]
-    if args.sites == "auto":
-        sites = auto_sites(g, len(kinds))
-    else:
-        sites = args.sites.split(",")
-        if len(sites) != len(kinds):
-            raise InputError(f"{len(kinds)} kinds but {len(sites)} sites")
-    sentinels = [
-        make_sentinel(kind, site, substream(args.seed, "fbc", g.name, "sentinel", kind.value),
-                      n=args.n, delta=args.delta)
-        for kind, site in zip(kinds, sites)
-    ]
-    ins = instrument(g, sentinels)
+    sites = None if args.sites == "auto" else args.sites.split(",")
+    ins = instrument_seeded(g, kinds, sites, args.seed, g.name, n=args.n, delta=args.delta)
     _write_text(args.out, json.dumps(instrumented_to_dict(ins), indent=2) + "\n")
     if args.out:
-        print(f"instrumented {g.name}: {len(sentinels)} sentinels -> {args.out}")
+        print(f"instrumented {g.name}: {len(ins.sentinels)} sentinels -> {args.out}")
     return _EXIT_OK
 
 
@@ -221,9 +202,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _make_config(args)
-    deltas = [float(d) for d in args.deltas.split(",")]
-    report = sweep_threshold(cfg, deltas)
+    report = sweep_threshold(_make_config(args), args.deltas.split(","))
     _write_text(args.out, report_to_csv(report))
     if args.out:
         print(f"{len(report.rows)} rows -> {args.out}")

@@ -36,6 +36,7 @@ from .graph import (
     program_to_dict,
 )
 from .rcc import Judgement
+from .rng import substream
 
 DEFAULT_DELTA = 1e-13
 DEFAULT_STEPS = 3
@@ -259,6 +260,24 @@ def auto_sites(graph: DFGraph, k: int) -> list[str]:
     for i in range(need):
         picks.append(pool[int(i * step)])
     return picks
+
+
+def instrument_seeded(graph: DFGraph, kinds, sites, seed: int, label: str, n: int, delta: float) -> InstrumentedGraph:
+    """Instrument a graph with one sentinel per kind, at `sites` or at auto_sites.
+
+    `sites` is None or one node id per kind. Each sentinel's operands come
+    from substream(seed, "fbc", label, "sentinel", kind), so the same
+    (seed, label) always grafts the same detours.
+    """
+    if sites is None:
+        sites = auto_sites(graph, len(kinds))
+    elif len(sites) != len(kinds):
+        raise SiteError(f"{len(kinds)} kinds but {len(sites)} sites")
+    sentinels = [
+        make_sentinel(kind, site, substream(seed, "fbc", label, "sentinel", kind.value), n=n, delta=delta)
+        for kind, site in zip(kinds, sites)
+    ]
+    return instrument(graph, sentinels)
 
 
 # ---------------------------------------------------------------------------

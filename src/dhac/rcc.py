@@ -81,22 +81,20 @@ def ring_mul(a: Residue, b: Residue) -> Residue:
     return Residue((a.value * b.value) % m, m)
 
 
+# b^-1 mod m, or -1 where gcd(b, m) > 1; on Python ints and on lanes alike
+_inverse = np.frompyfunc(lambda b, m: pow(b, -1, m) if math.gcd(b, m) == 1 else -1, 2, 1)
+
+
 def ring_inv(a: Residue) -> Residue:
-    """Multiplicative inverse by the extended Euclid algorithm.
+    """Multiplicative inverse, by the rule the residue walk uses.
 
     Exists iff gcd(value, modulus) == 1; prime moduli make every nonzero
     residue a unit, but composite moduli work too when the gcd is 1.
     """
-    m = a.modulus
-    r0, r1 = m, a.value
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NoInverseError(f"{a.value} has no inverse mod {m}")
-    return Residue(s0 % m, m)
+    inv = _inverse(a.value, a.modulus)
+    if inv < 0:
+        raise NoInverseError(f"{a.value} has no inverse mod {a.modulus}")
+    return Residue(inv, a.modulus)
 
 
 def ring_div(a: Residue, b: Residue) -> Residue:
@@ -134,10 +132,6 @@ def _require_residue_graph(graph: DFGraph) -> None:
             raise ValidationError(f"residue evaluation needs an all-integer graph; node '{nid}' is {t.value}")
     if len(graph.outputs) != 1:
         raise ValidationError(f"residue evaluation needs exactly one output, got {len(graph.outputs)}")
-
-
-# b^-1 mod m, or -1 where gcd(b, m) > 1
-_inverse_lanes = np.frompyfunc(lambda b, m: pow(b, -1, m) if math.gcd(b, m) == 1 else -1, 2, 1)
 
 
 def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
@@ -179,7 +173,7 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
             elif node.op is Op.MUL:
                 vals[nid] = a * b % m
             else:
-                inv = _inverse_lanes(b, m).astype(dtype)
+                inv = _inverse(b, m).astype(dtype)
                 no_inverse |= inv < 0
                 vals[nid] = a * inv % m
         for op_id in dead:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +27,7 @@ from .fbc import (
     DEFAULT_STEPS,
     InstrumentedGraph,
     SentinelKind,
-    auto_sites,
-    instrument,
-    make_sentinel,
+    instrument_seeded,
     sentinel_distance,
 )
 from .graph import DFGraph, ScalarType, Trace, op_census
@@ -53,6 +52,10 @@ class ServerStrategy:
             raise ConfigError("strategy thresholds must be non-negative")
         if not 0.0 <= self.dishonest_prob <= 1.0:
             raise ConfigError("dishonest_prob must be in [0, 1]")
+
+    def cheats(self, index, census, draw):
+        """Whether job `index`, of this op census, runs approximately; on ints and lanes alike."""
+        return (index >= self.honest_warmup) & (census >= self.small_job_threshold) & (draw < self.dishonest_prob)
 
 
 @dataclass
@@ -82,19 +85,11 @@ def server_execute(
     draw = float(state.rng.uniform())
     index = state.index
     state.index += 1
-    census = op_census(graph)["total"]
-    eligible = index >= strategy.honest_warmup and census >= strategy.small_job_threshold
-    if eligible and draw < strategy.dishonest_prob:
+    if strategy.cheats(index, op_census(graph)["total"], draw):
         backend, paradigm = approx_backend, Paradigm.APPROXIMATE
     else:
         backend, paradigm = ArithBackend.accurate(), Paradigm.ACCURATE
     return evaluate(graph, inputs, backend), paradigm
-
-
-def _approx_mask(strategy: ServerStrategy, census: int, n: int, draws: np.ndarray) -> np.ndarray:
-    idx = np.arange(n)
-    eligible = (idx >= strategy.honest_warmup) & (census >= strategy.small_job_threshold)
-    return eligible & (draws < strategy.dishonest_prob)
 
 
 def ground_truth_oracle(graph: DFGraph, inputs, claimed_outputs) -> bool:
@@ -134,6 +129,9 @@ def _program_entry(item) -> ProgramEntry:
         return ProgramEntry(label=item, name=item)
     if isinstance(item, dict) and "name" in item:
         params = {k: v for k, v in item.items() if k not in ("name", "label")}
+        for k, v in params.items():
+            if isinstance(v, (list, dict)):  # entries key the campaign's build dict
+                raise ConfigError(f"program parameter '{k}' must be a number or a string, got {v!r}")
         return ProgramEntry(
             label=str(item.get("label", item["name"])),
             name=str(item["name"]),
@@ -315,27 +313,80 @@ def _detectable_row(program: str, combo: str, n_det: int, n_approx: int) -> dict
 
 
 # ---------------------------------------------------------------------------
-# residue-check campaign
+# one trial server and one cell loop for every campaign
 
 
-def _rcc_cell(cfg: ScenarioConfig, entry: ProgramEntry, backend: ArithBackend):
-    spec = entry.spec()
-    g = spec.graph
-    census = op_census(g)["total"]
-    n = cfg.trials
-    combo = backend.label()
-    cols = draw_inputs(spec, substream(cfg.seed, "rcc", entry.label, combo, "inputs"), n)
-    draws = substream(cfg.seed, "rcc", entry.label, combo, "dishonest").uniform(size=n)
-    mask = _approx_mask(cfg.strategy, census, n, draws)
+def _program(cfg: ScenarioConfig, builds: dict, check: str, entry: ProgramEntry):
+    """The builtin's spec and the graph `check` runs, built once per `builds` dict.
 
-    exact = np.asarray(evaluate_batch(g, cols, ArithBackend.accurate()).outputs[0])
-    claimed = exact.copy()
+    rcc runs the plain graph. fbc runs it with one sentinel per configured
+    kind, whose operands depend only on (seed, program, kind), so every fbc
+    cell of a program sees the same instrumented job.
+    """
+    key = (check, entry)
+    if key not in builds:
+        spec = entry.spec()
+        if check == "fbc":
+            ins = instrument_seeded(
+                spec.graph, cfg.fbc_kinds, cfg.fbc_sites, cfg.seed, entry.label, cfg.fbc_n, cfg.fbc_delta
+            )
+        else:
+            ins = InstrumentedGraph(spec.graph, ())
+        builds[key] = spec, ins
+    return builds[key]
+
+
+def build_instrumented(cfg: ScenarioConfig, entry: ProgramEntry) -> InstrumentedGraph:
+    """Instrument a program with one sentinel per configured kind, as the fbc cells do."""
+    return _program(cfg, {}, "fbc", entry)[1]
+
+
+class _Served(NamedTuple):
+    program: InstrumentedGraph  # the graph served, with the sentinels the check reads (none for rcc)
+    inputs: list  # one column per graph input
+    mask: np.ndarray  # the trials the server ran approximately
+    detectable: np.ndarray  # approximate trials with any output changed
+    exact: Trace  # the accurate run of every trial
+    approx: Trace | None  # the approximate run of the masked trials, None if none
+
+
+def _serve(cfg: ScenarioConfig, builds: dict, check: str, entry: ProgramEntry, cell: str, backend) -> _Served:
+    """Serve cfg.trials jobs of one cell the way the strategic server would.
+
+    Inputs and coins come from the cell's own substreams, so a cell can run
+    alone or in any worker and still make the same decisions.
+    """
+    spec, ins = _program(cfg, builds, check, entry)
+    g, n = ins.graph, cfg.trials
+    cols = draw_inputs(spec, substream(cfg.seed, check, entry.label, cell, "inputs"), n)
+    draws = substream(cfg.seed, check, entry.label, cell, "dishonest").uniform(size=n)
+    mask = cfg.strategy.cheats(np.arange(n), op_census(g)["total"], draws)
+    exact = evaluate_batch(g, cols, ArithBackend.accurate())
+    approx = None
+    detectable = np.zeros(n, dtype=bool)
     if mask.any():
-        sub = [c[mask] for c in cols]
-        claimed[mask] = np.asarray(evaluate_batch(g, sub, backend).outputs[0])
-    detectable = mask & (claimed != exact)
+        approx = evaluate_batch(g, [c[mask] for c in cols], backend)
+        for e_out, a_out in zip(exact.outputs, approx.outputs):
+            detectable[mask] |= e_out[mask] != a_out
+    return _Served(ins, cols, mask, detectable, exact, approx)
 
-    first_fail = failed_rounds(residues_batch(g, cols, cfg.moduli), claimed, cfg.moduli)
+
+def _received(served: _Served, lanes_of) -> np.ndarray:
+    """The lanes_of(trace) the client receives: the approximate run's on masked trials."""
+    lanes = lanes_of(served.exact)
+    if served.approx is None:
+        return lanes
+    lanes = lanes.copy()
+    lanes[served.mask] = lanes_of(served.approx)
+    return lanes
+
+
+def _rcc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, backend: ArithBackend):
+    combo = backend.label()
+    served = _serve(cfg, builds, "rcc", entry, combo, backend)
+    mask, detectable = served.mask, served.detectable
+    claimed = _received(served, lambda tr: tr.outputs[0])
+    first_fail = failed_rounds(residues_batch(served.program.graph, served.inputs, cfg.moduli), claimed, cfg.moduli)
 
     n_approx = int(mask.sum())
     n_det = int(detectable.sum())
@@ -348,117 +399,35 @@ def _rcc_cell(cfg: ScenarioConfig, entry: ProgramEntry, backend: ArithBackend):
             _row(entry.label, combo, f"round{j + 1}", _rate(det_j, n_approx), _rate(det_j, n_det), fp, n_det - det_j)
         )
 
-    stats = None
+    stats = {}
     if n_approx:
-        stats = error_stats(exact[mask], claimed[mask], ScalarType.INT16)
+        stats[(entry.label, combo)] = error_stats(served.exact.outputs[0][mask], claimed[mask], ScalarType.INT16)
 
-    records: list[TrialRecord] = []
-    if cfg.keep_records:
-        for i in range(n):
-            records.append(
-                TrialRecord(
-                    index=i,
-                    program=entry.label,
-                    combo=combo,
-                    paradigm=Paradigm.APPROXIMATE if mask[i] else Paradigm.ACCURATE,
-                    detectable=bool(detectable[i]),
-                    judgement="positive" if first_fail[i] else "negative",
-                    detail={"failed_round": int(first_fail[i]) or None, "claimed": int(claimed[i])},
-                )
-            )
+    records = [
+        TrialRecord(
+            index=i,
+            program=entry.label,
+            combo=combo,
+            paradigm=Paradigm.APPROXIMATE if mask[i] else Paradigm.ACCURATE,
+            detectable=bool(detectable[i]),
+            judgement="positive" if first_fail[i] else "negative",
+            detail={"failed_round": int(first_fail[i]) or None, "claimed": int(claimed[i])},
+        )
+        for i in range(cfg.trials if cfg.keep_records else 0)
+    ]
     return rows, stats, records
 
 
-def run_rcc_trials(cfg: ScenarioConfig) -> DetectionReport:
-    """Residue-check campaign over every (program, combo) cell."""
-    report = DetectionReport("rcc", _config_echo(cfg), DETECTION_COLUMNS, [])
-    for entry in cfg.rcc_programs:
-        for backend in cfg.combos:
-            rows, stats, records = _rcc_cell(cfg, entry, backend)
-            report.rows.extend(rows)
-            if stats is not None:
-                report.error_stats[(entry.label, backend.label())] = stats
-            report.records.extend(records)
-    return report
+def _fbc_taps(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
+    """One (program, fp-bits) cell served, with the sentinel export lanes the client receives."""
+    served = _serve(cfg, builds, "fbc", entry, f"fp{bits}", ArithBackend.approximate(fp_bits=bits))
+    exports = [k for s in served.program.sentinels for k in (s.entry_export, s.exit_export)]
+    return served, {k: _received(served, lambda tr: tr.exports[k]) for k in exports}
 
 
-# ---------------------------------------------------------------------------
-# sentinel campaign
-
-
-def build_instrumented(cfg: ScenarioConfig, entry: ProgramEntry) -> InstrumentedGraph:
-    """Instrument a program with one sentinel per configured kind.
-
-    Sentinel operands depend only on (seed, program, kind), so every
-    backend cell sees the same instrumented job.
-    """
-    return _instrument(cfg, entry, entry.spec().graph)
-
-
-def _instrument(cfg: ScenarioConfig, entry: ProgramEntry, graph: DFGraph) -> InstrumentedGraph:
-    if cfg.fbc_sites is not None:
-        sites = list(cfg.fbc_sites)
-        if len(sites) != len(cfg.fbc_kinds):
-            raise ConfigError(f"{len(cfg.fbc_kinds)} sentinel kinds but {len(sites)} sites")
-    else:
-        sites = auto_sites(graph, len(cfg.fbc_kinds))
-    sentinels = [
-        make_sentinel(
-            kind,
-            site,
-            substream(cfg.seed, "fbc", entry.label, "sentinel", kind.value),
-            n=cfg.fbc_n,
-            delta=cfg.fbc_delta,
-        )
-        for kind, site in zip(cfg.fbc_kinds, sites)
-    ]
-    return instrument(graph, sentinels)
-
-
-def _fbc_cell_taps(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
-    """Per-trial sentinel export lanes for one (program, fp-bits) cell.
-
-    Approximate trials read their exports from the approximate run, the
-    others from the accurate one, as the server would report them.
-    """
-    spec = entry.spec()
-    ins = _instrument(cfg, entry, spec.graph)
-    g = ins.graph
-    census = op_census(g)["total"]
-    n = cfg.trials
-    cell = f"fp{bits}"
-    cols = draw_inputs(spec, substream(cfg.seed, "fbc", entry.label, cell, "inputs"), n)
-    draws = substream(cfg.seed, "fbc", entry.label, cell, "dishonest").uniform(size=n)
-    mask = _approx_mask(cfg.strategy, census, n, draws)
-    backend = ArithBackend.approximate(fp_bits=bits)
-
-    exact_tr = evaluate_batch(g, cols, ArithBackend.accurate())
-    if mask.any():
-        sub = [c[mask] for c in cols]
-        approx_tr = evaluate_batch(g, sub, backend)
-    else:
-        approx_tr = None
-
-    taps: dict[str, np.ndarray] = {}
-    for s in ins.sentinels:
-        for k in (s.entry_export, s.exit_export):
-            taps[k] = exact_tr.exports[k]
-            if approx_tr is not None:
-                taps[k] = taps[k].copy()
-                taps[k][mask] = approx_tr.exports[k]
-
-    detectable = np.zeros(n, dtype=bool)
-    if approx_tr is not None:
-        diff = np.zeros(int(mask.sum()), dtype=bool)
-        for e_out, a_out in zip(exact_tr.outputs, approx_tr.outputs):
-            diff |= np.asarray(e_out)[mask] != np.asarray(a_out)
-        detectable[mask] = diff
-
-    return ins, taps, mask, detectable
-
-
-def _fbc_cell_rows(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
-    ins, taps, mask, detectable = _fbc_cell_taps(cfg, entry, bits)
+def _fbc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
+    served, taps = _fbc_taps(cfg, builds, entry, bits)
+    mask, detectable = served.mask, served.detectable
     n_approx = int(mask.sum())
     n_det = int(detectable.sum())
     combo = f"fp_trunc({bits})"
@@ -468,23 +437,62 @@ def _fbc_cell_rows(cfg: ScenarioConfig, entry: ProgramEntry, bits: int):
         fp, fn = int((flag & ~mask).sum()), int((detectable & ~flag).sum())
         return _row(entry.label, combo, check, _rate(hits, n_approx), _rate(caught, n_det), fp, fn)
 
+    sentinels = served.program.sentinels
+    flags = [sentinel_distance(s, taps)[1] for s in sentinels]
     rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
-    any_flag = np.zeros(len(mask), dtype=bool)
-    for s in ins.sentinels:
-        _, flag = sentinel_distance(s, taps)
-        any_flag |= flag
-        rows.append(flag_row(f"sentinel-{s.kind.value}", flag))
-    rows.append(flag_row("overall", any_flag))
-    return rows
+    rows += [flag_row(f"sentinel-{s.kind.value}", flag) for s, flag in zip(sentinels, flags)]
+    rows.append(flag_row("overall", np.logical_or.reduce(flags)))
+    return rows, {}, []
+
+
+def _rcc_cells(cfg: ScenarioConfig) -> list:
+    return [(_rcc_cell, entry, backend) for entry in cfg.rcc_programs for backend in cfg.combos]
+
+
+def _fbc_cells(cfg: ScenarioConfig) -> list:
+    return [(_fbc_cell, entry, bits) for entry in cfg.fbc_programs for bits in cfg.fp_bits]
+
+
+def _run_cell(cfg: ScenarioConfig, builds: dict, cell):
+    fn, entry, arg = cell
+    return fn(cfg, builds, entry, arg)
+
+
+def _campaign(kind: str, cfg: ScenarioConfig, cells: list, jobs: int = 1) -> DetectionReport:
+    """Run (cell function, entry, backend | bits) cells into one report, in order.
+
+    Every cell derives its own random streams from the config seed, so the
+    report is identical for any jobs value. A serial run builds each program
+    once; in a pool each task unpickles its own empty build dict.
+    """
+    report = DetectionReport(kind, _config_echo(cfg), DETECTION_COLUMNS, [])
+    run = partial(_run_cell, cfg, {})
+    workers = min(jobs, len(cells))  # the pool would start all `jobs` workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(run, cells))
+    else:
+        results = map(run, cells)
+    for rows, stats, records in results:
+        report.rows.extend(rows)
+        report.error_stats.update(stats)
+        report.records.extend(records)
+    return report
+
+
+def run_rcc_trials(cfg: ScenarioConfig) -> DetectionReport:
+    """Residue-check campaign over every (program, combo) cell."""
+    return _campaign("rcc", cfg, _rcc_cells(cfg))
 
 
 def run_fbc_trials(cfg: ScenarioConfig) -> DetectionReport:
     """Sentinel campaign over every (program, fp-bits) cell."""
-    report = DetectionReport("fbc", _config_echo(cfg), DETECTION_COLUMNS, [])
-    for entry in cfg.fbc_programs:
-        for bits in cfg.fp_bits:
-            report.rows.extend(_fbc_cell_rows(cfg, entry, bits))
-    return report
+    return _campaign("fbc", cfg, _fbc_cells(cfg))
+
+
+def run_bench(cfg: ScenarioConfig, jobs: int = 1) -> DetectionReport:
+    """Residue and sentinel campaigns together; cells may run in parallel."""
+    return _campaign("bench", cfg, _rcc_cells(cfg) + _fbc_cells(cfg), jobs)
 
 
 def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
@@ -496,68 +504,19 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ConfigError("sweep needs at least one delta")
-    cells = []
-    for entry in cfg.fbc_programs:
-        for bits in cfg.fp_bits:
-            ins, taps, mask, _ = _fbc_cell_taps(cfg, entry, bits)
-            cells.append((ins.sentinels, taps, mask))
+    for delta in deltas:
+        if not 0.0 < delta:  # the rule every Sentinel keeps; also rejects nan
+            raise ConfigError(f"delta must be positive, got {delta!r}")
+    builds: dict = {}
+    cells = [_fbc_taps(cfg, builds, entry, bits) for _, entry, bits in _fbc_cells(cfg)]
+    n_approx = sum(int(served.mask.sum()) for served, _ in cells)
+    n_accurate = cfg.trials * len(cells) - n_approx
     report = DetectionReport("sweep", _config_echo(cfg), SWEEP_COLUMNS, [])
     for delta in deltas:
-        fp = acc = miss = approx = 0
-        for sentinels, taps, mask in cells:
-            any_flag = np.zeros(len(mask), dtype=bool)
-            for s in sentinels:
-                any_flag |= sentinel_distance(s, taps, delta)[1]
-            fp += int((any_flag & ~mask).sum())
-            acc += int((~mask).sum())
-            miss += int((~any_flag & mask).sum())
-            approx += int(mask.sum())
-        report.rows.append(
-            {
-                "delta": delta,
-                "fp_rate": _rate(fp, acc),
-                "fn_rate": _rate(miss, approx),
-            }
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# combined benchmark
-
-
-def _bench_cell(cfg: ScenarioConfig, task):
-    kind, entry, payload = task
-    if kind == "rcc":
-        rows, stats, _ = _rcc_cell(cfg, entry, payload)
-        key = (entry.label, payload.label())
-        return rows, ({key: stats} if stats is not None else {})
-    rows = _fbc_cell_rows(cfg, entry, payload)
-    return rows, {}
-
-
-def run_bench(cfg: ScenarioConfig, jobs: int = 1) -> DetectionReport:
-    """Residue and sentinel campaigns together; cells may run in parallel.
-
-    Every cell derives its own random streams from the config seed, so the
-    report is identical for any jobs value.
-    """
-    tasks = []
-    for entry in cfg.rcc_programs:
-        for backend in cfg.combos:
-            tasks.append(("rcc", entry, backend))
-    for entry in cfg.fbc_programs:
-        for bits in cfg.fp_bits:
-            tasks.append(("fbc", entry, bits))
-
-    report = DetectionReport("bench", _config_echo(cfg), DETECTION_COLUMNS, [])
-    workers = min(jobs, len(tasks))  # the pool would start all `jobs` workers at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(partial(_bench_cell, cfg), tasks))
-    else:
-        results = [_bench_cell(cfg, t) for t in tasks]
-    for rows, stats in results:
-        report.rows.extend(rows)
-        report.error_stats.update(stats)
+        fp = miss = 0
+        for served, taps in cells:
+            flag = np.logical_or.reduce([sentinel_distance(s, taps, delta)[1] for s in served.program.sentinels])
+            fp += int((flag & ~served.mask).sum())
+            miss += int((~flag & served.mask).sum())
+        report.rows.append({"delta": delta, "fp_rate": _rate(fp, n_accurate), "fn_rate": _rate(miss, n_approx)})
     return report

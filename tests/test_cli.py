@@ -23,7 +23,7 @@ from dhac import (
 from dhac.cli import main
 from dhac.fbc import instrumented_from_dict, instrumented_to_dict
 from dhac.rng import substream
-from dhac.scenario import REPORT_VERSION
+from dhac.scenario import REPORT_VERSION, ScenarioConfig, _program_entry, build_instrumented
 from graphs import div_by_const_graph, float_graph
 
 ACC = ArithBackend.accurate()
@@ -232,6 +232,15 @@ class TestFbcInstrument:
         assert main(argv) == 1
         assert "3 kinds but 1 sites" in capsys.readouterr().err
 
+    def test_writes_the_campaigns_instrumented_program(self, tmp_path, capsys):
+        # one sentinel recipe: the CLI and the campaign graft the same detours for one seed
+        entry = _program_entry({"name": "conv_layer", "channels": 2, "size": 6})
+        prog = _json_file(tmp_path, "conv.json", serialize_program(entry.spec().graph))
+        out = tmp_path / "ins.json"
+        assert main(["fbc-instrument", "--program", prog, "--seed", "4", "--out", str(out)]) == 0
+        want = instrumented_to_dict(build_instrumented(ScenarioConfig(seed=4), entry))
+        assert out.read_text() == json.dumps(want, indent=2) + "\n"
+
     def test_integer_program_has_no_sites(self, tmp_path, capsys):
         argv = ["fbc-instrument", "--program", "fir", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -382,6 +391,13 @@ class TestSweep:
     def test_bad_delta(self, tmp_path, capsys):
         cfg = _json_file(tmp_path, "cfg.json", {"trials": 50})
         assert main(["sweep", "--config", cfg, "--deltas", "abc"]) == 1
+
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan"])
+    def test_delta_must_be_positive(self, tmp_path, capsys, delta):
+        cfg = _json_file(tmp_path, "cfg.json", {"trials": 50})
+        assert main(["sweep", "--config", cfg, f"--deltas=1e-13,{delta}"]) == 1
+        err = capsys.readouterr().err
+        assert "delta must be positive" in err and err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -13,6 +13,7 @@ from dhac import (
     Paradigm,
     ScenarioConfig,
     ServerStrategy,
+    SiteError,
     builtin_spec,
     config_from_dict,
     default_combos,
@@ -36,6 +37,21 @@ from graphs import float_graph
 
 ACC = ArithBackend.accurate()
 LOA_BACKEND = ArithBackend.approximate(adder=IntUnitModel("loa", 8))
+
+
+SMALL_CONV = _program_entry({"name": "conv_layer", "channels": 2, "size": 6})
+
+
+def count_builds(monkeypatch) -> list:
+    """The names of the builtins campaigns build from now on, in order."""
+    calls = []
+
+    def counting_spec(name, **params):
+        calls.append(name)
+        return builtin_spec(name, **params)
+
+    monkeypatch.setattr(scenario, "builtin_spec", counting_spec)
+    return calls
 
 
 def small_cfg(**kw):
@@ -68,6 +84,17 @@ class TestServerStrategy:
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             ServerStrategy(**kw)
+
+    def test_cheats_on_lanes_matches_scalar_calls(self):
+        strat = ServerStrategy(10, 30, 0.5)
+        grid = [(i, c, d) for i in (0, 9, 10, 11) for c in (0, 29, 30, 31) for d in (0.0, 0.4999, 0.5, 0.75)]
+        index, census, draw = (np.array(col) for col in zip(*grid))
+        lanes = strat.cheats(index, census, draw)
+        assert lanes.dtype == bool
+        assert lanes.tolist() == [strat.cheats(int(i), int(c), float(d)) for i, c, d in grid]
+        assert lanes.tolist() == [i >= 10 and c >= 30 and d < 0.5 for i, c, d in grid]
+        # one census for every lane, as the campaign cells call it
+        assert strat.cheats(index, 30, draw).tolist() == [i >= 10 and d < 0.5 for i, _, d in grid]
 
 
 class TestServerExecute:
@@ -210,6 +237,12 @@ class TestConfig:
         assert cfg.fbc_n == 5 and cfg.fbc_delta == 1e-12
         assert cfg.fbc_sites == ("acc0_0", "acc0_1")
         assert cfg.keep_records is True
+
+    @pytest.mark.parametrize("value", [[3], {"n": 3}])
+    def test_program_parameters_must_be_scalars(self, value):
+        with pytest.raises(ConfigError, match="program parameter 'taps'") as e:
+            config_from_dict({"rcc": {"programs": [{"name": "fir_filter", "taps": value}]}})
+        assert "\n" not in str(e.value)
 
     def test_default_markers(self):
         cfg = config_from_dict({"rcc": {"combos": "default"}, "fbc": {"sites": "auto"}})
@@ -377,17 +410,15 @@ class TestFbcTrials:
     def test_truncation_is_detected(self, report):
         assert report.row(combo="fp_trunc(20)", check="overall")["per_detectable_rate"] > 0.9
 
-    def test_builtin_built_once_per_cell(self, monkeypatch):
-        calls = []
+    def test_builtin_built_once_per_campaign(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        run_fbc_trials(small_cfg(trials=20, fbc_programs=(SMALL_CONV,), fp_bits=(10, 20)))
+        assert calls == ["conv_layer"]
 
-        def counting_spec(name, **params):
-            calls.append(name)
-            return builtin_spec(name, **params)
-
-        monkeypatch.setattr(scenario, "builtin_spec", counting_spec)
-        small_conv = _program_entry({"name": "conv_layer", "channels": 2, "size": 6})
-        run_fbc_trials(small_cfg(trials=20, fbc_programs=(small_conv,), fp_bits=(10, 20)))
-        assert calls == ["conv_layer", "conv_layer"]
+    def test_sites_kinds_mismatch_is_one_line(self):
+        cfg = small_cfg(trials=20, fbc_programs=(SMALL_CONV,), fbc_sites=("acc0_0",))
+        with pytest.raises(SiteError, match="^3 kinds but 1 sites$"):
+            run_fbc_trials(cfg)
 
 
 class TestSweep:
@@ -406,6 +437,11 @@ class TestSweep:
     def test_empty_deltas_rejected(self):
         with pytest.raises(ConfigError, match="at least one delta"):
             sweep_threshold(small_cfg(), [])
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+    def test_deltas_must_be_positive(self, bad):
+        with pytest.raises(ConfigError, match="delta must be positive"):
+            sweep_threshold(small_cfg(trials=20, fbc_programs=(SMALL_CONV,)), [1e-13, bad])
 
 
 class TestBench:
@@ -438,6 +474,17 @@ class TestBench:
         report = run_bench(cfg, jobs=500)
         assert started == [2 * 2 + 1]  # (fir, conv2x2) x 2 combos, plus one fp width
         assert report_to_csv(report) == report_to_csv(run_bench(cfg, jobs=1))
+
+    def test_serial_run_builds_each_program_once(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        run_bench(small_cfg(trials=20, fbc_programs=(SMALL_CONV,)))
+        assert calls == ["fir", "conv2x2", "conv_layer"]
+
+    def test_records_are_the_rcc_campaigns(self):
+        cfg = small_cfg(trials=30, fbc_programs=(SMALL_CONV,), keep_records=True)
+        records = run_bench(cfg).records
+        assert len(records) == 4 * 30
+        assert records == run_rcc_trials(cfg).records
 
     def test_csv_shape(self):
         cfg = small_cfg(trials=60, rcc_programs=(_program_entry("conv2x2"),), combos=(LOA_BACKEND,))
