@@ -16,13 +16,13 @@ import os
 import sys
 from dataclasses import replace
 
-from .approx import ArithBackend, FpTruncModel, IntUnitModel, Paradigm
+from .approx import ArithBackend, IntUnitModel
 from .errors import DhacError, InputError
 from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
-from .graph import DFGraph, Trace, parse_program_dict
+from .graph import DFGraph, Judgement, Trace, parse_program_dict
 from .interp import evaluate
 from .programs import SHORTHAND, builtin_program
-from .rcc import Judgement, ModuleSet, rcc_check
+from .rcc import ModuleSet, rcc_check
 from .scenario import (
     config_from_dict,
     report_to_csv,
@@ -74,14 +74,8 @@ def _unit(text: str) -> IntUnitModel:
 def _backend_from_args(args) -> ArithBackend:
     adder = _unit(args.adder) if args.adder else IntUnitModel("exact")
     mul = _unit(args.multiplier) if args.multiplier else IntUnitModel("exact")
-    fp = FpTruncModel(args.fp_bits or 0)
-    if args.paradigm:
-        paradigm = Paradigm(args.paradigm)
-    elif adder.is_exact and mul.is_exact and fp.is_exact:
-        paradigm = Paradigm.ACCURATE
-    else:
-        paradigm = Paradigm.APPROXIMATE
-    return ArithBackend(paradigm, adder, mul, fp)
+    # evaluate reads only the units, so the paradigm label does not matter
+    return ArithBackend.approximate(adder, mul, args.fp_bits or 0)
 
 
 def _trace_to_dict(trace: Trace) -> dict:
@@ -213,8 +207,6 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--adder", help="integer adder unit, e.g. loa:4, trunc_add:6, seg_carry:4")
     p.add_argument("--multiplier", help="integer multiplier unit, e.g. trunc_mul:4, broken_array:4, log_approx")
     p.add_argument("--fp-bits", type=int, default=0, help="float mantissa bits to truncate (0 = exact)")
-    p.add_argument("--paradigm", choices=["accurate", "approximate"],
-                   help="override the paradigm implied by the unit flags")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,7 @@ from .graph import (
     ARITH_OPS,
     DFGraph,
     DFNode,
+    Judgement,
     Op,
     ScalarType,
     Trace,
@@ -35,7 +36,6 @@ from .graph import (
     parse_program_dict,
     program_to_dict,
 )
-from .rcc import Judgement
 from .rng import substream
 
 DEFAULT_DELTA = 1e-13

@@ -66,6 +66,14 @@ class DFNode:
     dtype: ScalarType | None = None
 
 
+class Judgement(Enum):
+    """A check's verdict on one job."""
+
+    NEGATIVE = "negative"
+    POSITIVE = "positive"
+    INCONCLUSIVE = "inconclusive"
+
+
 @dataclass
 class Trace:
     """Result of one evaluation: ordered outputs plus export-tap values."""

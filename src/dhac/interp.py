@@ -3,6 +3,8 @@
 `evaluate` runs one input vector on Python scalars and `evaluate_batch` runs
 n vectors at once on numpy lanes. Both are the same topological walk over
 the same unit definitions; only a handful of primitives differ by form.
+`rcc.residues_batch` runs that walk too, with Z_m in place of the int16
+units.
 Tan/Arctan lanes go through math.tan / math.atan elementwise on purpose:
 numpy's vectorized transcendentals may differ from libm in the last ulp, so
 the two forms stay bit-identical.
@@ -11,6 +13,7 @@ the two forms stay bit-identical.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import repeat
 from typing import Sequence
 
@@ -40,14 +43,17 @@ _LANE_PRIMITIVES = (
 )
 
 
-def _walk(graph: DFGraph, values: dict, backend: ArithBackend, lanes: bool):
+def _walk(graph: DFGraph, values: dict, ints: tuple, bits: int, lanes: bool):
     """Evaluate every node in topological order, starting from the checked inputs.
 
-    Values are Python scalars, or numpy lanes when `lanes` is set; a constant
-    stays a scalar in either form. Returns (outputs, exports).
+    `ints` is the integer arithmetic as (const, add, sub, mul, div); `div`
+    also gets the node id, for its errors. `bits` is the float mantissa
+    truncation. Values are Python scalars, or numpy lanes when `lanes` is
+    set; a float constant stays a scalar in either form. Returns (outputs,
+    exports).
     """
     all_finite, any_true, trunc, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
-    adder, multiplier, bits = backend.adder, backend.multiplier, backend.fp.bits
+    const, add, sub, mul, div = ints
     # Lanes are freed after their last use, so peak memory tracks graph
     # width; for scalars the liveness pass would cost more than it saves.
     dead_after = graph.dead_after if lanes else repeat(())
@@ -58,7 +64,7 @@ def _walk(graph: DFGraph, values: dict, backend: ArithBackend, lanes: bool):
         if op is Op.INPUT:
             r = values[nid]
         elif op is Op.CONST:
-            r = int(node.value) if graph.node_type(nid) is ScalarType.INT16 else float(node.value)
+            r = const(node.value) if graph.node_type(nid) is ScalarType.INT16 else float(node.value)
         elif op is Op.OUTPUT or op is Op.EXPORT:  # not `in`: Enum hashing is slow per node
             r = values[node.operands[0]]
             if op is Op.EXPORT:
@@ -66,18 +72,13 @@ def _walk(graph: DFGraph, values: dict, backend: ArithBackend, lanes: bool):
         elif graph.node_type(nid) is ScalarType.INT16:
             a, b = values[node.operands[0]], values[node.operands[1]]
             if op is Op.ADD:
-                r = add16_batch(adder, a, b)
+                r = add(a, b)
             elif op is Op.SUB:
-                # subtraction routes through the adder on the negated operand
-                r = add16_batch(adder, a, -b)
+                r = sub(a, b)
             elif op is Op.MUL:
-                r = mul16_batch(multiplier, a, b)
-            else:  # integer division: exact in both paradigms
-                if any_true(b == 0):
-                    raise EvalError("div-by-zero", nid)
-                if any_true(a % b != 0):
-                    raise EvalError("inexact-div", nid)
-                r = wrap16(a // b)
+                r = mul(a, b)
+            else:
+                r = div(a, b, nid)
         else:
             # int16 operands widen exactly; float units truncate their
             # operands and then do exact double math
@@ -106,18 +107,42 @@ def _walk(graph: DFGraph, values: dict, backend: ArithBackend, lanes: bool):
     return [values[o] for o in graph.outputs], exports
 
 
-def _check_scalar_input(x, t: ScalarType, pos: int):
+def _int16_units(backend: ArithBackend, any_true) -> tuple:
+    """The backend's int16 arithmetic for `_walk`, on ints or lanes.
+
+    The units are looked up when this is called, so a rebinding of
+    `add16_batch` / `mul16_batch` in this module takes effect per call.
+    """
+
+    def div(a, b, nid):  # exact in both paradigms
+        if any_true(b == 0):
+            raise EvalError("div-by-zero", nid)
+        if any_true(a % b != 0):
+            raise EvalError("inexact-div", nid)
+        return wrap16(a // b)
+
+    add = partial(add16_batch, backend.adder)
+    # subtraction routes through the adder on the negated operand
+    return int, add, lambda a, b: add(a, -b), partial(mul16_batch, backend.multiplier), div
+
+
+def _check_scalar_input(x, t: ScalarType, where: str):
+    """x as a Python int or float of type t, or InputError naming `where`.
+
+    The one rule for n=1 values: `evaluate`, `rcc_check` and `evaluate_mod`
+    all apply it.
+    """
     if t is ScalarType.INT16:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise InputError(f"input {pos}: expected an integer, got {type(x).__name__}")
+            raise InputError(f"{where}: expected an integer, got {type(x).__name__}")
         if not INT16_MIN <= int(x) <= INT16_MAX:
-            raise InputError(f"input {pos}: {x} outside int16 range")
+            raise InputError(f"{where}: {x} outside int16 range")
         return int(x)
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise InputError(f"input {pos}: expected a number, got {type(x).__name__}")
+        raise InputError(f"{where}: expected a number, got {type(x).__name__}")
     xf = float(x)
     if not math.isfinite(xf):
-        raise InputError(f"input {pos}: non-finite value")
+        raise InputError(f"{where}: non-finite value")
     return xf
 
 
@@ -128,8 +153,10 @@ def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBacken
     """
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    values = {nid: _check_scalar_input(inputs[pos], graph.node_type(nid), pos) for pos, nid in enumerate(graph.inputs)}
-    outputs, exports = _walk(graph, values, backend, lanes=False)
+    values = {
+        nid: _check_scalar_input(inputs[pos], graph.node_type(nid), f"input {pos}") for pos, nid in enumerate(graph.inputs)
+    }
+    outputs, exports = _walk(graph, values, _int16_units(backend, bool), backend.fp.bits, lanes=False)
     return Trace(outputs=tuple(outputs), exports=exports)
 
 
@@ -171,7 +198,7 @@ def evaluate_batch(
     # lane overflow surfaces as the walk's non-finite EvalError, not a
     # warning; Python floats never warn, so the scalar walk skips this
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs, exports = _walk(graph, values, backend, lanes=True)
+        outputs, exports = _walk(graph, values, _int16_units(backend, np.any), backend.fp.bits, lanes=True)
 
     def widen(v) -> np.ndarray:
         arr = np.asarray(v)

@@ -51,8 +51,9 @@ def _n(nid, op, *operands, value=None, dtype=None) -> DFNode:
 
 
 def _fir(taps: int = 11, seed: int = 0) -> BuiltinSpec:
-    if taps < 2:
-        raise BuiltinError("fir_filter: taps must be >= 2")
+    # above 65 taps the input range 100..32767 // (taps * 5) is empty
+    if not 2 <= taps <= 65:
+        raise BuiltinError(f"fir_filter: taps must be in [2, 65], got {taps}")
     rng = substream(seed, "builtin", "fir", "coeffs")
     coeffs = [int(c) for c in rng.integers(2, 6, size=taps)]
     # sum(c*x) <= taps * max(c) * x_hi must stay under 32767

@@ -18,28 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InputError, ModulusError, NoInverseError, ValidationError
-from .graph import INT16_MAX, INT16_MIN, PASSTHROUGH_OPS, DFGraph, Op, ScalarType
-from .interp import _batch_columns
-
-
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+from .graph import DFGraph, Judgement, ScalarType
+from .interp import _batch_columns, _check_scalar_input, _walk
 
 
 @dataclass(frozen=True)
@@ -156,30 +140,17 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     # the narrowest lanes that hold a product of two residues
     dtype = next((t for t in (np.int16, np.int32, np.int64) if (max(mods) - 1) ** 2 <= np.iinfo(t).max), object)
     m = np.array(mods, dtype=dtype)[:, None]
-    vals: dict[str, np.ndarray] = {nid: (col[None, :] % m).astype(dtype) for nid, col in cols.items()}
     no_inverse = np.zeros((len(mods), n), dtype=bool)
-    for nid, dead in zip(graph.topo_order, graph.dead_after):
-        node = graph.node(nid)
-        if node.op is Op.CONST:
-            vals[nid] = int(node.value) % m
-        elif node.op in PASSTHROUGH_OPS:
-            vals[nid] = vals[node.operands[0]]
-        elif node.op is not Op.INPUT:
-            a, b = (vals[x] for x in node.operands)
-            if node.op is Op.ADD:
-                vals[nid] = (a + b) % m
-            elif node.op is Op.SUB:
-                vals[nid] = (a - b) % m
-            elif node.op is Op.MUL:
-                vals[nid] = a * b % m
-            else:
-                inv = _inverse(b, m).astype(dtype)
-                no_inverse |= inv < 0
-                vals[nid] = a * inv % m
-        for op_id in dead:
-            del vals[op_id]
 
-    out = np.where(no_inverse, -1, vals[graph.outputs[0]]).astype(np.result_type(dtype, np.int64))
+    def div(a, b, nid):
+        inv = _inverse(b, m).astype(dtype)
+        no_inverse[...] |= inv < 0
+        return a * inv % m
+
+    ring = (lambda v: int(v) % m, lambda a, b: (a + b) % m, lambda a, b: (a - b) % m, lambda a, b: a * b % m, div)
+    values = {nid: (col[None, :] % m).astype(dtype) for nid, col in cols.items()}
+    (out,), _ = _walk(graph, values, ring, 0, lanes=True)
+    out = np.where(no_inverse, -1, out).astype(np.result_type(dtype, np.int64))
     return out[0] if single else out
 
 
@@ -195,17 +166,11 @@ def failed_rounds(residues: np.ndarray, claimed, moduli) -> np.ndarray:
 
 
 def _one_vector(graph: DFGraph, inputs, moduli) -> np.ndarray:
-    """residues_batch at n=1, checking each input value as the scalar judge does."""
+    """residues_batch at n=1, checking each input value by `evaluate`'s rule."""
     _require_residue_graph(graph)
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    cols = []
-    for nid, v in zip(graph.inputs, inputs):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise InputError(f"input '{nid}' must be an integer, got {type(v).__name__}")
-        if not INT16_MIN <= int(v) <= INT16_MAX:
-            raise InputError(f"input '{nid}'={v} outside int16")
-        cols.append([int(v)])
+    cols = [[_check_scalar_input(v, ScalarType.INT16, f"input {pos}")] for pos, v in enumerate(inputs)]
     return residues_batch(graph, cols, moduli)[..., 0]
 
 
@@ -219,12 +184,6 @@ def evaluate_mod(graph: DFGraph, inputs, m: int) -> Residue:
     if value < 0:
         raise NoInverseError(f"a divisor has no inverse mod {m}")
     return Residue(value, m)
-
-
-class Judgement(Enum):
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -247,11 +206,7 @@ def rcc_check(graph: DFGraph, inputs, claimed: int, modules: ModuleSet | None = 
     Inconclusive.
     """
     modules = modules if modules is not None else ModuleSet()
-    if not isinstance(claimed, (int, np.integer)) or isinstance(claimed, bool):
-        raise InputError(f"claimed result must be an integer, got {type(claimed).__name__}")
-    claimed = int(claimed)
-    if not INT16_MIN <= claimed <= INT16_MAX:
-        raise InputError(f"claimed result {claimed} outside int16")
+    claimed = _check_scalar_input(claimed, ScalarType.INT16, "claimed result")
 
     residues = _one_vector(graph, inputs, modules)
     failed = int(failed_rounds(residues[:, None], claimed, modules)[0])

@@ -126,14 +126,6 @@ class TestRun:
         assert main(["run", "--program", "conv2x2", "--inputs", ins]) == 1
         assert "expected 8 inputs" in capsys.readouterr().err
 
-    def test_accurate_paradigm_rejects_units(self, conv_inputs, capsys):
-        code = main(
-            ["run", "--program", "conv2x2", "--inputs", conv_inputs,
-             "--adder", "loa:4", "--paradigm", "accurate"]
-        )
-        assert code == 1
-        assert "accurate paradigm" in capsys.readouterr().err
-
     def test_missing_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["run", "--program", "conv2x2"])

@@ -48,6 +48,13 @@ class TestRegistry:
         with pytest.raises(BuiltinError, match="bad parameters"):
             builtin_spec("fir", bogus=1)
 
+    def test_fir_taps_keep_the_input_range_nonempty(self):
+        # 66 taps would leave the range 100..32767 // (66 * 5) = 99 empty
+        with pytest.raises(BuiltinError, match=r"taps must be in \[2, 65\], got 66"):
+            builtin_spec("fir_filter", taps=66)
+        spec = builtin_spec("fir_filter", taps=65)
+        assert draw_inputs(spec, substream(0, "fir65")) == [100] * 65
+
     def test_spec_determinism(self):
         # seeded constants must not drift between constructions
         for name in INTEGER_NAMES + ["conv_layer"]:
