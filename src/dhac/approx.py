@@ -1,8 +1,8 @@
 """Behavioral models of approximate 16-bit arithmetic units and FP truncation.
 
 Integer units operate on 16-bit two's-complement patterns and return signed
-values, on Python ints and int64 numpy lanes alike; both paradigms wrap at
-16 bits, the approximate ones additionally lose information:
+values, on Python ints and int64 numpy lanes alike; every unit wraps at 16
+bits, the approximate ones additionally lose information:
 
   adders       loa(k)          low k result bits are OR of the operand low bits,
                                high bits are the exact sum of the high parts with
@@ -28,7 +28,6 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +39,6 @@ _MASK16 = 0xFFFF
 
 ADDER_KINDS = ("exact", "loa", "trunc_add", "seg_carry")
 MUL_KINDS = ("exact", "trunc_mul", "broken_array", "log_approx")
-
-
-class Paradigm(Enum):
-    ACCURATE = "accurate"
-    APPROXIMATE = "approximate"
 
 
 @dataclass(frozen=True)
@@ -85,68 +79,60 @@ class IntUnitModel:
         return self.kind if self.kind in ("exact", "log_approx") else f"{self.kind}({self.param})"
 
 
-@dataclass(frozen=True)
-class FpTruncModel:
-    """Mantissa truncation width for float operands; 0 bits = exact."""
-
-    bits: int = 0
-
-    def check(self) -> None:
-        if not 0 <= self.bits <= 52:
-            raise ConfigError(f"fp truncation bits must be in [0, 52], got {self.bits}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.bits == 0
-
-
 EXACT_UNIT = IntUnitModel("exact")
 
 
 @dataclass(frozen=True)
 class ArithBackend:
-    paradigm: Paradigm
+    """The units a job runs on: an adder, a multiplier and the float operand
+    truncation in mantissa bits (0 = exact).
+
+    A backend is accurate exactly when all three are exact, as the default is.
+    """
+
     adder: IntUnitModel = EXACT_UNIT
     multiplier: IntUnitModel = EXACT_UNIT
-    fp: FpTruncModel = FpTruncModel(0)
+    fp_bits: int = 0
 
     def __post_init__(self):
         self.adder.check("adder")
         self.multiplier.check("multiplier")
-        self.fp.check()
-        if self.paradigm is Paradigm.ACCURATE:
-            if not (self.adder.is_exact and self.multiplier.is_exact and self.fp.is_exact):
-                raise ConfigError("accurate paradigm requires exact units and no fp truncation")
+        if not 0 <= self.fp_bits <= 52:
+            raise ConfigError(f"fp truncation bits must be in [0, 52], got {self.fp_bits}")
 
     @staticmethod
     def accurate() -> "ArithBackend":
-        return ArithBackend(Paradigm.ACCURATE)
-
-    @staticmethod
-    def approximate(
-        adder: IntUnitModel = EXACT_UNIT,
-        multiplier: IntUnitModel = EXACT_UNIT,
-        fp_bits: int = 0,
-    ) -> "ArithBackend":
-        return ArithBackend(Paradigm.APPROXIMATE, adder, multiplier, FpTruncModel(fp_bits))
+        return ArithBackend()
 
     def label(self) -> str:
-        if self.paradigm is Paradigm.ACCURATE:
-            return "accurate"
         parts = [self.adder.label(), self.multiplier.label()]
-        if self.fp.bits:
-            parts.append(f"fp_trunc({self.fp.bits})")
+        if self.fp_bits:
+            parts.append(f"fp_trunc({self.fp_bits})")
         return "+".join(parts)
 
 
+def config_int(value, key: str) -> int:
+    """value if it is an integer (a bool is not), else ConfigError naming the config key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"bad config value: '{key}' must be an integer, got {value!r}")
+    return value
+
+
+def config_keys(doc: dict, known: set, what: str) -> None:
+    """ConfigError unless every key of doc is in known."""
+    unknown = set(doc) - known
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def backend_from_dict(doc: dict) -> ArithBackend:
-    """Backend from a config fragment {paradigm, adder:{kind,k}, multiplier:{kind,k}, fp_trunc_bits}."""
+    """Backend from a config fragment {adder: {kind, k}, multiplier: {kind, k}, fp_trunc_bits}.
+
+    An absent unit is exact; an unknown key raises ConfigError.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"backend must be an object, got {doc!r}")
-    try:
-        paradigm = Paradigm(doc.get("paradigm", "approximate"))
-    except ValueError:
-        raise ConfigError(f"unknown paradigm {doc.get('paradigm')!r}") from None
+    config_keys(doc, {"adder", "multiplier", "fp_trunc_bits"}, "backend")
 
     def unit(key: str) -> IntUnitModel:
         frag = doc.get(key)
@@ -154,23 +140,10 @@ def backend_from_dict(doc: dict) -> ArithBackend:
             return EXACT_UNIT
         if not isinstance(frag, dict) or "kind" not in frag:
             raise ConfigError(f"backend '{key}' must be an object with 'kind'")
-        return IntUnitModel(str(frag["kind"]), int(frag.get("k", 0)))
+        config_keys(frag, {"kind", "k"}, f"backend '{key}'")
+        return IntUnitModel(str(frag["kind"]), config_int(frag.get("k", 0), "k"))
 
-    return ArithBackend(
-        paradigm=paradigm,
-        adder=unit("adder"),
-        multiplier=unit("multiplier"),
-        fp=FpTruncModel(int(doc.get("fp_trunc_bits", 0))),
-    )
-
-
-def backend_to_dict(backend: ArithBackend) -> dict:
-    return {
-        "paradigm": backend.paradigm.value,
-        "adder": {"kind": backend.adder.kind, "k": backend.adder.param},
-        "multiplier": {"kind": backend.multiplier.kind, "k": backend.multiplier.param},
-        "fp_trunc_bits": backend.fp.bits,
-    }
+    return ArithBackend(unit("adder"), unit("multiplier"), config_int(doc.get("fp_trunc_bits", 0), "fp_trunc_bits"))
 
 
 # ---------------------------------------------------------------------------

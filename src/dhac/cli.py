@@ -3,9 +3,10 @@
 Exit codes: 0 success / negative verdict, 2 positive verdict, 3
 inconclusive verdict, 1 any error (bad usage, bad files, bad config).
 
---program accepts either a builtin name (fir, conv2x2, euler2, euler3,
-rk2, rk3, conv_layer) or a path to a program JSON file; an instrumented
-file (as written by fbc-instrument) is accepted wherever a program is.
+--program accepts either a builtin name (fir, fir_filter, conv2x2, euler,
+euler2, euler3, runge_kutta, rk2, rk3, runge_kutta2, runge_kutta3,
+conv_layer) or a path to a program JSON file; an instrumented file (as
+written by fbc-instrument) is accepted wherever a program is.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import os
 import sys
 from dataclasses import replace
 
-from .approx import ArithBackend, IntUnitModel
+from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
 from .errors import DhacError, InputError
 from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
 from .graph import DFGraph, Judgement, Trace, parse_program_dict
 from .interp import evaluate
-from .programs import SHORTHAND, builtin_program
+from .programs import BUILTIN_NAMES, builtin_program
 from .rcc import ModuleSet, rcc_check
 from .scenario import (
     config_from_dict,
@@ -54,7 +55,7 @@ def _load_program(value: str) -> DFGraph:
         if isinstance(doc, dict) and "sentinels" in doc:
             return instrumented_from_dict(doc).graph
         return parse_program_dict(doc)
-    if value in SHORTHAND:
+    if value in BUILTIN_NAMES:
         return builtin_program(value)
     raise InputError(f"'{value}' is neither a file nor a builtin name")
 
@@ -72,10 +73,9 @@ def _unit(text: str) -> IntUnitModel:
 
 
 def _backend_from_args(args) -> ArithBackend:
-    adder = _unit(args.adder) if args.adder else IntUnitModel("exact")
-    mul = _unit(args.multiplier) if args.multiplier else IntUnitModel("exact")
-    # evaluate reads only the units, so the paradigm label does not matter
-    return ArithBackend.approximate(adder, mul, args.fp_bits or 0)
+    adder = _unit(args.adder) if args.adder else EXACT_UNIT
+    mul = _unit(args.multiplier) if args.multiplier else EXACT_UNIT
+    return ArithBackend(adder, mul, args.fp_bits)
 
 
 def _trace_to_dict(trace: Trace) -> dict:

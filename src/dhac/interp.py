@@ -114,7 +114,7 @@ def _int16_units(backend: ArithBackend, any_true) -> tuple:
     `add16_batch` / `mul16_batch` in this module takes effect per call.
     """
 
-    def div(a, b, nid):  # exact in both paradigms
+    def div(a, b, nid):  # exact on every backend
         if any_true(b == 0):
             raise EvalError("div-by-zero", nid)
         if any_true(a % b != 0):
@@ -156,7 +156,7 @@ def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBacken
     values = {
         nid: _check_scalar_input(inputs[pos], graph.node_type(nid), f"input {pos}") for pos, nid in enumerate(graph.inputs)
     }
-    outputs, exports = _walk(graph, values, _int16_units(backend, bool), backend.fp.bits, lanes=False)
+    outputs, exports = _walk(graph, values, _int16_units(backend, bool), backend.fp_bits, lanes=False)
     return Trace(outputs=tuple(outputs), exports=exports)
 
 
@@ -198,7 +198,7 @@ def evaluate_batch(
     # lane overflow surfaces as the walk's non-finite EvalError, not a
     # warning; Python floats never warn, so the scalar walk skips this
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs, exports = _walk(graph, values, _int16_units(backend, np.any), backend.fp.bits, lanes=True)
+        outputs, exports = _walk(graph, values, _int16_units(backend, np.any), backend.fp_bits, lanes=True)
 
     def widen(v) -> np.ndarray:
         arr = np.asarray(v)

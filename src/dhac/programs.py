@@ -342,35 +342,30 @@ _BUILTINS = {
     "conv_layer": _conv_layer,
 }
 
-# shorthand names accepted in configs and used as CSV program labels
+# shorthands for a builtin with fixed parameters
 SHORTHAND = {
     "fir": ("fir_filter", {}),
-    "fir_filter": ("fir_filter", {}),
-    "conv2x2": ("conv2x2", {}),
     "euler2": ("euler", {"order": 2}),
     "euler3": ("euler", {"order": 3}),
     "rk2": ("runge_kutta", {"order": 2}),
     "rk3": ("runge_kutta", {"order": 3}),
     "runge_kutta2": ("runge_kutta", {"order": 2}),
     "runge_kutta3": ("runge_kutta", {"order": 3}),
-    "conv_layer": ("conv_layer", {}),
 }
+
+# every name builtin_spec, campaign configs and `dhac --program` accept
+BUILTIN_NAMES = frozenset(_BUILTINS) | frozenset(SHORTHAND)
 
 INTEGER_SHORTHANDS = ("fir", "conv2x2", "euler2", "euler3", "rk2", "rk3")
 
 
 def builtin_spec(name: str, **params) -> BuiltinSpec:
     """Builtin graph plus input bounds; accepts canonical or shorthand names."""
-    if name in _BUILTINS:
-        base, defaults = name, {}
-    elif name in SHORTHAND:
-        base, defaults = SHORTHAND[name]
-    else:
-        raise BuiltinError(f"unknown builtin '{name}' (known: {sorted(set(_BUILTINS) | set(SHORTHAND))})")
-    merged = dict(defaults)
-    merged.update(params)
+    if name not in BUILTIN_NAMES:
+        raise BuiltinError(f"unknown builtin '{name}' (known: {sorted(BUILTIN_NAMES)})")
+    base, defaults = SHORTHAND.get(name, (name, {}))
     try:
-        return _BUILTINS[base](**merged)
+        return _BUILTINS[base](**{**defaults, **params})
     except TypeError as e:
         raise BuiltinError(f"bad parameters for builtin '{name}': {e}") from None
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .approx import ArithBackend, ErrorStats, IntUnitModel, Paradigm, backend_from_dict, error_stats
+from .approx import ArithBackend, IntUnitModel, backend_from_dict, config_int, config_keys, error_stats
 from .errors import ConfigError, InputError
 from .fbc import (
     DEFAULT_DELTA,
@@ -76,8 +76,8 @@ def server_execute(
     strategy: ServerStrategy,
     approx_backend: ArithBackend,
     state: ServerState,
-) -> tuple[Trace, Paradigm]:
-    """Run one job the way the strategic server would.
+) -> tuple[Trace, bool]:
+    """Run one job the way the strategic server would; returns (trace, cheated).
 
     One decision draw is consumed per job regardless of eligibility, which
     keeps the scalar server aligned with the batched campaign runners.
@@ -85,11 +85,8 @@ def server_execute(
     draw = float(state.rng.uniform())
     index = state.index
     state.index += 1
-    if strategy.cheats(index, op_census(graph)["total"], draw):
-        backend, paradigm = approx_backend, Paradigm.APPROXIMATE
-    else:
-        backend, paradigm = ArithBackend.accurate(), Paradigm.ACCURATE
-    return evaluate(graph, inputs, backend), paradigm
+    cheated = strategy.cheats(index, op_census(graph)["total"], draw)
+    return evaluate(graph, inputs, approx_backend if cheated else ArithBackend.accurate()), cheated
 
 
 def ground_truth_oracle(graph: DFGraph, inputs, claimed_outputs) -> bool:
@@ -108,7 +105,7 @@ def default_combos() -> list[ArithBackend]:
     """The nine integer unit pairings campaigns use unless told otherwise."""
     adders = [IntUnitModel("loa", 4), IntUnitModel("trunc_add", 6), IntUnitModel("seg_carry", 4)]
     muls = [IntUnitModel("trunc_mul", 4), IntUnitModel("broken_array", 4), IntUnitModel("log_approx")]
-    return [ArithBackend.approximate(adder=a, multiplier=m) for a in adders for m in muls]
+    return [ArithBackend(a, m) for a in adders for m in muls]
 
 
 DEFAULT_FP_BITS = (10, 20)
@@ -158,7 +155,6 @@ class ScenarioConfig:
     fbc_n: int = DEFAULT_STEPS
     fbc_delta: float = DEFAULT_DELTA
     fbc_sites: tuple[str, ...] | None = None  # None = auto selection
-    keep_records: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -185,9 +181,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - {"seed", "trials", "strategy", "moduli", "rcc", "fbc", "keep_records"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config_keys(doc, {"seed", "trials", "strategy", "moduli", "rcc", "fbc"}, "config")
     try:
         return _config_from_dict(doc)
     except (TypeError, ValueError) as e:
@@ -196,21 +190,20 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def _config_from_dict(doc: dict) -> ScenarioConfig:
     kw: dict = {}
-    if "seed" in doc:
-        kw["seed"] = int(doc["seed"])
-    if "trials" in doc:
-        kw["trials"] = int(doc["trials"])
+    for key in ("seed", "trials"):
+        if key in doc:
+            kw[key] = config_int(doc[key], key)
     if "strategy" in doc:
         s = doc["strategy"]
         if not isinstance(s, dict):
             raise ConfigError("'strategy' must be an object")
         kw["strategy"] = ServerStrategy(
-            honest_warmup=int(s.get("honest_warmup", 10)),
-            small_job_threshold=int(s.get("small_job_threshold", 30)),
+            honest_warmup=config_int(s.get("honest_warmup", 10), "honest_warmup"),
+            small_job_threshold=config_int(s.get("small_job_threshold", 30), "small_job_threshold"),
             dishonest_prob=float(s.get("dishonest_prob", 1.0)),
         )
     if "moduli" in doc:
-        kw["moduli"] = ModuleSet(_listed(doc, "moduli", int))
+        kw["moduli"] = ModuleSet(_listed(doc, "moduli", lambda m: config_int(m, "moduli")))
     rcc = _section(doc, "rcc")
     if "programs" in rcc:
         kw["rcc_programs"] = _listed(rcc, "programs", _program_entry)
@@ -220,20 +213,18 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
     if "programs" in fbc:
         kw["fbc_programs"] = _listed(fbc, "programs", _program_entry)
     if "fp_bits" in fbc:
-        kw["fp_bits"] = _listed(fbc, "fp_bits", int)
+        kw["fp_bits"] = _listed(fbc, "fp_bits", lambda b: config_int(b, "fp_bits"))
     if "kinds" in fbc:
         try:
             kw["fbc_kinds"] = _listed(fbc, "kinds", SentinelKind)
         except ValueError as e:
             raise ConfigError(f"unknown sentinel kind in config: {e}") from None
     if "n" in fbc:
-        kw["fbc_n"] = int(fbc["n"])
+        kw["fbc_n"] = config_int(fbc["n"], "n")
     if "delta" in fbc:
         kw["fbc_delta"] = float(fbc["delta"])
     if "sites" in fbc and fbc["sites"] != "auto":
         kw["fbc_sites"] = _listed(fbc, "sites", str)
-    if "keep_records" in doc:
-        kw["keep_records"] = bool(doc["keep_records"])
     return ScenarioConfig(**kw)
 
 
@@ -255,24 +246,12 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 @dataclass
-class TrialRecord:
-    index: int
-    program: str
-    combo: str
-    paradigm: Paradigm
-    detectable: bool
-    judgement: str
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass
 class DetectionReport:
     kind: str
     config: dict
     columns: tuple[str, ...]
     rows: list[dict]
     error_stats: dict = field(default_factory=dict)  # (program, combo) -> ErrorStats
-    records: list[TrialRecord] = field(default_factory=list)
 
     def row(self, **match) -> dict:
         hits = [r for r in self.rows if all(r.get(k) == v for k, v in match.items())]
@@ -402,25 +381,12 @@ def _rcc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, backend: A
     stats = {}
     if n_approx:
         stats[(entry.label, combo)] = error_stats(served.exact.outputs[0][mask], claimed[mask], ScalarType.INT16)
-
-    records = [
-        TrialRecord(
-            index=i,
-            program=entry.label,
-            combo=combo,
-            paradigm=Paradigm.APPROXIMATE if mask[i] else Paradigm.ACCURATE,
-            detectable=bool(detectable[i]),
-            judgement="positive" if first_fail[i] else "negative",
-            detail={"failed_round": int(first_fail[i]) or None, "claimed": int(claimed[i])},
-        )
-        for i in range(cfg.trials if cfg.keep_records else 0)
-    ]
-    return rows, stats, records
+    return rows, stats
 
 
 def _fbc_taps(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
     """One (program, fp-bits) cell served, with the sentinel export lanes the client receives."""
-    served = _serve(cfg, builds, "fbc", entry, f"fp{bits}", ArithBackend.approximate(fp_bits=bits))
+    served = _serve(cfg, builds, "fbc", entry, f"fp{bits}", ArithBackend(fp_bits=bits))
     exports = [k for s in served.program.sentinels for k in (s.entry_export, s.exit_export)]
     return served, {k: _received(served, lambda tr: tr.exports[k]) for k in exports}
 
@@ -442,7 +408,7 @@ def _fbc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int)
     rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
     rows += [flag_row(f"sentinel-{s.kind.value}", flag) for s, flag in zip(sentinels, flags)]
     rows.append(flag_row("overall", np.logical_or.reduce(flags)))
-    return rows, {}, []
+    return rows, {}
 
 
 def _rcc_cells(cfg: ScenarioConfig) -> list:
@@ -473,10 +439,9 @@ def _campaign(kind: str, cfg: ScenarioConfig, cells: list, jobs: int = 1) -> Det
             results = list(ex.map(run, cells))
     else:
         results = map(run, cells)
-    for rows, stats, records in results:
+    for rows, stats in results:
         report.rows.extend(rows)
         report.error_stats.update(stats)
-        report.records.extend(records)
     return report
 
 

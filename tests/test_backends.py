@@ -13,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as O
-from dhac import ArithBackend, ConfigError, ErrorStats, EvalError, FpTruncModel, IntUnitModel, Paradigm, StatsError
-from dhac import DFNode, Op, ScalarType, backend_from_dict, backend_to_dict, error_stats, evaluate, evaluate_batch
+from dhac import ArithBackend, ConfigError, ErrorStats, EvalError, IntUnitModel, StatsError
+from dhac import DFNode, Op, ScalarType, backend_from_dict, error_stats, evaluate, evaluate_batch
 from dhac import graph_of, trunc_mantissa
 from dhac.approx import _mitchell, add16_batch, mul16_batch, trunc_mantissa_batch
 
@@ -230,42 +230,43 @@ class TestModels:
         assert IntUnitModel("exact").label() == "exact"
 
     def test_fp_model_range(self):
-        FpTruncModel(0).check()
-        FpTruncModel(52).check()
+        ArithBackend(fp_bits=0)
+        ArithBackend(fp_bits=52)
+        with pytest.raises(ConfigError, match=r"\[0, 52\], got 53"):
+            ArithBackend(fp_bits=53)
         with pytest.raises(ConfigError):
-            FpTruncModel(53).check()
-        with pytest.raises(ConfigError):
-            FpTruncModel(-1).check()
+            ArithBackend(fp_bits=-1)
 
-    def test_accurate_backend_requires_exact_units(self):
-        with pytest.raises(ConfigError, match="accurate paradigm"):
-            ArithBackend(Paradigm.ACCURATE, adder=IntUnitModel("loa", 4))
-        with pytest.raises(ConfigError):
-            ArithBackend(Paradigm.ACCURATE, fp=FpTruncModel(10))
+    def test_backend_checks_its_units(self):
+        with pytest.raises(ConfigError, match="unknown adder kind"):
+            ArithBackend(adder=IntUnitModel("fast"))
+        with pytest.raises(ConfigError, match="trunc_mul: parameter"):
+            ArithBackend(multiplier=IntUnitModel("trunc_mul", 16))
 
     def test_backend_labels(self):
-        assert ArithBackend.accurate().label() == "accurate"
-        b = ArithBackend.approximate(IntUnitModel("loa", 4), IntUnitModel("log_approx"))
+        assert ArithBackend.accurate() == ArithBackend()
+        assert ArithBackend.accurate().label() == "exact+exact"
+        b = ArithBackend(IntUnitModel("loa", 4), IntUnitModel("log_approx"))
         assert b.label() == "loa(4)+log_approx"
-        b = ArithBackend.approximate(fp_bits=20)
+        b = ArithBackend(fp_bits=20)
         assert b.label() == "exact+exact+fp_trunc(20)"
 
     def test_backend_dict_round_trip(self):
-        b = ArithBackend.approximate(IntUnitModel("seg_carry", 4), IntUnitModel("trunc_mul", 6), fp_bits=10)
-        d = backend_to_dict(b)
+        b = ArithBackend(IntUnitModel("seg_carry", 4), IntUnitModel("trunc_mul", 6), fp_bits=10)
+        d = {"adder": {"kind": "seg_carry", "k": 4}, "multiplier": {"kind": "trunc_mul", "k": 6}, "fp_trunc_bits": 10}
         assert backend_from_dict(d) == b
-        assert d["adder"] == {"kind": "seg_carry", "k": 4}
 
     def test_backend_from_dict_defaults(self):
-        b = backend_from_dict({})
-        assert b.paradigm is Paradigm.APPROXIMATE
-        assert b.adder.is_exact and b.multiplier.is_exact and b.fp.is_exact
+        assert backend_from_dict({}) == ArithBackend.accurate()
 
     def test_backend_from_dict_errors(self):
-        with pytest.raises(ConfigError, match="unknown paradigm"):
-            backend_from_dict({"paradigm": "sloppy"})
         with pytest.raises(ConfigError, match="'kind'"):
             backend_from_dict({"adder": {"k": 4}})
+        # an unknown key is an error, not a silently exact or approximate unit
+        with pytest.raises(ConfigError, match=r"unknown backend keys: \['paradigm'\]"):
+            backend_from_dict({"paradigm": "accurate", "adder": {"kind": "loa", "k": 4}})
+        with pytest.raises(ConfigError, match=r"unknown backend 'adder' keys: \['bits'\]"):
+            backend_from_dict({"adder": {"kind": "loa", "bits": 4}})
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ class TestFpOp:
         return one
 
     def test_operands_truncated_result_not(self):
-        be = ArithBackend.approximate(fp_bits=40)
+        be = ArithBackend(fp_bits=40)
         a, b = math.pi, math.e
         ta, tb = O.ref_trunc_mantissa(a, 40), O.ref_trunc_mantissa(b, 40)
         assert self.both(_float_op_graph(Op.ADD), [a, b], be) == ta + tb
@@ -349,7 +350,7 @@ class TestFpOp:
 
     def test_truncation_can_create_zero_divisor(self):
         tiny = 5e-324  # truncating 10 bits clears the whole value
-        g, fp10 = _float_op_graph(Op.DIV), ArithBackend.approximate(fp_bits=10)
+        g, fp10 = _float_op_graph(Op.DIV), ArithBackend(fp_bits=10)
         assert self.both(g, [tiny, tiny], ArithBackend.accurate()) == 1.0
         with pytest.raises(EvalError, match="div-by-zero") as ei:
             evaluate(g, [tiny, tiny], fp10)

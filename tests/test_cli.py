@@ -15,6 +15,7 @@ from dhac import (
     ArithBackend,
     IntUnitModel,
     builtin_spec,
+    draw_inputs,
     evaluate,
     instrument,
     make_sentinel,
@@ -106,6 +107,15 @@ class TestRun:
         assert main(["run", "--program", prog, "--inputs", ins]) == 0
         # host output unchanged by the sentinel detour
         assert capsys.readouterr().out == f"out {evaluate(g, [0.5, 1.25], ACC).outputs[0]}\n"
+
+    @pytest.mark.parametrize("name, shorthand", [("euler", "euler2"), ("runge_kutta", "rk2"), ("fir_filter", "fir")])
+    def test_canonical_builtin_names(self, name, shorthand, tmp_path, capsys):
+        spec = builtin_spec(shorthand)
+        ins = _json_file(tmp_path, "i.json", draw_inputs(spec, substream(3, "cli", shorthand)))
+        assert main(["run", "--program", shorthand, "--inputs", ins]) == 0
+        want = capsys.readouterr().out
+        assert main(["run", "--program", name, "--inputs", ins]) == 0
+        assert capsys.readouterr().out == want
 
     def test_unknown_program(self, conv_inputs, capsys):
         assert main(["run", "--program", "fir9000", "--inputs", conv_inputs]) == 1
@@ -361,6 +371,22 @@ class TestBench:
         cfg = _json_file(tmp_path, "cfg.json", {"trails": 10})
         assert main(["bench", "--quick", "25", "--config", cfg]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, msg",
+        [
+            ({"keep_records": True}, "unknown config keys: ['keep_records']"),
+            (
+                {"rcc": {"combos": [{"paradigm": "accurate", "adder": {"kind": "loa", "k": 4}}]}},
+                "unknown backend keys: ['paradigm']",
+            ),
+            ({"moduli": [3.5, 5, 7]}, "bad config value: 'moduli' must be an integer, got 3.5"),
+        ],
+    )
+    def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):
+        cfg = _json_file(tmp_path, "cfg.json", doc)
+        assert main(["bench", "--quick", "25", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
 
 
 class TestSweep:

@@ -55,7 +55,7 @@ def _roundtrip(s, x, fp_bits=0):
     """(restored, distance) of s's detour grafted onto a graph whose one input is its site."""
     nodes = [DFNode(id=s.site, op=Op.INPUT), DFNode(id="out", op=Op.OUTPUT, operands=(s.site,))]
     ins = instrument(graph_of("one", ScalarType.FLOAT64, nodes, [s.site], ["out"]), [s])
-    backend = ArithBackend.approximate(fp_bits=fp_bits) if fp_bits else ACC
+    backend = ArithBackend(fp_bits=fp_bits) if fp_bits else ACC
     trace = evaluate(ins.graph, [x], backend)
     placed = ins.sentinels[0]
     assert trace.exports[placed.entry_export] == x
@@ -243,7 +243,7 @@ class TestInstrument:
         with pytest.raises(SiteError, match="collision"):
             instrument(g, [_sentinel("add", site="a")])
 
-    @pytest.mark.parametrize("backend", [ACC, ArithBackend.approximate(fp_bits=10)])
+    @pytest.mark.parametrize("backend", [ACC, ArithBackend(fp_bits=10)])
     def test_host_outputs_bit_equal(self, backend):
         g = float_graph()
         ins = instrument(g, [_sentinel(k, site=site) for k, site in [("add", "a"), ("mul", "d"), ("tan", "m")]])
@@ -262,7 +262,7 @@ class TestInstrument:
         s = _sentinel(kind, site="sd")
         ins = instrument(g, [s])
         placed = ins.sentinels[0]
-        backend = ACC if fp_bits == 0 else ArithBackend.approximate(fp_bits=fp_bits)
+        backend = ACC if fp_bits == 0 else ArithBackend(fp_bits=fp_bits)
         trace = evaluate(ins.graph, [0.5, 1.25], backend)
         tapped = trace.exports[placed.entry_export]
         assert bits(trace.exports[placed.exit_export]) == bits(_oracle_detour(s, tapped, fp_bits))
@@ -336,7 +336,7 @@ class TestJudge:
     def test_end_to_end_truncated_run_is_positive(self):
         g = float_graph()
         ins = instrument(g, [_sentinel("mul", site="m")])
-        v = judge(ins, evaluate(ins.graph, [0.5, 1.25], ArithBackend.approximate(fp_bits=20)))
+        v = judge(ins, evaluate(ins.graph, [0.5, 1.25], ArithBackend(fp_bits=20)))
         assert v.positive
 
 

@@ -25,6 +25,10 @@ from graphs import float_graph, int_div_graph, mixed_graph
 ACC = ArithBackend.accurate()
 
 
+def backend_id(b: ArithBackend) -> str:
+    return "accurate" if b == ACC else b.label()
+
+
 def _n(nid, op, *operands, value=None, dtype=None):
     return DFNode(id=nid, op=op, operands=tuple(operands), value=value, dtype=dtype)
 
@@ -63,14 +67,14 @@ class TestScalarSemantics:
     def test_approx_adder_applied(self):
         g = add_graph()
         m = IntUnitModel("loa", 4)
-        be = ArithBackend.approximate(adder=m)
+        be = ArithBackend(adder=m)
         for x, y in [(1234, 567), (-5, 31), (32767, 1)]:
             assert evaluate(g, [x, y], be).outputs[0] == O.ref_loa(x, y, 4)
 
     def test_sub_routes_through_adder(self):
         g = sub_graph()
         m = IntUnitModel("loa", 4)
-        be = ArithBackend.approximate(adder=m)
+        be = ArithBackend(adder=m)
         for x, y in [(100, 3), (-100, 3), (5, -31)]:
             assert evaluate(g, [x, y], be).outputs[0] == O.ref_loa(x, -y, 4)
 
@@ -78,14 +82,14 @@ class TestScalarSemantics:
         nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("p", Op.MUL, "x", "y"), _n("out", Op.OUTPUT, "p")]
         g = graph_of("mulg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         m = IntUnitModel("log_approx")
-        be = ArithBackend.approximate(multiplier=m)
+        be = ArithBackend(multiplier=m)
         assert evaluate(g, [5, 10], be).outputs[0] == 48
         assert evaluate(g, [5, 10], ACC).outputs[0] == 50
         assert evaluate(g, [7, 13], be).outputs[0] == O.ref_mitchell(7, 13)
 
     def test_integer_division_exact_both_paradigms(self):
         g = int_div_graph()
-        approx = ArithBackend.approximate(IntUnitModel("loa", 4), IntUnitModel("trunc_mul", 4))
+        approx = ArithBackend(IntUnitModel("loa", 4), IntUnitModel("trunc_mul", 4))
         assert evaluate(g, [123, 5], ACC).outputs[0] == 123
         # the approximate multiplier corrupts p, but division itself stays exact
         p = O.ref_trunc_mul(123, 5, 4)
@@ -185,7 +189,7 @@ class TestPythonScalars:
     """evaluate hands back Python ints and floats, never numpy scalars."""
 
     @pytest.mark.parametrize(
-        "backend", [ACC, *default_combos(), ArithBackend.approximate(fp_bits=10)], ids=lambda b: b.label()
+        "backend", [ACC, *default_combos(), ArithBackend(fp_bits=10)], ids=backend_id
     )
     @pytest.mark.parametrize(
         "make, inputs",
@@ -249,16 +253,16 @@ class TestInputChecks:
 
 BACKENDS = [
     ACC,
-    ArithBackend.approximate(IntUnitModel("loa", 4), IntUnitModel("trunc_mul", 4)),
-    ArithBackend.approximate(IntUnitModel("seg_carry", 4), IntUnitModel("log_approx")),
-    ArithBackend.approximate(IntUnitModel("trunc_add", 6), IntUnitModel("broken_array", 4)),
+    ArithBackend(IntUnitModel("loa", 4), IntUnitModel("trunc_mul", 4)),
+    ArithBackend(IntUnitModel("seg_carry", 4), IntUnitModel("log_approx")),
+    ArithBackend(IntUnitModel("trunc_add", 6), IntUnitModel("broken_array", 4)),
 ]
 
 
 class TestBatchParity:
     """evaluate_batch row i must equal evaluate on row i, bit for bit."""
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.label())
+    @pytest.mark.parametrize("backend", BACKENDS, ids=backend_id)
     @pytest.mark.parametrize("name", ["fir", "conv2x2", "euler2", "euler3", "rk2", "rk3"])
     def test_integer_builtins(self, name, backend):
         spec = builtin_spec(name)
@@ -271,7 +275,7 @@ class TestBatchParity:
     @pytest.mark.parametrize("bits", [0, 10, 20])
     def test_float_graph(self, bits):
         g = float_graph()
-        backend = ArithBackend.approximate(fp_bits=bits) if bits else ACC
+        backend = ArithBackend(fp_bits=bits) if bits else ACC
         rng = substream(12, "parity", "float")
         cols = [rng.uniform(-1, 1, size=40), rng.uniform(0.5, 2.0, size=40)]
         batch = evaluate_batch(g, cols, backend)

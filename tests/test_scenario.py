@@ -9,8 +9,8 @@ from dhac import (
     ErrorStats,
     InputError,
     IntUnitModel,
+    Judgement,
     ModuleSet,
-    Paradigm,
     ScenarioConfig,
     ServerStrategy,
     SiteError,
@@ -20,6 +20,7 @@ from dhac import (
     draw_inputs,
     evaluate,
     ground_truth_oracle,
+    op_census,
     rcc_check,
     report_to_csv,
     run_bench,
@@ -36,7 +37,7 @@ from dhac.scenario import REPORT_VERSION, ProgramEntry, _program_entry
 from graphs import float_graph
 
 ACC = ArithBackend.accurate()
-LOA_BACKEND = ArithBackend.approximate(adder=IntUnitModel("loa", 8))
+LOA_BACKEND = ArithBackend(adder=IntUnitModel("loa", 8))
 
 
 SMALL_CONV = _program_entry({"name": "conv_layer", "channels": 2, "size": 6})
@@ -107,33 +108,33 @@ class TestServerExecute:
         strat = ServerStrategy(2, 0, 1.0)
         state = server_state(0)
         seen = [server_execute(g, ins, strat, LOA_BACKEND, state)[1] for _ in range(4)]
-        assert seen == [Paradigm.ACCURATE, Paradigm.ACCURATE, Paradigm.APPROXIMATE, Paradigm.APPROXIMATE]
+        assert seen == [False, False, True, True]
         assert state.index == 4
 
     def test_small_jobs_run_honest(self):
         strat = ServerStrategy(0, 30, 1.0)
         state = server_state(0)
         g, ins = self._job("conv2x2")  # census 7
-        assert server_execute(g, ins, strat, LOA_BACKEND, state)[1] is Paradigm.ACCURATE
+        assert server_execute(g, ins, strat, LOA_BACKEND, state)[1] is False
         g, ins = self._job("euler2")  # census 52
-        assert server_execute(g, ins, strat, LOA_BACKEND, state)[1] is Paradigm.APPROXIMATE
+        assert server_execute(g, ins, strat, LOA_BACKEND, state)[1] is True
 
     def test_zero_prob_is_always_honest(self):
         g, ins = self._job()
         strat = ServerStrategy(0, 0, 0.0)
         state = server_state(0)
         assert all(
-            server_execute(g, ins, strat, LOA_BACKEND, state)[1] is Paradigm.ACCURATE
+            server_execute(g, ins, strat, LOA_BACKEND, state)[1] is False
             for _ in range(10)
         )
 
     def test_trace_matches_chosen_backend(self):
         g, ins = self._job()
-        honest, p = server_execute(g, ins, ServerStrategy(0, 0, 0.0), LOA_BACKEND, server_state(0))
-        assert p is Paradigm.ACCURATE
+        honest, cheated = server_execute(g, ins, ServerStrategy(0, 0, 0.0), LOA_BACKEND, server_state(0))
+        assert cheated is False
         assert honest.outputs == evaluate(g, ins, ACC).outputs
-        lying, p = server_execute(g, ins, ServerStrategy(0, 0, 1.0), LOA_BACKEND, server_state(0))
-        assert p is Paradigm.APPROXIMATE
+        lying, cheated = server_execute(g, ins, ServerStrategy(0, 0, 1.0), LOA_BACKEND, server_state(0))
+        assert cheated is True
         assert lying.outputs == evaluate(g, ins, LOA_BACKEND).outputs
 
     def test_one_draw_per_job_even_when_ineligible(self):
@@ -147,12 +148,9 @@ class TestServerExecute:
         got = [server_execute(g, ins, strat, LOA_BACKEND, state)[1] for g, ins in jobs]
 
         draws = substream(seed, "server", "dishonest").uniform(size=len(jobs))
-        want = [
-            Paradigm.APPROXIMATE if (i >= 2 and c >= 30 and draws[i] < 0.5) else Paradigm.ACCURATE
-            for i, c in enumerate(censuses)
-        ]
+        want = [i >= 2 and c >= 30 and draws[i] < 0.5 for i, c in enumerate(censuses)]
         assert got == want
-        assert Paradigm.APPROXIMATE in got  # the sequence must exercise both arms
+        assert True in got and False in got  # the sequence must exercise both arms
 
 
 class TestGroundTruthOracle:
@@ -182,8 +180,8 @@ class TestDefaultCombos:
         assert len(combos) == 9
         labels = [b.label() for b in combos]
         assert len(set(labels)) == 9
-        assert all(b.paradigm is Paradigm.APPROXIMATE for b in combos)
-        assert all(b.fp.bits == 0 for b in combos)
+        assert all(not (b.adder.is_exact and b.multiplier.is_exact) for b in combos)
+        assert all(b.fp_bits == 0 for b in combos)
         assert "loa(4)+log_approx" in labels
         assert "seg_carry(4)+broken_array(4)" in labels
 
@@ -198,7 +196,7 @@ class TestConfig:
         assert cfg.fp_bits == (10, 20)
         assert len(cfg.fbc_kinds) == 3
         assert cfg.fbc_n == 3 and cfg.fbc_delta == 1e-13
-        assert cfg.fbc_sites is None and cfg.keep_records is False
+        assert cfg.fbc_sites is None
         assert cfg.moduli == ModuleSet()
 
     def test_empty_doc_is_default(self):
@@ -223,7 +221,6 @@ class TestConfig:
                     "delta": 1e-12,
                     "sites": ["acc0_0", "acc0_1"],
                 },
-                "keep_records": True,
             }
         )
         assert cfg.seed == 3 and cfg.trials == 77
@@ -236,7 +233,6 @@ class TestConfig:
         assert [k.value for k in cfg.fbc_kinds] == ["mul", "tan"]
         assert cfg.fbc_n == 5 and cfg.fbc_delta == 1e-12
         assert cfg.fbc_sites == ("acc0_0", "acc0_1")
-        assert cfg.keep_records is True
 
     @pytest.mark.parametrize("value", [[3], {"n": 3}])
     def test_program_parameters_must_be_scalars(self, value):
@@ -278,11 +274,26 @@ class TestConfig:
             config_from_dict({"rcc": {"combos": [5]}})
         with pytest.raises(ConfigError, match="bad config value"):
             config_from_dict({"seed": None})
+        for doc, key, value in [
+            ({"moduli": [3.5, 5, 7]}, "moduli", 3.5),
+            ({"trials": 2.9}, "trials", 2.9),
+            ({"trials": True}, "trials", True),
+            ({"seed": "1"}, "seed", "1"),
+            ({"strategy": {"honest_warmup": 1.5}}, "honest_warmup", 1.5),
+            ({"strategy": {"small_job_threshold": False}}, "small_job_threshold", False),
+            ({"fbc": {"n": 2.7}}, "n", 2.7),
+            ({"fbc": {"fp_bits": [10.0]}}, "fp_bits", 10.0),
+            ({"rcc": {"combos": [{"adder": {"kind": "loa", "k": 4.7}}]}}, "k", 4.7),
+            ({"rcc": {"combos": [{"fp_trunc_bits": True}]}}, "fp_trunc_bits", True),
+        ]:
+            with pytest.raises(ConfigError) as e:
+                config_from_dict(doc)
+            assert str(e.value) == f"bad config value: '{key}' must be an integer, got {value!r}"
 
 
 @pytest.fixture(scope="module")
 def rcc_report():
-    return run_rcc_trials(small_cfg(keep_records=True))
+    return run_rcc_trials(small_cfg())
 
 
 @pytest.fixture(scope="module")
@@ -333,19 +344,6 @@ class TestRccTrials:
             assert isinstance(stats, ErrorStats)
             assert stats.n > 0 and stats.mre >= 0.0
 
-    def test_records_agree_with_rows(self, report):
-        cfg = small_cfg()
-        assert len(report.records) == cfg.trials * 4
-        cell = [r for r in report.records if r.program == "fir" and r.combo == "loa(4)+trunc_mul(4)"]
-        n_det = sum(r.detectable for r in cell)
-        det_row = report.row(program="fir", combo="loa(4)+trunc_mul(4)", check="detectable")
-        n_approx = sum(r.paradigm is Paradigm.APPROXIMATE for r in cell)
-        assert det_row["raw_rate"] == n_det / n_approx
-        for r in cell:
-            assert (r.judgement == "positive") == (r.detail["failed_round"] is not None)
-            if r.detectable:
-                assert r.paradigm is Paradigm.APPROXIMATE
-
     def test_row_accessor_requires_unique_match(self, report):
         with pytest.raises(KeyError, match="rows match"):
             report.row(program="fir")
@@ -353,22 +351,49 @@ class TestRccTrials:
             report.row(program="nope")
 
     def test_deterministic(self, report):
-        again = run_rcc_trials(small_cfg(keep_records=True))
+        again = run_rcc_trials(small_cfg())
         assert report_to_csv(again) == report_to_csv(report)
 
     def test_failed_round_is_the_judges(self, report):
+        # Each trial is rebuilt alone from its cell's streams, served by the
+        # scalar evaluate and judged by rcc_check, the code behind `dhac rcc`.
         cfg = small_cfg()
         for entry in cfg.rcc_programs:
             spec = entry.spec()
+            census = op_census(spec.graph)["total"]
             for backend in cfg.combos:
                 combo = backend.label()
                 cols = draw_inputs(spec, substream(cfg.seed, "rcc", entry.label, combo, "inputs"), cfg.trials)
-                cell = [r for r in report.records if r.program == entry.label and r.combo == combo]
-                assert len(cell) == cfg.trials
-                for r in cell:
-                    v = rcc_check(spec.graph, [int(c[r.index]) for c in cols], r.detail["claimed"], cfg.moduli)
-                    assert v.failed_round == r.detail["failed_round"]
-                    assert v.judgement.value == r.judgement
+                draws = substream(cfg.seed, "rcc", entry.label, combo, "dishonest").uniform(size=cfg.trials)
+                fp = 0
+                cheated = []  # (detectable, failed round or None) per approximate trial
+                for i in range(cfg.trials):
+                    ins = [int(c[i]) for c in cols]
+                    cheats = bool(cfg.strategy.cheats(i, census, draws[i]))
+                    claim = evaluate(spec.graph, ins, backend if cheats else ACC).outputs[0]
+                    verdict = rcc_check(spec.graph, ins, claim, cfg.moduli)
+                    if cheats:
+                        cheated.append((claim != evaluate(spec.graph, ins, ACC).outputs[0], verdict.failed_round))
+                    else:
+                        fp += verdict.judgement is Judgement.POSITIVE
+                n_approx, n_det = len(cheated), sum(d for d, _ in cheated)
+                assert 0 < n_det <= n_approx
+                row = report.row(program=entry.label, combo=combo, check="detectable")
+                assert (row["raw_rate"], row["per_detectable_rate"], row["fp"], row["fn"]) == (
+                    n_det / n_approx,
+                    1.0,
+                    0,
+                    0,
+                )
+                for j in range(1, len(cfg.moduli) + 1):
+                    caught = [d for d, r in cheated if r is not None and r <= j]
+                    row = report.row(program=entry.label, combo=combo, check=f"round{j}")
+                    assert (row["raw_rate"], row["per_detectable_rate"], row["fp"], row["fn"]) == (
+                        len(caught) / n_approx,
+                        sum(caught) / n_det,
+                        fp,
+                        n_det - sum(caught),
+                    )
 
     def test_modulus_above_int32_flags_no_honest_trial(self):
         cfg = config_from_dict(
@@ -479,12 +504,6 @@ class TestBench:
         calls = count_builds(monkeypatch)
         run_bench(small_cfg(trials=20, fbc_programs=(SMALL_CONV,)))
         assert calls == ["fir", "conv2x2", "conv_layer"]
-
-    def test_records_are_the_rcc_campaigns(self):
-        cfg = small_cfg(trials=30, fbc_programs=(SMALL_CONV,), keep_records=True)
-        records = run_bench(cfg).records
-        assert len(records) == 4 * 30
-        assert records == run_rcc_trials(cfg).records
 
     def test_csv_shape(self):
         cfg = small_cfg(trials=60, rcc_programs=(_program_entry("conv2x2"),), combos=(LOA_BACKEND,))
