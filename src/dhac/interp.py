@@ -49,8 +49,9 @@ def _walk(graph: DFGraph, values: dict, ints: tuple, bits: int, lanes: bool):
     `ints` is the integer arithmetic as (const, add, sub, mul, div); `div`
     also gets the node id, for its errors. `bits` is the float mantissa
     truncation. Values are Python scalars, or numpy lanes when `lanes` is
-    set; a float constant stays a scalar in either form. Returns (outputs,
-    exports).
+    set; a float constant stays a scalar in either form. Integer values are
+    whatever `ints` makes them: the residue ring pairs each lane array with
+    a bound. Returns (outputs, exports).
     """
     all_finite, any_true, trunc, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
     const, add, sub, mul, div = ints

@@ -118,6 +118,12 @@ def _require_residue_graph(graph: DFGraph) -> None:
         raise ValidationError(f"residue evaluation needs exactly one output, got {len(graph.outputs)}")
 
 
+# Lane dtypes, narrowest first, each with its limit t = isqrt(dtype max):
+# two values of magnitude <= t add and multiply without overflow. The
+# residue walk takes the first whose limit holds the largest residue.
+_LANES = tuple((t, math.isqrt(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
+
+
 def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     """Output residues for a batch of input columns, in one walk over the graph.
 
@@ -137,20 +143,38 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
         raise InputError(f"expected {len(graph.inputs)} input columns, got {len(inputs)}")
     n, cols = _batch_columns(graph, inputs)  # int16 columns: the graph is all-integer
 
-    # the narrowest lanes that hold a product of two residues
-    dtype = next((t for t in (np.int16, np.int32, np.int64) if (max(mods) - 1) ** 2 <= np.iinfo(t).max), object)
+    top = max(mods) - 1
+    dtype, limit = next(((t, lim) for t, lim in _LANES if top <= lim), (object, 0))
     m = np.array(mods, dtype=dtype)[:, None]
     no_inverse = np.zeros((len(mods), n), dtype=bool)
+    # Lazy reduction: each value is a pair (lanes, bound), where the bound
+    # on the lanes' magnitude follows from the graph alone. Inputs,
+    # constants and quotients are reduced, bound `top`; a sum or difference
+    # adds its operands' bounds and a product multiplies them. A result is
+    # reduced mod m only where its bound passes the lanes' limit, so two
+    # kept values never overflow the lanes when added or multiplied.
+    # Object lanes (limit 0) reduce after every op.
+    def add(a, b):
+        bound = a[1] + b[1]
+        return ((a[0] + b[0]) % m, top) if bound > limit else (a[0] + b[0], bound)
 
-    def div(a, b, nid):
-        inv = _inverse(b, m).astype(dtype)
+    def sub(a, b):
+        bound = a[1] + b[1]
+        return ((a[0] - b[0]) % m, top) if bound > limit else (a[0] - b[0], bound)
+
+    def mul(a, b):
+        bound = a[1] * b[1]
+        return (a[0] * b[0] % m, top) if bound > limit else (a[0] * b[0], bound)
+
+    def div(a, b, nid):  # the inverse needs a reduced divisor; a * inv fits the lanes
+        inv = _inverse(b[0] % m, m).astype(dtype)
         no_inverse[...] |= inv < 0
-        return a * inv % m
+        return a[0] * inv % m, top
 
-    ring = (lambda v: int(v) % m, lambda a, b: (a + b) % m, lambda a, b: (a - b) % m, lambda a, b: a * b % m, div)
-    values = {nid: (col[None, :] % m).astype(dtype) for nid, col in cols.items()}
-    (out,), _ = _walk(graph, values, ring, 0, lanes=True)
-    out = np.where(no_inverse, -1, out).astype(np.result_type(dtype, np.int64))
+    ring = (lambda v: (int(v) % m, top), add, sub, mul, div)
+    values = {nid: ((col[None, :] % m).astype(dtype), top) for nid, col in cols.items()}
+    ((out, _),), _ = _walk(graph, values, ring, 0, lanes=True)
+    out = np.where(no_inverse, -1, out % m).astype(np.result_type(dtype, np.int64))
     return out[0] if single else out
 
 

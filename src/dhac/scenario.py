@@ -125,10 +125,8 @@ def _program_entry(item) -> ProgramEntry:
     if isinstance(item, str):
         return ProgramEntry(label=item, name=item)
     if isinstance(item, dict) and "name" in item:
-        params = {k: v for k, v in item.items() if k not in ("name", "label")}
-        for k, v in params.items():
-            if isinstance(v, (list, dict)):  # entries key the campaign's build dict
-                raise ConfigError(f"program parameter '{k}' must be a number or a string, got {v!r}")
+        # every builtin parameter is an int; entries key the campaign's build dict
+        params = {k: config_int(v, k) for k, v in item.items() if k not in ("name", "label")}
         return ProgramEntry(
             label=str(item.get("label", item["name"])),
             name=str(item["name"]),
@@ -457,6 +455,8 @@ def run_fbc_trials(cfg: ScenarioConfig) -> DetectionReport:
 
 def run_bench(cfg: ScenarioConfig, jobs: int = 1) -> DetectionReport:
     """Residue and sentinel campaigns together; cells may run in parallel."""
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     return _campaign("bench", cfg, _rcc_cells(cfg) + _fbc_cells(cfg), jobs)
 
 

@@ -367,6 +367,11 @@ class TestBench:
         assert out.startswith(REPORT_VERSION + "\n")
         assert "conv2x2,loa(4)+exact,detectable," in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, jobs, capsys):
+        assert main(["bench", "--quick", "25", "--jobs", jobs]) == 1
+        assert capsys.readouterr() == ("", "error: jobs must be >= 1\n")
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = _json_file(tmp_path, "cfg.json", {"trails": 10})
         assert main(["bench", "--quick", "25", "--config", cfg]) == 1
@@ -381,6 +386,14 @@ class TestBench:
                 "unknown backend keys: ['paradigm']",
             ),
             ({"moduli": [3.5, 5, 7]}, "bad config value: 'moduli' must be an integer, got 3.5"),
+            (
+                {"rcc": {"programs": [{"name": "euler", "seed": True}]}},
+                "bad config value: 'seed' must be an integer, got True",
+            ),
+            (
+                {"rcc": {"programs": [{"name": "euler", "steps": 3.0}]}},
+                "bad config value: 'steps' must be an integer, got 3.0",
+            ),
         ],
     )
     def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):

@@ -383,6 +383,54 @@ class TestResiduesBatch:
         with pytest.raises(InputError, match="outside int16"):
             residues_batch(builtin_spec("conv2x2").graph, cols, 7)
 
+    # The top modulus of each lane dtype (int16, int32, int64) and one above
+    # it: the walk's lanes and its reduction bound both change at these.
+    LANE_EDGES = (182, 183, 46341, 46342, 3037000500, 3037000501)
+
+    @staticmethod
+    def _chain(with_div):
+        """40 arithmetic nodes, each the previous one op'd with x, y or a constant.
+
+        It opens with (x - x + (-1)) * (-1): every lane holds m - 1, the
+        largest residue, and then the largest product a lane must hold. The
+        div step is (v * y) / y, exact in the integers.
+        """
+        steps = [("sub", "x"), ("add", "k"), ("mul", "k")]
+        steps += [("mul", "x"), ("add", "y"), ("mul", "y"), ("sub", "x")] * 4
+        steps += [("mul", "k"), ("mul", "j"), ("sub", "y"), ("add", "j")] * 4
+        steps += [("mul", "y"), ("div", "y") if with_div else ("mul", "x"), ("sub", "j"), ("mul", "x"), ("add", "k")]
+        nodes = [
+            _n("x", Op.INPUT),
+            _n("y", Op.INPUT),
+            _n("k", Op.CONST, value=-1),
+            _n("j", Op.CONST, value=32767),
+        ]
+        prev = "x"
+        for i, (op, operand) in enumerate(steps):
+            nodes.append(_n(f"v{i}", Op(op), prev, operand))
+            prev = f"v{i}"
+        nodes.append(_n("out", Op.OUTPUT, prev))
+        assert len(steps) == 40
+        return graph_of("chain", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+
+    @staticmethod
+    def _edge_inputs():
+        # 256 lanes within 128 of +32767 or -32768, in a seeded order
+        near = np.concatenate([np.arange(32767 - 127, 32768), np.arange(-32768, -32768 + 128)])
+        rng = substream(15, "lane-edges")
+        return rng.permutation(near), rng.permutation(near)
+
+    @pytest.mark.parametrize("with_div", [False, True])
+    @pytest.mark.parametrize("m", LANE_EDGES)
+    def test_deep_chain_at_lane_edges_matches_unbounded_oracle(self, m, with_div):
+        g = self._chain(with_div)
+        xs, ys = self._edge_inputs()
+        got = residues_batch(g, [xs, ys], m)
+        unit = [not with_div or math.gcd(int(y), m) == 1 for y in ys]
+        want = [O.eval_unbounded(g, [x, y])[0][0] % m if u else -1 for x, y, u in zip(xs, ys, unit)]
+        assert got.tolist() == want
+        assert any(unit)
+
     def test_const_only_output_broadcast(self):
         nodes = [
             _n("x", Op.INPUT),
@@ -393,3 +441,28 @@ class TestResiduesBatch:
         got = residues_batch(g, [np.array([1, 2, 3])], 3)
         assert got.tolist() == [2, 2, 2]
 
+
+class TestKnownFalsePositives:
+    """Honest results the check flags today: the unbounded value leaves int16."""
+
+    @pytest.mark.xfail(strict=True, reason="soundness certificate, ROADMAP item 4")
+    def test_conv2x2_output_beyond_int16(self):
+        g = builtin_spec("conv2x2").graph
+        ins = [300] * 4 + [200] * 4
+        claimed = evaluate(g, ins, ACC).outputs[0]
+        assert claimed == -22144
+        assert not rcc_check(g, ins, claimed).positive
+
+    @pytest.mark.xfail(strict=True, reason="soundness certificate, ROADMAP item 4")
+    def test_division_of_a_wrapped_product(self):
+        nodes = [
+            _n("a", Op.INPUT),
+            _n("b", Op.INPUT),
+            _n("c", Op.INPUT),
+            _n("p", Op.MUL, "a", "b"),
+            _n("q", Op.DIV, "p", "c"),
+            _n("out", Op.OUTPUT, "q"),
+        ]
+        g = graph_of("abc", ScalarType.INT16, nodes, ["a", "b", "c"], ["out"])
+        claimed = evaluate(g, [300, 300, 2], ACC).outputs[0]
+        assert not rcc_check(g, [300, 300, 2], claimed).positive

@@ -1,5 +1,7 @@
 """Strategic server, campaign configs, trial runners, report serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -234,9 +236,10 @@ class TestConfig:
         assert cfg.fbc_n == 5 and cfg.fbc_delta == 1e-12
         assert cfg.fbc_sites == ("acc0_0", "acc0_1")
 
-    @pytest.mark.parametrize("value", [[3], {"n": 3}])
+    @pytest.mark.parametrize("value", [[3], {"n": 3}, True, 3.0, 3.5, "3", None])
     def test_program_parameters_must_be_scalars(self, value):
-        with pytest.raises(ConfigError, match="program parameter 'taps'") as e:
+        # every builtin parameter is an int, by the config's integer rule
+        with pytest.raises(ConfigError, match=re.escape(f"'taps' must be an integer, got {value!r}")) as e:
             config_from_dict({"rcc": {"programs": [{"name": "fir_filter", "taps": value}]}})
         assert "\n" not in str(e.value)
 
@@ -477,6 +480,11 @@ class TestBench:
         assert report_to_csv(serial) == report_to_csv(parallel)
         assert len(serial.rows) == 4 * 4 + 1 * 5
         assert len(serial.error_stats) == 4
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(ConfigError, match=r"^jobs must be >= 1$"):
+            run_bench(small_cfg(trials=20), jobs=jobs)
 
     def test_workers_capped_at_cell_count(self, monkeypatch):
         started = []
