@@ -111,41 +111,6 @@ class ArithBackend:
         return "+".join(parts)
 
 
-def config_int(value, key: str) -> int:
-    """value if it is an integer (a bool is not), else ConfigError naming the config key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"bad config value: '{key}' must be an integer, got {value!r}")
-    return value
-
-
-def config_keys(doc: dict, known: set, what: str) -> None:
-    """ConfigError unless every key of doc is in known."""
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-
-
-def backend_from_dict(doc: dict) -> ArithBackend:
-    """Backend from a config fragment {adder: {kind, k}, multiplier: {kind, k}, fp_trunc_bits}.
-
-    An absent unit is exact; an unknown key raises ConfigError.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"backend must be an object, got {doc!r}")
-    config_keys(doc, {"adder", "multiplier", "fp_trunc_bits"}, "backend")
-
-    def unit(key: str) -> IntUnitModel:
-        frag = doc.get(key)
-        if frag is None:
-            return EXACT_UNIT
-        if not isinstance(frag, dict) or "kind" not in frag:
-            raise ConfigError(f"backend '{key}' must be an object with 'kind'")
-        config_keys(frag, {"kind", "k"}, f"backend '{key}'")
-        return IntUnitModel(str(frag["kind"]), config_int(frag.get("k", 0), "k"))
-
-    return ArithBackend(unit("adder"), unit("multiplier"), config_int(doc.get("fp_trunc_bits", 0), "fp_trunc_bits"))
-
-
 # ---------------------------------------------------------------------------
 # 16-bit integer units: one definition, on Python ints and int64 lanes alike
 

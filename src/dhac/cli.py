@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
-from .errors import DhacError, InputError
+from .errors import DhacError, InputError, typed
 from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
 from .graph import DFGraph, Judgement, Trace, parse_program_dict
 from .interp import evaluate
@@ -61,10 +61,7 @@ def _load_program(value: str) -> DFGraph:
 
 
 def _load_inputs(path: str) -> list:
-    doc = _load_json(path)
-    if not isinstance(doc, list):
-        raise InputError("inputs file must be a JSON array")
-    return doc
+    return typed(_load_json(path), list, "inputs file", InputError)
 
 
 def _unit(text: str) -> IntUnitModel:
@@ -78,29 +75,14 @@ def _backend_from_args(args) -> ArithBackend:
     return ArithBackend(adder, mul, args.fp_bits)
 
 
-def _trace_to_dict(trace: Trace) -> dict:
-    def num(v):
-        return float(v) if isinstance(v, float) else int(v)
-
-    return {
-        "outputs": [num(v) for v in trace.outputs],
-        "exports": {k: num(v) for k, v in trace.exports.items()},
-    }
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _trace_from_dict(doc: dict) -> Trace:
     if not isinstance(doc, dict) or "outputs" not in doc or "exports" not in doc:
         raise InputError("trace file needs 'outputs' and 'exports'")
-    outputs, exports = doc["outputs"], doc["exports"]
-    if not isinstance(outputs, list) or not all(map(_is_number, outputs)):
-        raise InputError("trace 'outputs' must be a list of numbers")
-    if not isinstance(exports, dict) or not all(map(_is_number, exports.values())):
-        raise InputError("trace 'exports' must map export ids to numbers")
-    return Trace(outputs=tuple(outputs), exports=exports)
+    exports = typed(doc["exports"], dict, "trace 'exports'", InputError)
+    return Trace(
+        outputs=tuple(typed(doc["outputs"], list, "trace 'outputs'", InputError, of=float)),
+        exports={k: typed(v, float, f"trace export '{k}'", InputError) for k, v in exports.items()},
+    )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -117,7 +99,9 @@ def _cmd_run(args) -> int:
     backend = _backend_from_args(args)
     trace = evaluate(g, inputs, backend)
     if args.out:
-        _write_text(args.out, json.dumps(_trace_to_dict(trace), indent=2) + "\n")
+        # evaluate's trace holds Python ints and floats only
+        doc = {"outputs": list(trace.outputs), "exports": trace.exports}
+        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     for nid, v in zip(g.outputs, trace.outputs):
         print(f"{nid} {v}")
     return _EXIT_OK
@@ -267,11 +251,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DhacError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DhacError, OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+        # one line, even where the message quotes a document's own text
+        print("error: " + str(e).replace("\n", "\\n"), file=sys.stderr)
         return _EXIT_ERROR
 
 

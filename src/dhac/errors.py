@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all dhac modules."""
+"""Exception hierarchy shared by all dhac modules, and the typing rule for JSON fields."""
 
 from __future__ import annotations
+
+import sys
 
 
 class DhacError(Exception):
@@ -55,3 +57,37 @@ class SiteError(DhacError):
 
 class TraceError(DhacError):
     """Trace document does not match the instrumented program."""
+
+
+# ---------------------------------------------------------------------------
+# the one typing rule for the fields of every JSON document dhac reads
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def typed(value, kind: type, name: str, error: type[DhacError], of: type | None = None):
+    """value if it is a JSON value of `kind`, else `error` naming the field and the value.
+
+    `kind` is int, float (a number), str, list or dict (an object). A bool
+    is never a number, an integer field rejects a float, a number field
+    takes an integer as its float, and a string is never coerced. With
+    `of`, the value is a list whose items are typed as `of`, each named as
+    the list is.
+    """
+    if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+        if of is not None:
+            return [typed(x, of, name, error) for x in value]
+        if kind is not float or isinstance(value, float):
+            return value
+        if abs(value) <= sys.float_info.max:  # an integer a float can hold
+            return float(value)
+    want = _KINDS[kind] if of is None else f"a list of {_KINDS[of].split()[1]}s"
+    raise error(f"{name} must be {want}, got {value!r}")
+
+
+def known_keys(doc: dict, known, name: str, error: type[DhacError]) -> dict:
+    """doc, or `error` listing its keys outside `known`."""
+    unknown = doc.keys() - known
+    if unknown:
+        raise error(f"unknown {name} keys: {sorted(unknown)}")
+    return doc

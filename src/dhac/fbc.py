@@ -18,12 +18,13 @@ Step kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import SiteError, TraceError, ValidationError
+from .errors import SiteError, TraceError, ValidationError, typed
 from .graph import (
     ARITH_OPS,
     DFGraph,
@@ -86,8 +87,8 @@ class Sentinel:
                 not 0.0 < r < 1.0 for r in self.operands
             ):
                 raise ValidationError("mul sentinel operands must lie in (0, 1)")
-        if not 0.0 < self.delta:
-            raise ValidationError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:  # an infinite delta never fires
+            raise ValidationError(f"delta must be positive and finite, got {self.delta!r}")
 
 
 def make_sentinel(
@@ -305,30 +306,30 @@ def instrumented_to_dict(ins: InstrumentedGraph) -> dict:
 def instrumented_from_dict(d: dict) -> InstrumentedGraph:
     if not isinstance(d, dict) or "graph" not in d or "sentinels" not in d:
         raise ValidationError("instrumented file needs 'graph' and 'sentinels'")
-    if not isinstance(d["sentinels"], list):
-        raise ValidationError("'sentinels' must be a list")
     g = parse_program_dict(d["graph"])
     sentinels = []
-    for i, sd in enumerate(d["sentinels"]):
-        if not isinstance(sd, dict):
-            raise ValidationError(f"sentinels[{i}] must be an object")
-        exports = (sd.get("entry_export"), sd.get("exit_export"))
-        if not all(e is None or isinstance(e, str) for e in exports):
-            raise ValidationError(f"sentinels[{i}]: export ids must be strings")
+    for i, sd in enumerate(typed(d["sentinels"], list, "'sentinels'", ValidationError)):
+        at = f"sentinels[{i}]"
+        typed(sd, dict, at, ValidationError)
+
+        def field(key: str, kind: type, of: type | None = None):
+            if key not in sd:
+                raise ValidationError(f"{at} lacks '{key}'")
+            return typed(sd[key], kind, f"{at}: '{key}'", ValidationError, of)
+
         try:
-            sentinels.append(
-                Sentinel(
-                    kind=SentinelKind(sd["kind"]),
-                    site=str(sd["site"]),
-                    n=int(sd["n"]),
-                    operands=tuple(float(x) for x in sd["operands"]),
-                    delta=float(sd["delta"]),
-                    entry_export=exports[0],
-                    exit_export=exports[1],
-                )
+            kind = SentinelKind(field("kind", str))
+        except ValueError:
+            raise ValidationError(f"{at}: unknown sentinel kind {sd['kind']!r}") from None
+        sentinels.append(
+            Sentinel(
+                kind=kind,
+                site=field("site", str),
+                n=field("n", int),
+                operands=tuple(field("operands", list, of=float)),
+                delta=field("delta", float),
+                entry_export=field("entry_export", str),
+                exit_export=field("exit_export", str),
             )
-        except KeyError as e:
-            raise ValidationError(f"sentinels[{i}] lacks {e.args[0]!r}") from None
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"sentinels[{i}]: {e}") from None
+        )
     return InstrumentedGraph(graph=g, sentinels=tuple(sentinels))

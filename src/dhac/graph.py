@@ -9,11 +9,12 @@ cross-type edge permitted is the widening Int16 -> Float64 edge.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, typed
 
 INT16_MIN = -32768
 INT16_MAX = 32767
@@ -134,7 +135,7 @@ class DFGraph:
         node_map: dict[str, DFNode] = {}
         for n in self.nodes:
             if not n.id or not isinstance(n.id, str):
-                raise ValidationError(f"node with empty or non-string id: {n!r}")
+                raise ValidationError(f"node id must be a non-empty string, got {n.id!r}")
             if n.id in node_map:
                 raise ValidationError(f"duplicate node id '{n.id}'")
             node_map[n.id] = n
@@ -225,7 +226,7 @@ def _check_const(n: DFNode, t: ScalarType) -> None:
     else:
         if isinstance(n.value, bool) or not isinstance(n.value, (int, float)):
             raise ValidationError(f"const node '{n.id}': float64 const must be numeric")
-        if n.value != n.value or n.value in (float("inf"), float("-inf")):
+        if not abs(n.value) <= sys.float_info.max:  # nan, inf, or an int no float holds
             raise ValidationError(f"const node '{n.id}': non-finite float const")
 
 
@@ -258,9 +259,11 @@ def parse_program(text: str) -> DFGraph:
     return parse_program_dict(doc)
 
 
+_OPS = {op.value: op for op in Op}  # a dict lookup costs less per node than Op(value)
+
+
 def parse_program_dict(doc) -> DFGraph:
-    if not isinstance(doc, dict):
-        raise ParseError("program document must be a JSON object")
+    typed(doc, dict, "program document", ParseError)
     for key in ("name", "type", "nodes", "inputs", "outputs"):
         if key not in doc:
             raise ParseError(f"program document missing '{key}'")
@@ -268,42 +271,32 @@ def parse_program_dict(doc) -> DFGraph:
         gtype = ScalarType(doc["type"])
     except ValueError:
         raise ParseError(f"unknown graph type {doc['type']!r}") from None
-    if not isinstance(doc["nodes"], list):
-        raise ParseError("'nodes' must be a list")
     nodes: list[DFNode] = []
-    for i, nd in enumerate(doc["nodes"]):
+    # One pass per node, so the checks are inline and cheap: a node id that
+    # is not a string is left to `validate`, as for a graph built in code.
+    for i, nd in enumerate(typed(doc["nodes"], list, "program 'nodes'", ParseError)):
         if not isinstance(nd, dict) or "id" not in nd or "op" not in nd:
             raise ParseError(f"nodes[{i}] must be an object with 'id' and 'op'")
         try:
-            op = Op(nd["op"])
-        except ValueError:
+            op = _OPS[nd["op"]]
+        except (KeyError, TypeError):  # an unknown or unhashable op
             raise ParseError(f"nodes[{i}] ('{nd['id']}'): unknown op {nd['op']!r}") from None
-        operands = nd.get("operands", [])
-        if not isinstance(operands, list) or not all(isinstance(x, str) for x in operands):
-            raise ParseError(f"nodes[{i}] ('{nd['id']}'): 'operands' must be a list of ids")
         dtype = None
         if "type" in nd:
             try:
                 dtype = ScalarType(nd["type"])
             except ValueError:
                 raise ParseError(f"nodes[{i}] ('{nd['id']}'): unknown type {nd['type']!r}") from None
-        nodes.append(
-            DFNode(
-                id=str(nd["id"]),
-                op=op,
-                operands=tuple(operands),
-                value=nd.get("value"),
-                dtype=dtype,
-            )
-        )
-    if not isinstance(doc["inputs"], list) or not isinstance(doc["outputs"], list):
-        raise ParseError("'inputs' and 'outputs' must be lists of node ids")
+        operands = nd.get("operands", [])
+        if not isinstance(operands, list) or not all(isinstance(x, str) for x in operands):
+            raise ParseError(f"nodes[{i}] ('{nd['id']}'): 'operands' must be a list of ids")
+        nodes.append(DFNode(nd["id"], op, tuple(operands), nd.get("value"), dtype))
     return graph_of(
-        name=str(doc["name"]),
+        name=typed(doc["name"], str, "program 'name'", ParseError),
         dtype=gtype,
         nodes=nodes,
-        inputs=[str(x) for x in doc["inputs"]],
-        outputs=[str(x) for x in doc["outputs"]],
+        inputs=typed(doc["inputs"], list, "program 'inputs'", ParseError, of=str),
+        outputs=typed(doc["outputs"], list, "program 'outputs'", ParseError, of=str),
     )
 
 

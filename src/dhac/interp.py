@@ -13,6 +13,7 @@ the two forms stay bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from itertools import repeat
 from typing import Sequence
@@ -141,10 +142,9 @@ def _check_scalar_input(x, t: ScalarType, where: str):
         return int(x)
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise InputError(f"{where}: expected a number, got {type(x).__name__}")
-    xf = float(x)
-    if not math.isfinite(xf):
+    if not abs(x) <= sys.float_info.max:  # nan, inf, or an int no float holds
         raise InputError(f"{where}: non-finite value")
-    return xf
+    return float(x)
 
 
 def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBackend) -> Trace:
@@ -170,6 +170,8 @@ def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.n
         if arr.min(initial=0) < INT16_MIN or arr.max(initial=0) > INT16_MAX:
             raise InputError(f"input {pos}: values outside int16 range")
         return arr.astype(np.int64)
+    if arr.dtype.kind not in "iuf":  # bool, string and object lanes, as `evaluate` rejects them
+        raise InputError(f"input {pos}: expected numbers, got {arr.dtype}")
     out = arr.astype(np.float64)
     if not np.all(np.isfinite(out)):
         raise InputError(f"input {pos}: non-finite values")

@@ -82,7 +82,7 @@ def _fir(taps: int = 11, seed: int = 0) -> BuiltinSpec:
 # conv2x2: elementwise product of two 2x2 matrices, summed
 
 
-def _conv2x2(seed: int = 0) -> BuiltinSpec:
+def _conv2x2() -> BuiltinSpec:
     nodes = []
     inputs = []
     for i in range(4):
@@ -100,7 +100,7 @@ def _conv2x2(seed: int = 0) -> BuiltinSpec:
     g = graph_of("conv2x2", ScalarType.INT16, nodes, inputs, ["out"])
     # 4 * 300 * 27 = 32400 < 32767: wrap-free
     ranges = [InputRange(50, 300)] * 4 + [InputRange(10, 27)] * 4
-    return BuiltinSpec(graph=g, input_ranges=ranges, meta={"seed": seed})
+    return BuiltinSpec(graph=g, input_ranges=ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def _conv2x2(seed: int = 0) -> BuiltinSpec:
 _H = 16
 
 
-def _euler(order: int = 2, steps: int = 10, seed: int = 0) -> BuiltinSpec:
+def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
     if order not in (2, 3):
         raise BuiltinError("euler: order must be 2 or 3")
     if steps < 2:
@@ -185,7 +185,7 @@ def _euler(order: int = 2, steps: int = 10, seed: int = 0) -> BuiltinSpec:
     return BuiltinSpec(graph=g, input_ranges=ranges, meta=meta)
 
 
-def _runge_kutta(order: int = 2, steps: int = 10, seed: int = 0) -> BuiltinSpec:
+def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
     if order not in (2, 3):
         raise BuiltinError("runge_kutta: order must be 2 or 3")
     if steps < 2:

@@ -86,6 +86,23 @@ def ring_div(a: Residue, b: Residue) -> Residue:
     return ring_mul(a, ring_inv(b))
 
 
+def _moduli(moduli) -> list[int]:
+    """moduli as Python ints: at least one, each an integer >= 2, no two equal (ModulusError).
+
+    The one modulus rule, for ModuleSet and residues_batch alike.
+    """
+    mods: list[int] = []
+    for m in moduli:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
+            raise ModulusError(f"modulus must be an int >= 2, got {m!r}")
+        if m in mods:
+            raise ModulusError(f"duplicate modulus {m}")
+        mods.append(int(m))
+    if not mods:
+        raise ModulusError("at least one modulus required")
+    return mods
+
+
 @dataclass(frozen=True)
 class ModuleSet:
     """The moduli used for the check rounds, in round order."""
@@ -93,15 +110,7 @@ class ModuleSet:
     moduli: tuple[int, ...] = (3, 5, 7)
 
     def __post_init__(self):
-        if not self.moduli:
-            raise ModulusError("at least one modulus required")
-        seen = set()
-        for m in self.moduli:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-                raise ModulusError(f"modulus must be an int >= 2, got {m!r}")
-            if m in seen:
-                raise ModulusError(f"duplicate modulus {m}")
-            seen.add(m)
+        _moduli(self.moduli)
 
     def __iter__(self):
         return iter(self.moduli)
@@ -128,21 +137,24 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     """Output residues for a batch of input columns, in one walk over the graph.
 
     `moduli` is one modulus, giving shape (n,), or a sequence of k moduli,
-    giving shape (k, n). Division multiplies by the divisor's inverse mod m;
-    a (modulus, lane) pair where any divisor has no inverse reads -1. The
-    result is int64, or Python ints for moduli above 2^31.5. The columns
-    must be 1-d integer arrays of one length within int16 (InputError).
+    giving shape (k, n), by ModuleSet's rule (ModulusError). Division
+    multiplies by the divisor's inverse mod m; a (modulus, lane) pair where
+    any divisor has no inverse reads -1. The result is int64, or Python ints
+    for moduli above 2^31.5. The columns must be 1-d integer arrays of one
+    length within int16 (InputError).
     """
     single = isinstance(moduli, (int, np.integer))
-    mods = [int(moduli)] if single else [int(m) for m in moduli]
-    for m in mods:
-        if m < 2:
-            raise ModulusError(f"modulus must be >= 2, got {m}")
+    mods = _moduli([moduli] if single else moduli)
     _require_residue_graph(graph)
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} input columns, got {len(inputs)}")
     n, cols = _batch_columns(graph, inputs)  # int16 columns: the graph is all-integer
+    out = _residue_walk(graph, cols, mods, n)
+    return out[0] if single else out
 
+
+def _residue_walk(graph: DFGraph, cols: dict, mods: list[int], n: int) -> np.ndarray:
+    """The (k, n) output residues of checked int64 input columns under checked moduli."""
     top = max(mods) - 1
     dtype, limit = next(((t, lim) for t, lim in _LANES if top <= lim), (object, 0))
     m = np.array(mods, dtype=dtype)[:, None]
@@ -174,8 +186,7 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     ring = (lambda v: (int(v) % m, top), add, sub, mul, div)
     values = {nid: ((col[None, :] % m).astype(dtype), top) for nid, col in cols.items()}
     ((out, _),), _ = _walk(graph, values, ring, 0, lanes=True)
-    out = np.where(no_inverse, -1, out % m).astype(np.result_type(dtype, np.int64))
-    return out[0] if single else out
+    return np.where(no_inverse, -1, out % m).astype(np.result_type(dtype, np.int64))
 
 
 def failed_rounds(residues: np.ndarray, claimed, moduli) -> np.ndarray:
@@ -190,12 +201,16 @@ def failed_rounds(residues: np.ndarray, claimed, moduli) -> np.ndarray:
 
 
 def _one_vector(graph: DFGraph, inputs, moduli) -> np.ndarray:
-    """residues_batch at n=1, checking each input value by `evaluate`'s rule."""
+    """The (k,) output residues of one input vector, each value checked by `evaluate`'s rule."""
+    mods = _moduli(moduli)
     _require_residue_graph(graph)
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    cols = [[_check_scalar_input(v, ScalarType.INT16, f"input {pos}")] for pos, v in enumerate(inputs)]
-    return residues_batch(graph, cols, moduli)[..., 0]
+    cols = {
+        nid: np.array([_check_scalar_input(v, ScalarType.INT16, f"input {pos}")], dtype=np.int64)
+        for pos, (nid, v) in enumerate(zip(graph.inputs, inputs))
+    }
+    return _residue_walk(graph, cols, mods, 1)[:, 0]
 
 
 def evaluate_mod(graph: DFGraph, inputs, m: int) -> Residue:
@@ -204,7 +219,7 @@ def evaluate_mod(graph: DFGraph, inputs, m: int) -> Residue:
     The graph must be all-integer with a single output. Division raises
     NoInverseError when a divisor is not a unit mod m.
     """
-    value = int(_one_vector(graph, inputs, m))
+    value = int(_one_vector(graph, inputs, (m,))[0])
     if value < 0:
         raise NoInverseError(f"a divisor has no inverse mod {m}")
     return Residue(value, m)

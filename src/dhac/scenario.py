@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .approx import ArithBackend, IntUnitModel, backend_from_dict, config_int, config_keys, error_stats
-from .errors import ConfigError, InputError
+from .approx import EXACT_UNIT, ArithBackend, IntUnitModel, error_stats
+from .errors import ConfigError, InputError, known_keys, typed
 from .fbc import (
     DEFAULT_DELTA,
     DEFAULT_STEPS,
@@ -121,18 +121,38 @@ class ProgramEntry:
         return builtin_spec(self.name, **dict(self.params))
 
 
+def _value(value, kind: type, key: str, of: type | None = None):
+    """A config value by errors.typed's rule, named by its key (a list's items by the list's)."""
+    return typed(value, kind, f"bad config value: '{key}'", ConfigError, of)
+
+
 def _program_entry(item) -> ProgramEntry:
     if isinstance(item, str):
         return ProgramEntry(label=item, name=item)
     if isinstance(item, dict) and "name" in item:
+        name = _value(item["name"], str, "name")
         # every builtin parameter is an int; entries key the campaign's build dict
-        params = {k: config_int(v, k) for k, v in item.items() if k not in ("name", "label")}
-        return ProgramEntry(
-            label=str(item.get("label", item["name"])),
-            name=str(item["name"]),
-            params=tuple(sorted(params.items())),
-        )
+        params = {k: _value(v, int, k) for k, v in item.items() if k not in ("name", "label")}
+        return ProgramEntry(_value(item.get("label", name), str, "label"), name, tuple(sorted(params.items())))
     raise ConfigError(f"program entry must be a name or an object with 'name', got {item!r}")
+
+
+def backend_from_dict(doc: dict) -> ArithBackend:
+    """Backend from a config fragment {adder: {kind, k}, multiplier: {kind, k}, fp_trunc_bits}.
+
+    An absent unit is exact; an unknown key raises ConfigError.
+    """
+    known_keys(typed(doc, dict, "backend", ConfigError), {"adder", "multiplier", "fp_trunc_bits"}, "backend", ConfigError)
+
+    def unit(key: str) -> IntUnitModel:
+        if doc.get(key) is None:
+            return EXACT_UNIT
+        frag = known_keys(_value(doc[key], dict, key), {"kind", "k"}, f"backend '{key}'", ConfigError)
+        if "kind" not in frag:
+            raise ConfigError(f"backend '{key}' needs a 'kind'")
+        return IntUnitModel(_value(frag["kind"], str, "kind"), _value(frag.get("k", 0), int, "k"))
+
+    return ArithBackend(unit("adder"), unit("multiplier"), _value(doc.get("fp_trunc_bits", 0), int, "fp_trunc_bits"))
 
 
 @dataclass(frozen=True)
@@ -159,70 +179,47 @@ class ScenarioConfig:
             raise ConfigError("trials must be >= 1")
 
 
-def _section(doc: dict, key: str) -> dict:
-    sec = doc.get(key, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    return sec
-
-
-def _listed(sec: dict, key: str, convert) -> tuple:
-    if not isinstance(sec[key], list):
-        raise ConfigError(f"'{key}' must be a list")
-    return tuple(convert(x) for x in sec[key])
+# each config object's keys, with the kind of each value
+_TOP_KEYS = {"seed": int, "trials": int, "strategy": dict, "moduli": list, "rcc": dict, "fbc": dict}
+_STRATEGY_KEYS = {"honest_warmup": int, "small_job_threshold": int, "dishonest_prob": float}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a campaign config from a parsed JSON document.
 
-    A malformed document raises ConfigError (ModulusError for a bad modulus).
+    Every value is typed by errors.typed's rule and every object rejects
+    unknown keys. A malformed document raises ConfigError (ModulusError for
+    a bad modulus).
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    config_keys(doc, {"seed", "trials", "strategy", "moduli", "rcc", "fbc"}, "config")
-    try:
-        return _config_from_dict(doc)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad config value: {e}") from None
-
-
-def _config_from_dict(doc: dict) -> ScenarioConfig:
-    kw: dict = {}
-    for key in ("seed", "trials"):
-        if key in doc:
-            kw[key] = config_int(doc[key], key)
+    known_keys(typed(doc, dict, "config", ConfigError), _TOP_KEYS, "config", ConfigError)
+    doc = {k: _value(v, _TOP_KEYS[k], k) for k, v in doc.items()}
+    kw = {k: doc[k] for k in ("seed", "trials") if k in doc}
     if "strategy" in doc:
-        s = doc["strategy"]
-        if not isinstance(s, dict):
-            raise ConfigError("'strategy' must be an object")
-        kw["strategy"] = ServerStrategy(
-            honest_warmup=config_int(s.get("honest_warmup", 10), "honest_warmup"),
-            small_job_threshold=config_int(s.get("small_job_threshold", 30), "small_job_threshold"),
-            dishonest_prob=float(s.get("dishonest_prob", 1.0)),
-        )
+        s = known_keys(doc["strategy"], _STRATEGY_KEYS, "config 'strategy'", ConfigError)
+        kw["strategy"] = ServerStrategy(**{k: _value(v, _STRATEGY_KEYS[k], k) for k, v in s.items()})
     if "moduli" in doc:
-        kw["moduli"] = ModuleSet(_listed(doc, "moduli", lambda m: config_int(m, "moduli")))
-    rcc = _section(doc, "rcc")
+        kw["moduli"] = ModuleSet(tuple(_value(doc["moduli"], list, "moduli", of=int)))
+    rcc = known_keys(doc.get("rcc", {}), {"programs", "combos"}, "config 'rcc'", ConfigError)
     if "programs" in rcc:
-        kw["rcc_programs"] = _listed(rcc, "programs", _program_entry)
-    if "combos" in rcc and rcc["combos"] != "default":
-        kw["combos"] = _listed(rcc, "combos", backend_from_dict)
-    fbc = _section(doc, "fbc")
+        kw["rcc_programs"] = tuple(map(_program_entry, _value(rcc["programs"], list, "programs")))
+    if rcc.get("combos", "default") != "default":
+        kw["combos"] = tuple(map(backend_from_dict, _value(rcc["combos"], list, "combos")))
+    fbc = known_keys(doc.get("fbc", {}), {"programs", "fp_bits", "kinds", "n", "delta", "sites"}, "config 'fbc'", ConfigError)
     if "programs" in fbc:
-        kw["fbc_programs"] = _listed(fbc, "programs", _program_entry)
+        kw["fbc_programs"] = tuple(map(_program_entry, _value(fbc["programs"], list, "programs")))
     if "fp_bits" in fbc:
-        kw["fp_bits"] = _listed(fbc, "fp_bits", lambda b: config_int(b, "fp_bits"))
+        kw["fp_bits"] = tuple(_value(fbc["fp_bits"], list, "fp_bits", of=int))
     if "kinds" in fbc:
         try:
-            kw["fbc_kinds"] = _listed(fbc, "kinds", SentinelKind)
+            kw["fbc_kinds"] = tuple(map(SentinelKind, _value(fbc["kinds"], list, "kinds", of=str)))
         except ValueError as e:
             raise ConfigError(f"unknown sentinel kind in config: {e}") from None
     if "n" in fbc:
-        kw["fbc_n"] = config_int(fbc["n"], "n")
+        kw["fbc_n"] = _value(fbc["n"], int, "n")
     if "delta" in fbc:
-        kw["fbc_delta"] = float(fbc["delta"])
-    if "sites" in fbc and fbc["sites"] != "auto":
-        kw["fbc_sites"] = _listed(fbc, "sites", str)
+        kw["fbc_delta"] = _value(fbc["delta"], float, "delta")
+    if fbc.get("sites", "auto") != "auto":
+        kw["fbc_sites"] = tuple(_value(fbc["sites"], list, "sites", of=str))
     return ScenarioConfig(**kw)
 
 

@@ -130,7 +130,7 @@ class TestRun:
     def test_bad_inputs_shape(self, tmp_path, capsys):
         ins = _json_file(tmp_path, "i.json", {"x": 1})
         assert main(["run", "--program", "conv2x2", "--inputs", ins]) == 1
-        assert "JSON array" in capsys.readouterr().err
+        assert "inputs file must be a list, got {'x': 1}" in capsys.readouterr().err
 
         ins = _json_file(tmp_path, "j.json", [1, 2, 3])
         assert main(["run", "--program", "conv2x2", "--inputs", ins]) == 1
@@ -307,8 +307,8 @@ class TestFbcJudge:
         "trace,msg",
         [
             ({"outputs": 5, "exports": {}}, "'outputs' must be a list of numbers"),
-            ({"outputs": [0.0], "exports": []}, "'exports' must map"),
-            ({"outputs": [0.0], "exports": {"e": None}}, "'exports' must map"),
+            ({"outputs": [0.0], "exports": []}, "trace 'exports' must be an object, got []"),
+            ({"outputs": [0.0], "exports": {"e": None}}, "trace export 'e' must be a number, got None"),
         ],
     )
     def test_malformed_trace(self, tmp_path, instrumented, capsys, trace, msg):
@@ -324,7 +324,7 @@ class TestFbcJudge:
             (lambda doc: doc.update(sentinels=5), "'sentinels' must be a list"),
             (lambda doc: doc["sentinels"].append(3), "sentinels[3] must be an object"),
             (lambda doc: doc["sentinels"][1].update(n="x"), "sentinels[1]:"),
-            (lambda doc: doc["sentinels"][0].update(exit_export=[1]), "export ids must be strings"),
+            (lambda doc: doc["sentinels"][0].update(exit_export=[1]), "sentinels[0]: 'exit_export' must be a string, got [1]"),
         ],
     )
     def test_malformed_instrumented_file(self, tmp_path, instrumented, capsys, mutate, msg):

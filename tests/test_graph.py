@@ -18,6 +18,7 @@ from dhac import (
     program_to_dict,
     serialize_program,
 )
+from dhac.graph import parse_program_dict
 
 
 def n(nid, op, *operands, value=None, dtype=None):
@@ -152,7 +153,7 @@ class TestValidation:
             graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_nonfinite_float_const_rejected(self):
-        for bad in (float("nan"), float("inf")):
+        for bad in (float("nan"), float("inf"), 10**400):  # JSON may spell an int no float holds
             nodes = [n("x", Op.INPUT), n("c", Op.CONST, value=bad), n("s", Op.ADD, "x", "c"), n("out", Op.OUTPUT, "s")]
             with pytest.raises(ValidationError, match="non-finite"):
                 graph_of("g", ScalarType.FLOAT64, nodes, ["x"], ["out"])
@@ -189,7 +190,7 @@ class TestFileFormat:
             parse_program("{not json")
 
     def test_non_object_document(self):
-        with pytest.raises(ParseError, match="JSON object"):
+        with pytest.raises(ParseError, match=r"^program document must be an object, got \[1, 2\]$"):
             parse_program("[1, 2]")
 
     def test_missing_key(self):
@@ -223,6 +224,28 @@ class TestFileFormat:
         }
         with pytest.raises(ParseError, match="list of ids"):
             parse_program(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, msg",
+        [
+            ("name", ["x"], "program 'name' must be a string, got ['x']"),
+            ("nodes", {"x": 1}, "program 'nodes' must be a list, got {'x': 1}"),
+            ("inputs", ["x", 7], "program 'inputs' must be a string, got 7"),
+            ("outputs", "o", "program 'outputs' must be a list of strings, got 'o'"),
+        ],
+    )
+    def test_document_fields_are_typed(self, key, value, msg):
+        doc = json.loads(serialize_program(tiny_int_graph()))
+        doc[key] = value
+        with pytest.raises(ParseError) as e:
+            parse_program_dict(doc)
+        assert str(e.value) == msg
+
+    def test_node_id_must_be_a_string(self):
+        doc = json.loads(serialize_program(tiny_int_graph()))
+        doc["nodes"][0]["id"] = 7
+        with pytest.raises(ValidationError, match="^node id must be a non-empty string, got 7$"):
+            parse_program_dict(doc)
 
     def test_unknown_keys_tolerated(self):
         doc = json.loads(serialize_program(tiny_int_graph()))

@@ -241,6 +241,19 @@ class TestInputChecks:
         with pytest.raises(InputError, match="expected integers"):
             evaluate_batch(add_graph(), cols, ACC)
 
+    @pytest.mark.parametrize(
+        "col, dtype",
+        [(np.array(["1.5", "2"]), "<U3"), (np.array([True, False]), "bool"), (np.array([1.5, 2.0], dtype=object), "object")],
+    )
+    def test_batch_float_lanes_follow_the_scalar_rule(self, col, dtype):
+        # evaluate rejects '1.5' and True; evaluate_batch rejects their lanes
+        with pytest.raises(InputError, match=f"input 0: expected numbers, got {dtype}"):
+            evaluate_batch(float_graph(), [col, np.array([1.0, 2.0])], ACC)
+
+    def test_int_too_large_for_a_float(self):
+        with pytest.raises(InputError, match="input 0: non-finite value"):
+            evaluate(float_graph(), [10**400, 1.0], ACC)
+
     def test_batch_scalar_column(self):
         with pytest.raises(InputError, match="input 0: expected a 1-d array"):
             evaluate_batch(add_graph(), [5, 6], ACC)

@@ -48,6 +48,13 @@ class TestRegistry:
         with pytest.raises(BuiltinError, match="bad parameters"):
             builtin_spec("fir", bogus=1)
 
+    @pytest.mark.parametrize("name", ["conv2x2", "euler", "euler3", "runge_kutta", "rk2"])
+    def test_unseeded_builtins_take_no_seed(self, name):
+        # their constants are fixed; only fir_filter and conv_layer draw theirs from a seed
+        with pytest.raises(BuiltinError, match="bad parameters"):
+            builtin_spec(name, seed=2)
+        assert "seed" not in builtin_spec(name).meta
+
     def test_fir_taps_keep_the_input_range_nonempty(self):
         # 66 taps would leave the range 100..32767 // (66 * 5) = 99 empty
         with pytest.raises(BuiltinError, match=r"taps must be in \[2, 65\], got 66"):

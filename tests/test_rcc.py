@@ -359,6 +359,39 @@ class TestResiduesBatch:
         with pytest.raises(ModulusError):
             residues_batch(builtin_spec("fir").graph, [np.array([1])] * 11, 1)
 
+    @pytest.mark.parametrize(
+        "moduli, msg",
+        [([], "at least one modulus"), ([2.5], "an int >= 2, got 2.5"), ((3, 3), "duplicate modulus 3")],
+    )
+    def test_moduli_follow_the_module_set_rule(self, moduli, msg):
+        with pytest.raises(ModulusError, match=msg):
+            residues_batch(builtin_spec("conv2x2").graph, [np.array([1])] * 8, moduli)
+
+    def test_numpy_integer_moduli(self):
+        cols = [np.array([1, 2])] * 8
+        want = residues_batch(builtin_spec("conv2x2").graph, cols, (3, 5))
+        assert residues_batch(builtin_spec("conv2x2").graph, cols, np.array([3, 5])).tolist() == want.tolist()
+        assert residues_batch(builtin_spec("conv2x2").graph, cols, np.int64(5)).tolist() == want[1].tolist()
+
+    def test_one_vector_is_checked_once(self, monkeypatch):
+        # rcc_check checks the graph once and each input once, by the scalar rule alone
+        import dhac.rcc as rcc
+
+        calls = {"graph": 0, "columns": 0}
+        graph_check, columns = rcc._require_residue_graph, rcc._batch_columns
+
+        def count(key, fn):
+            def wrapped(*a):
+                calls[key] += 1
+                return fn(*a)
+
+            return wrapped
+
+        monkeypatch.setattr(rcc, "_require_residue_graph", count("graph", graph_check))
+        monkeypatch.setattr(rcc, "_batch_columns", count("columns", columns))
+        assert rcc_check(builtin_spec("conv2x2").graph, [2, 3, 4, 5, 6, 7, 8, 9], 110).judgement is Judgement.NEGATIVE
+        assert calls == {"graph": 1, "columns": 0}
+
     def test_short_column_not_broadcast(self):
         cols = [np.array([1, 2, 3])] * 7 + [np.array([4])]
         with pytest.raises(InputError, match="input 7: expected a 1-d array of length 3"):

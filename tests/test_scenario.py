@@ -253,7 +253,7 @@ class TestConfig:
             config_from_dict({"typo": 1})
 
     def test_bad_pieces(self):
-        with pytest.raises(ConfigError, match="must be a JSON object"):
+        with pytest.raises(ConfigError, match=r"^config must be an object, got \[1, 2\]$"):
             config_from_dict([1, 2])
         with pytest.raises(ConfigError, match="'strategy' must be an object"):
             config_from_dict({"strategy": 5})
