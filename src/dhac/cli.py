@@ -18,8 +18,8 @@ import sys
 from dataclasses import replace
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
-from .errors import DhacError, InputError, typed
-from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
+from .errors import ConfigError, DhacError, InputError, typed
+from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge, sentinels_from_dict
 from .graph import DFGraph, Judgement, Trace, parse_program_dict
 from .interp import evaluate
 from .programs import BUILTIN_NAMES, builtin_program
@@ -64,14 +64,21 @@ def _load_inputs(path: str) -> list:
     return typed(_load_json(path), list, "inputs file", InputError)
 
 
-def _unit(text: str) -> IntUnitModel:
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{flag}: {text!r} is not an integer") from None
+
+
+def _unit(text: str, flag: str) -> IntUnitModel:
     kind, _, k = text.partition(":")
-    return IntUnitModel(kind, int(k) if k else 0)
+    return IntUnitModel(kind, _int(k, flag) if k else 0)
 
 
 def _backend_from_args(args) -> ArithBackend:
-    adder = _unit(args.adder) if args.adder else EXACT_UNIT
-    mul = _unit(args.multiplier) if args.multiplier else EXACT_UNIT
+    adder = _unit(args.adder, "--adder") if args.adder else EXACT_UNIT
+    mul = _unit(args.multiplier, "--multiplier") if args.multiplier else EXACT_UNIT
     return ArithBackend(adder, mul, args.fp_bits)
 
 
@@ -110,7 +117,7 @@ def _cmd_run(args) -> int:
 def _cmd_rcc(args) -> int:
     g = _load_program(args.program)
     inputs = _load_inputs(args.inputs)
-    moduli = ModuleSet(tuple(int(m) for m in args.moduli.split(",")))
+    moduli = ModuleSet(tuple(_int(m, "--moduli") for m in args.moduli.split(",")))
     verdict = rcc_check(g, inputs, args.claimed, moduli)
     doc = {
         "judgement": verdict.judgement.value,
@@ -142,9 +149,7 @@ def _cmd_fbc_instrument(args) -> int:
 
 
 def _cmd_fbc_judge(args) -> int:
-    ins = instrumented_from_dict(_load_json(args.instrumented))
-    trace = _trace_from_dict(_load_json(args.trace))
-    verdict = judge(ins, trace)
+    verdict = judge(sentinels_from_dict(_load_json(args.instrumented)), _trace_from_dict(_load_json(args.trace)))
     doc = {
         "judgement": verdict.judgement.value,
         "sentinels": [
@@ -170,21 +175,19 @@ def _make_config(args):
     return cfg
 
 
-def _cmd_bench(args) -> int:
-    cfg = _make_config(args)
-    report = run_bench(cfg, jobs=args.jobs)
+def _write_report(args, report) -> int:
     _write_text(args.out, report_to_csv(report))
     if args.out:
         print(f"{len(report.rows)} rows -> {args.out}")
     return _EXIT_OK
+
+
+def _cmd_bench(args) -> int:
+    return _write_report(args, run_bench(_make_config(args), jobs=args.jobs))
 
 
 def _cmd_sweep(args) -> int:
-    report = sweep_threshold(_make_config(args), args.deltas.split(","))
-    _write_text(args.out, report_to_csv(report))
-    if args.out:
-        print(f"{len(report.rows)} rows -> {args.out}")
-    return _EXIT_OK
+    return _write_report(args, sweep_threshold(_make_config(args), args.deltas.split(",")))
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:
@@ -246,9 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (DhacError, OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError

@@ -19,7 +19,7 @@ Step kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -214,10 +214,10 @@ def sentinel_distance(s: Sentinel, exports, delta: float | None = None):
     return d, ~np.isfinite(d) | (d >= (s.delta if delta is None else delta))
 
 
-def judge(instrumented: InstrumentedGraph, trace: Trace) -> FbcVerdict:
-    """Threshold each sentinel's |tapped - roundtrip| against its delta."""
+def judge(sentinels, trace: Trace) -> FbcVerdict:
+    """Threshold each sentinel's |tapped - roundtrip| against its delta; no graph is read."""
     results = []
-    for s in instrumented.sentinels:
+    for s in sentinels:
         if s.entry_export is None or s.exit_export is None:
             raise TraceError(f"sentinel at '{s.site}' was never instrumented")
         d, pos = sentinel_distance(s, trace.exports)
@@ -288,25 +288,15 @@ def instrument_seeded(graph: DFGraph, kinds, sites, seed: int, label: str, n: in
 def instrumented_to_dict(ins: InstrumentedGraph) -> dict:
     return {
         "graph": program_to_dict(ins.graph),
-        "sentinels": [
-            {
-                "kind": s.kind.value,
-                "site": s.site,
-                "n": s.n,
-                "operands": list(s.operands),
-                "delta": s.delta,
-                "entry_export": s.entry_export,
-                "exit_export": s.exit_export,
-            }
-            for s in ins.sentinels
-        ],
+        # the fields in Sentinel's order, with JSON types
+        "sentinels": [{**asdict(s), "kind": s.kind.value, "operands": list(s.operands)} for s in ins.sentinels],
     }
 
 
-def instrumented_from_dict(d: dict) -> InstrumentedGraph:
+def sentinels_from_dict(d: dict) -> tuple[Sentinel, ...]:
+    """The sentinels of an instrumented file, all judge needs; its 'graph' is not parsed."""
     if not isinstance(d, dict) or "graph" not in d or "sentinels" not in d:
         raise ValidationError("instrumented file needs 'graph' and 'sentinels'")
-    g = parse_program_dict(d["graph"])
     sentinels = []
     for i, sd in enumerate(typed(d["sentinels"], list, "'sentinels'", ValidationError)):
         at = f"sentinels[{i}]"
@@ -332,4 +322,9 @@ def instrumented_from_dict(d: dict) -> InstrumentedGraph:
                 exit_export=field("exit_export", str),
             )
         )
-    return InstrumentedGraph(graph=g, sentinels=tuple(sentinels))
+    return tuple(sentinels)
+
+
+def instrumented_from_dict(d: dict) -> InstrumentedGraph:
+    sentinels = sentinels_from_dict(d)
+    return InstrumentedGraph(graph=parse_program_dict(d["graph"]), sentinels=sentinels)

@@ -42,18 +42,7 @@ ARITH_OPS = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.DIV})
 UNARY_FLOAT_OPS = frozenset({Op.TAN, Op.ARCTAN})
 PASSTHROUGH_OPS = frozenset({Op.OUTPUT, Op.EXPORT})
 
-_ARITY = {
-    Op.INPUT: 0,
-    Op.CONST: 0,
-    Op.ADD: 2,
-    Op.SUB: 2,
-    Op.MUL: 2,
-    Op.DIV: 2,
-    Op.TAN: 1,
-    Op.ARCTAN: 1,
-    Op.OUTPUT: 1,
-    Op.EXPORT: 1,
-}
+_ARITY = {Op.INPUT: 0, Op.CONST: 0} | dict.fromkeys(ARITH_OPS, 2) | dict.fromkeys(UNARY_FLOAT_OPS | PASSTHROUGH_OPS, 1)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .graph import DFGraph, ScalarType, Trace, op_census
 from .interp import evaluate, evaluate_batch
 from .programs import INTEGER_SHORTHANDS, builtin_spec, draw_inputs
 from .rcc import ModuleSet, failed_rounds, residues_batch
-from .rng import substream
+from .rng import check_seed, substream
 
 REPORT_VERSION = "dhac-report-v1"
 DETECTION_COLUMNS = ("program", "combo", "check", "raw_rate", "per_detectable_rate", "fp", "fn")
@@ -175,6 +175,7 @@ class ScenarioConfig:
     fbc_sites: tuple[str, ...] | None = None  # None = auto selection
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
 

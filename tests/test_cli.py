@@ -21,8 +21,10 @@ from dhac import (
     make_sentinel,
     serialize_program,
 )
+from dhac import cli, fbc, graph
 from dhac.cli import main
-from dhac.fbc import instrumented_from_dict, instrumented_to_dict
+from dhac.fbc import instrumented_from_dict, instrumented_to_dict, judge
+from dhac.graph import DFGraph, Trace
 from dhac.rng import substream
 from dhac.scenario import REPORT_VERSION, ScenarioConfig, _program_entry, build_instrumented
 from graphs import div_by_const_graph, float_graph
@@ -337,6 +339,63 @@ class TestFbcJudge:
         err = capsys.readouterr().err
         assert msg in err and err.count("\n") == 1
 
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """{name: (instrumented file, inputs file)} for each file fbc-instrument writes here."""
+        d = tmp_path_factory.mktemp("judge_parity")
+        prog = _json_file(d, "g.json", serialize_program(float_graph()))
+        conv = draw_inputs(builtin_spec("conv_layer"), substream(5, "cli", "parity"))
+        files = {}
+        for name, program, inputs in (("floaty", prog, [0.5, 1.25]), ("conv_layer", "conv_layer", conv)):
+            out = d / f"{name}_fbc.json"
+            assert main(["fbc-instrument", "--program", program, "--out", str(out)]) == 0
+            files[name] = (str(out), _json_file(d, f"{name}_inputs.json", inputs))
+        return files
+
+    @staticmethod
+    def _library_verdict(doc, trace_path):
+        """(exit code, stdout, verdict JSON) of judge over the sentinels of the fully parsed file."""
+        t = json.loads(Path(trace_path).read_text())
+        v = judge(instrumented_from_dict(doc).sentinels, Trace(outputs=tuple(t["outputs"]), exports=t["exports"]))
+        rows = [(r.site, r.kind.value, r.distance, r.positive) for r in v.results]
+        out = "".join(f"{s} {k} distance={d:.3e} {'POSITIVE' if p else 'negative'}\n" for s, k, d, p in rows)
+        sentinels = [{"kind": k, "site": s, "distance": d, "positive": p} for s, k, d, p in rows]
+        return 2 if v.positive else 0, out + v.judgement.value + "\n", {"judgement": v.judgement.value, "sentinels": sentinels}
+
+    @pytest.mark.parametrize("fp_bits", [None, "10", "20"])
+    @pytest.mark.parametrize("name", ["floaty", "conv_layer"])
+    def test_verdict_equals_library_judge(self, tmp_path, written, capsys, name, fp_bits):
+        instrumented, inputs = written[name]
+        trace, out_file = tmp_path / "trace.json", tmp_path / "verdict.json"
+        extra = [] if fp_bits is None else ["--fp-bits", fp_bits]
+        assert main(["run", "--program", instrumented, "--inputs", inputs, "--out", str(trace), *extra]) == 0
+        capsys.readouterr()
+        code = main(["fbc-judge", "--instrumented", instrumented, "--trace", str(trace), "--out", str(out_file)])
+        got = (code, capsys.readouterr().out, json.loads(out_file.read_text()))
+        assert got == self._library_verdict(json.loads(Path(instrumented).read_text()), trace)
+
+    def test_garbled_graph_is_never_read(self, tmp_path, instrumented, capsys):
+        trace = self._trace(tmp_path, instrumented, extra=["--fp-bits", "20"])
+        doc = json.loads(Path(instrumented).read_text())
+        doc["graph"] = {"name": "g", "nodes": "garbled"}
+        garbled = _json_file(tmp_path, "garbled.json", doc)
+        capsys.readouterr()
+        intact = main(["fbc-judge", "--instrumented", instrumented, "--trace", trace]), capsys.readouterr()
+        assert intact[0] == 2
+        assert (main(["fbc-judge", "--instrumented", garbled, "--trace", trace]), capsys.readouterr()) == intact
+        assert main(["run", "--program", garbled, "--inputs", _json_file(tmp_path, "i.json", [0.5, 1.25])]) == 1
+
+    def test_graph_is_neither_parsed_nor_validated(self, tmp_path, instrumented, monkeypatch):
+        trace = self._trace(tmp_path, instrumented)
+
+        def forbidden(*a, **kw):
+            raise AssertionError("fbc-judge read the instrumented graph")
+
+        for module in (graph, cli, fbc):
+            monkeypatch.setattr(module, "parse_program_dict", forbidden)
+        monkeypatch.setattr(DFGraph, "validate", forbidden)
+        assert main(["fbc-judge", "--instrumented", instrumented, "--trace", trace]) == 0
+
 
 class TestBench:
     def test_quick_report_shape(self, tmp_path, capsys):
@@ -394,6 +453,7 @@ class TestBench:
                 {"rcc": {"programs": [{"name": "euler", "steps": 3.0}]}},
                 "bad config value: 'steps' must be an integer, got 3.0",
             ),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):
@@ -436,6 +496,54 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as e:
             main([])
         assert e.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, msg",
+        [
+            (["bench", "--seed", "-1", "--quick", "3"], "seed must be >= 0, got -1"),
+            (["fbc-instrument", "--program", "conv_layer", "--seed", "-1", "--out", "o.json"], "seed must be >= 0, got -1"),
+            (["rcc", "--program", "conv2x2", "--claimed", "110", "--moduli", "3,x"], "--moduli: 'x' is not an integer"),
+            (["run", "--program", "conv2x2", "--adder", "loa:x"], "--adder: 'x' is not an integer"),
+            (["run", "--program", "conv2x2", "--multiplier", "trunc_mul:x"], "--multiplier: 'x' is not an integer"),
+        ],
+        ids=["bench-seed", "fbc-instrument-seed", "rcc-moduli", "run-adder", "run-multiplier"],
+    )
+    def test_bad_flag_value_is_one_line(self, argv, msg, conv_inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] in ("run", "rcc"):
+            argv = [*argv, "--inputs", conv_inputs]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_main_reuses_one_parser(self, conv_inputs, monkeypatch, capsys):
+        # each call must behave as it would under a parser of its own
+        calls = [
+            ["run", "--program", "conv2x2", "--inputs", conv_inputs, "--adder", "loa:4"],
+            ["run", "--program", "conv2x2", "--inputs", conv_inputs],  # no --adder may leak in
+            ["run", "--program", "conv2x2"],  # usage error
+            ["rcc", "--program", "conv2x2", "--inputs", conv_inputs, "--claimed", "110"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            return code, capsys.readouterr()
+
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(outcome(argv))
+        assert [code for code, _ in fresh] == [0, 0, 1, 0]
+        assert fresh[0][1].out != fresh[1][1].out  # loa:4 moves conv2x2's output, so a leak would show
+
+        built = []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
+        assert [outcome(argv) for argv in calls] == fresh
+        assert len(built) == 1
 
     def test_console_script_installed(self, tmp_path):
         # The wrapper pip generates for [project.scripts], run in a fresh

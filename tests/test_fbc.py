@@ -35,6 +35,7 @@ from dhac.fbc import (
     forward_steps,
     instrumented_from_dict,
     instrumented_to_dict,
+    sentinels_from_dict,
 )
 from dhac.rng import substream
 from graphs import float_graph, mixed_graph
@@ -281,7 +282,7 @@ class TestJudge:
 
     def test_negative_below_threshold(self):
         ins = self._placed()
-        v = judge(ins, self._trace(ins, 1.0, 1.0 + 1e-14))
+        v = judge(ins.sentinels, self._trace(ins, 1.0, 1.0 + 1e-14))
         assert v.judgement is Judgement.NEGATIVE
         assert not v.positive
         r = v.results[0]
@@ -290,25 +291,25 @@ class TestJudge:
 
     def test_boundary_distance_is_positive(self):
         ins = self._placed(delta=0.25)
-        assert judge(ins, self._trace(ins, 1.0, 1.25)).positive
-        assert not judge(ins, self._trace(ins, 1.0, 1.2499)).positive
+        assert judge(ins.sentinels, self._trace(ins, 1.0, 1.25)).positive
+        assert not judge(ins.sentinels, self._trace(ins, 1.0, 1.2499)).positive
 
     @pytest.mark.parametrize("weird", [math.inf, math.nan])
     def test_non_finite_is_positive(self, weird):
         ins = self._placed()
-        v = judge(ins, self._trace(ins, 1.0, weird))
+        v = judge(ins.sentinels, self._trace(ins, 1.0, weird))
         assert v.positive and v.results[0].positive
 
     def test_missing_export(self):
         ins = self._placed()
         t = Trace(outputs=(0.0,), exports={ins.sentinels[0].entry_export: 1.0})
         with pytest.raises(TraceError, match="lacks sentinel export"):
-            judge(ins, t)
+            judge(ins.sentinels, t)
 
     def test_uninstrumented_sentinel(self):
         raw = InstrumentedGraph(graph=float_graph(), sentinels=(_sentinel("add", site="a"),))
         with pytest.raises(TraceError, match="never instrumented"):
-            judge(raw, Trace(outputs=(), exports={}))
+            judge(raw.sentinels, Trace(outputs=(), exports={}))
 
     def test_one_bad_sentinel_flips_verdict(self):
         g = float_graph()
@@ -323,20 +324,20 @@ class TestJudge:
                 s1.exit_export: 1.0 + 1e-9,
             },
         )
-        v = judge(ins, t)
+        v = judge(ins.sentinels, t)
         assert v.positive
         assert [r.positive for r in v.results] == [False, True]
 
     def test_end_to_end_exact_run_is_negative(self):
         g = float_graph()
         ins = instrument(g, [_sentinel(k, site=s) for k, s in [("add", "a"), ("mul", "d"), ("tan", "m")]])
-        v = judge(ins, evaluate(ins.graph, [0.5, 1.25], ACC))
+        v = judge(ins.sentinels, evaluate(ins.graph, [0.5, 1.25], ACC))
         assert v.judgement is Judgement.NEGATIVE
 
     def test_end_to_end_truncated_run_is_positive(self):
         g = float_graph()
         ins = instrument(g, [_sentinel("mul", site="m")])
-        v = judge(ins, evaluate(ins.graph, [0.5, 1.25], ArithBackend(fp_bits=20)))
+        v = judge(ins.sentinels, evaluate(ins.graph, [0.5, 1.25], ArithBackend(fp_bits=20)))
         assert v.positive
 
 
@@ -380,9 +381,18 @@ class TestFileRoundTrip:
         with pytest.raises(ValidationError, match="'graph' and 'sentinels'"):
             instrumented_from_dict({"sentinels": []})
 
+    def test_sentinels_are_read_without_the_graph(self):
+        ins = instrument(float_graph(), [_sentinel("mul", site="a"), _sentinel("tan", site="m")])
+        doc = instrumented_to_dict(ins)
+        assert sentinels_from_dict(doc) == instrumented_from_dict(doc).sentinels == ins.sentinels
+        doc["graph"] = "garbled"
+        assert sentinels_from_dict(doc) == ins.sentinels
+        with pytest.raises(ValidationError, match="'graph' and 'sentinels'"):
+            sentinels_from_dict({"sentinels": []})
+
     def test_judgeable_after_round_trip(self):
         g = float_graph()
         ins = instrument(g, [_sentinel("add", site="a")])
         back = instrumented_from_dict(instrumented_to_dict(ins))
-        v = judge(back, evaluate(back.graph, [0.5, 1.25], ACC))
+        v = judge(back.sentinels, evaluate(back.graph, [0.5, 1.25], ACC))
         assert not v.positive
