@@ -64,16 +64,16 @@ def _load_inputs(path: str) -> list:
     return typed(_load_json(path), list, "inputs file", InputError)
 
 
-def _int(text: str, flag: str) -> int:
+def _number(text: str, flag: str, kind: type = int):
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{flag}: {text!r} is not an integer") from None
+        raise ConfigError(f"{flag}: {text!r} is not {'an integer' if kind is int else 'a number'}") from None
 
 
 def _unit(text: str, flag: str) -> IntUnitModel:
     kind, _, k = text.partition(":")
-    return IntUnitModel(kind, _int(k, flag) if k else 0)
+    return IntUnitModel(kind, _number(k, flag) if k else 0)
 
 
 def _backend_from_args(args) -> ArithBackend:
@@ -117,7 +117,7 @@ def _cmd_run(args) -> int:
 def _cmd_rcc(args) -> int:
     g = _load_program(args.program)
     inputs = _load_inputs(args.inputs)
-    moduli = ModuleSet(tuple(_int(m, "--moduli") for m in args.moduli.split(",")))
+    moduli = ModuleSet(tuple(_number(m, "--moduli") for m in args.moduli.split(",")))
     verdict = rcc_check(g, inputs, args.claimed, moduli)
     doc = {
         "judgement": verdict.judgement.value,
@@ -187,7 +187,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    return _write_report(args, sweep_threshold(_make_config(args), args.deltas.split(",")))
+    return _write_report(args, sweep_threshold(_make_config(args), [_number(d, "--deltas", float) for d in args.deltas.split(",")]))
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:

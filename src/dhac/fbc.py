@@ -26,7 +26,10 @@ import numpy as np
 
 from .errors import SiteError, TraceError, ValidationError, typed
 from .graph import (
-    ARITH_OPS,
+    ADD64,
+    DIV64,
+    OUTPUT64,
+    WIDEN,
     DFGraph,
     DFNode,
     Judgement,
@@ -235,25 +238,13 @@ def auto_sites(graph: DFGraph, k: int) -> list[str]:
     order); if those run out, remaining picks are spread evenly over all
     float arithmetic nodes.
     """
-    types = graph.node_types()
-    order = [graph.node(nid) for nid in graph.topo_order]
-    feeding_output = set()
-    for n in order:
-        if n.op is Op.OUTPUT:
-            feeding_output.add(n.operands[0])
-    pre_out = [
-        n.id
-        for n in order
-        if n.id in feeding_output and n.op in ARITH_OPS and types[n.id] is ScalarType.FLOAT64
-    ]
-    if len(pre_out) >= k:
-        return pre_out[:k]
-    picks = list(pre_out)
-    pool = [
-        n.id
-        for n in order
-        if n.op in ARITH_OPS and types[n.id] is ScalarType.FLOAT64 and n.id not in feeding_output
-    ]
+    ids, codes, first = graph.plan.ids, graph.plan.codes, graph.plan.a
+    feeding_output = {first[p] for p, code in enumerate(codes) if code == OUTPUT64}
+    arith = [p for p, code in enumerate(codes) if code & 1 and ADD64 <= code % WIDEN <= DIV64]  # float64 add to div
+    picks = [ids[p] for p in arith if p in feeding_output]
+    if len(picks) >= k:
+        return picks[:k]
+    pool = [ids[p] for p in arith if p not in feeding_output]
     need = k - len(picks)
     if need > len(pool):
         raise SiteError(f"graph '{graph.name}' has only {len(picks) + len(pool)} float sites, need {k}")

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError, typed
 
@@ -38,11 +40,17 @@ class Op(Enum):
     EXPORT = "export"
 
 
-ARITH_OPS = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.DIV})
-UNARY_FLOAT_OPS = frozenset({Op.TAN, Op.ARCTAN})
-PASSTHROUGH_OPS = frozenset({Op.OUTPUT, Op.EXPORT})
+# Each op's number, keyed by its value string: hashing an Enum member runs
+# Python code, too slow per node.
+_OP_NUMBER = {op: i for i, op in enumerate(("input", "const", "output", "export", "add", "sub", "mul", "div", "tan", "arctan"))}
+_ARITY = (0, 0, 1, 1, 2, 2, 2, 2, 1, 1)
 
-_ARITY = {Op.INPUT: 0, Op.CONST: 0} | dict.fromkeys(ARITH_OPS, 2) | dict.fromkeys(UNARY_FLOAT_OPS | PASSTHROUGH_OPS, 1)
+# Plan opcodes, one per (op, type): twice the op's number, plus 1 for
+# float64, plus WIDEN where an int16 operand widens to float64.
+(INPUT16, INPUT64, CONST16, CONST64, OUTPUT16, OUTPUT64, EXPORT16, EXPORT64,
+ ADD16, ADD64, SUB16, SUB64, MUL16, MUL64, DIV16, DIV64, _TAN16, TAN64, _ARCTAN16, ARCTAN64) = range(20)
+WIDEN = 20
+_TYPES = (ScalarType.INT16, ScalarType.FLOAT64)  # by an opcode's low bit
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,23 @@ class Trace:
     exports: dict[str, int | float]
 
 
+class Plan(NamedTuple):
+    """A validated graph compiled for `interp._walk`: step p computes the value at position p.
+
+    Positions number the nodes in topological order. A step's operands `a` and `b` are positions
+    (`b` is `a` for one operand); an input step's `a` is its slot in `inputs`, a const's in `consts`.
+    """
+
+    ids: tuple[str, ...]  # node id per position: the topological order
+    codes: bytearray  # opcode per position
+    a: array
+    b: array
+    last: array  # per position, the last step that reads it; -1 for none and for outputs
+    consts: list  # const values, already of their node's type
+    inputs: tuple[ScalarType, ...]  # the type of each graph input, in `inputs` order
+    outputs: array  # the positions of the graph outputs, in `outputs` order
+
+
 @dataclass
 class DFGraph:
     """A validated program: construction raises ValidationError on a bad graph."""
@@ -81,71 +106,71 @@ class DFGraph:
     nodes: list[DFNode]
     inputs: list[str]
     outputs: list[str]
-    # caches filled by validate()
-    _node_map: dict[str, DFNode] = field(init=False, repr=False, compare=False)
-    _topo: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _types: dict[str, ScalarType] = field(init=False, repr=False, compare=False)
+    # filled by validate()
+    plan: Plan = field(init=False, repr=False, compare=False)
+    _pos: array = field(init=False, repr=False, compare=False)  # place in `nodes` -> position
 
     def __post_init__(self):
         self.validate()
 
     def node(self, node_id: str) -> DFNode:
-        return self._node_map[node_id]
+        return self.nodes[self._index[node_id]]
 
     @property
     def topo_order(self) -> tuple[str, ...]:
-        return self._topo
+        return self.plan.ids
 
     def node_type(self, node_id: str) -> ScalarType:
-        return self._types[node_id]
-
-    def node_types(self) -> dict[str, ScalarType]:
-        return self._types
+        return _TYPES[self.plan.codes[self._pos[self._index[node_id]]] & 1]
 
     @cached_property
-    def dead_after(self) -> tuple[tuple[str, ...], ...]:
-        """Per topo position, the operands that no later node reads.
+    def _index(self) -> dict[str, int]:  # node id -> place in `nodes`; built on first use, as no walk needs it
+        return {n.id: i for i, n in enumerate(self.nodes)}
 
-        Interpreters free these lanes once that node has run, so peak memory
-        tracks graph width. Outputs and export taps are never listed.
-        """
-        last: dict[str, int] = {}
-        for i, nid in enumerate(self._topo):
-            for op_id in self._node_map[nid].operands:
-                last[op_id] = i
-        dead: list[list[str]] = [[] for _ in self._topo]
-        for op_id, i in last.items():
-            if self._node_map[op_id].op not in PASSTHROUGH_OPS:
-                dead[i].append(op_id)
-        return tuple(map(tuple, dead))
+    def node_types(self) -> dict[str, ScalarType]:
+        """Each node's type, in topological order."""
+        return {nid: _TYPES[code & 1] for nid, code in zip(self.plan.ids, self.plan.codes)}
 
     def validate(self) -> None:
-        """Check structure; fills node-map/topo/type caches. Raises ValidationError."""
-        node_map: dict[str, DFNode] = {}
-        for n in self.nodes:
-            if not n.id or not isinstance(n.id, str):
-                raise ValidationError(f"node id must be a non-empty string, got {n.id!r}")
-            if n.id in node_map:
-                raise ValidationError(f"duplicate node id '{n.id}'")
-            node_map[n.id] = n
+        """Check structure and compile the plan; raises ValidationError.
 
-        for n in self.nodes:
-            want = _ARITY[n.op]
-            if len(n.operands) != want:
+        Checks ids; then arity, operands and values in file order; then inputs, outputs and
+        cycles; then types and consts in topological order, in the pass that emits the plan.
+        """
+        nodes = self.nodes
+        index: dict[str, int] = {}
+        for i, n in enumerate(nodes):
+            nid = n.id
+            if not nid or not isinstance(nid, str):
+                raise ValidationError(f"node id must be a non-empty string, got {nid!r}")
+            if nid in index:
+                raise ValidationError(f"duplicate node id '{nid}'")
+            index[nid] = i
+
+        indeg = [len(n.operands) for n in nodes]
+        consumers: list[list[int]] = [[] for _ in nodes]
+        input_ids, output_ids = [], []
+        for i, n in enumerate(nodes):
+            num = _OP_NUMBER[n.op._value_]
+            if len(n.operands) != _ARITY[num]:
                 raise ValidationError(
-                    f"node '{n.id}': op {n.op.value} takes {want} operands, got {len(n.operands)}"
+                    f"node '{n.id}': op {n.op.value} takes {_ARITY[num]} operands, got {len(n.operands)}"
                 )
             for op_id in n.operands:
-                if op_id not in node_map:
+                j = index.get(op_id)
+                if j is None:
                     raise ValidationError(f"node '{n.id}': unknown operand id '{op_id}'")
-            if n.op is Op.CONST:
+                consumers[j].append(i)
+            if num == 1:  # const
                 if n.value is None:
                     raise ValidationError(f"const node '{n.id}' has no value")
             elif n.value is not None:
                 raise ValidationError(f"node '{n.id}': only const nodes carry a value")
+            elif num == 0:
+                input_ids.append(n.id)
+            elif num == 2:
+                output_ids.append(n.id)
 
-        input_ids = [n.id for n in self.nodes if n.op is Op.INPUT]
-        output_ids = [n.id for n in self.nodes if n.op is Op.OUTPUT]
         if not input_ids:
             raise ValidationError("graph has no input nodes")
         if not output_ids:
@@ -155,55 +180,64 @@ class DFGraph:
         if sorted(self.outputs) != sorted(output_ids) or len(set(self.outputs)) != len(self.outputs):
             raise ValidationError("graph 'outputs' must list every output node exactly once")
 
-        # Kahn topological sort; leftover nodes sit on a cycle.
-        indeg = {n.id: len(n.operands) for n in self.nodes}
-        consumers = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for op_id in n.operands:
-                consumers[op_id].append(n.id)
-        # `topo` doubles as the FIFO queue, read at `head`; pop(0) would be quadratic
-        topo = [n.id for n in self.nodes if indeg[n.id] == 0]
-        head = 0
-        while head < len(topo):
-            for c in consumers[topo[head]]:
+        # Kahn topological sort, reading `topo` as a FIFO queue as it grows; leftover nodes sit on a cycle
+        topo = [i for i, d in enumerate(indeg) if d == 0]
+        for u in topo:
+            for c in consumers[u]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     topo.append(c)
-            head += 1
-        if len(topo) != len(self.nodes):
-            stuck = next(nid for nid, d in indeg.items() if d > 0)
-            raise ValidationError(f"graph contains a cycle through node '{stuck}'")
+        if len(topo) != len(nodes):
+            stuck = next(i for i, d in enumerate(indeg) if d > 0)
+            raise ValidationError(f"graph contains a cycle through node '{nodes[stuck].id}'")
 
-        types: dict[str, ScalarType] = {}
-        for nid in topo:
-            n = node_map[nid]
-            if n.op in PASSTHROUGH_OPS:
-                declared = n.dtype
-                t = types[n.operands[0]]
-                if declared is not None and declared is not t:
-                    raise ValidationError(
-                        f"node '{n.id}': declared type {declared.value} but operand is {t.value}"
-                    )
-            else:
-                t = n.dtype or self.dtype
-            if n.op in UNARY_FLOAT_OPS and t is not ScalarType.FLOAT64:
-                raise ValidationError(f"node '{n.id}': {n.op.value} is float64-only")
-            for op_id in n.operands:
-                ot = types[op_id]
-                if ot is t:
-                    continue
-                if ot is ScalarType.INT16 and t is ScalarType.FLOAT64:
-                    continue  # widening edge, the permitted type boundary
-                raise ValidationError(
-                    f"node '{n.id}': {t.value} node cannot consume {ot.value} operand '{op_id}'"
-                )
-            if n.op is Op.CONST:
+        int16, float64 = _TYPES
+        ids = []
+        codes = bytearray(len(nodes))
+        first, second, pos = (array("i", bytes(4 * len(nodes))) for _ in range(3))
+        last = array("i", [-1]) * len(nodes)
+        consts: list = []
+        slots = {nid: k for k, nid in enumerate(self.inputs)}
+        input_types: list = [None] * len(slots)
+        for p, i in enumerate(topo):
+            pos[i] = p
+            n = nodes[i]
+            num = _OP_NUMBER[n.op._value_]
+            t = n.dtype or self.dtype
+            widen = 0
+            if num == 0:
+                a = b = slots[n.id]
+                input_types[a] = t
+            elif num == 1:
                 _check_const(n, t)
-            types[nid] = t
+                a = b = len(consts)
+                consts.append(float(n.value) if t is float64 else n.value)
+            else:
+                a, b = pos[index[n.operands[0]]], pos[index[n.operands[-1]]]
+                last[a] = last[b] = p
+                ta = _TYPES[codes[a] & 1]
+                if num <= 3:  # output or export: the operand's value and type
+                    if n.dtype is not None and n.dtype is not ta:
+                        raise ValidationError(f"node '{n.id}': declared type {t.value} but operand is {ta.value}")
+                    t = ta
+                elif num >= 8 and t is not float64:
+                    raise ValidationError(f"node '{n.id}': {n.op.value} is float64-only")
+                elif ta is not t or (codes[a] ^ codes[b]) & 1:  # an operand of the other type
+                    if t is int16:
+                        bad = n.operands[0] if ta is float64 else n.operands[1]
+                        raise ValidationError(f"node '{n.id}': int16 node cannot consume float64 operand '{bad}'")
+                    widen = WIDEN  # the permitted type boundary
+            ids.append(n.id)
+            codes[p] = 2 * num + (t is float64) + widen
+            first[p] = a
+            second[p] = b
 
-        self._node_map = node_map
-        self._topo = tuple(topo)
-        self._types = types
+        outputs = array("i", [pos[index[o]] for o in self.outputs])
+        for q in outputs:
+            last[q] = -1  # read after the walk
+        self.__dict__.pop("_index", None)  # the nodes may have changed since it was built
+        self._pos = pos
+        self.plan = Plan(tuple(ids), codes, first, second, last, consts, tuple(input_types), outputs)
 
 
 def _check_const(n: DFNode, t: ScalarType) -> None:
@@ -219,15 +253,7 @@ def _check_const(n: DFNode, t: ScalarType) -> None:
             raise ValidationError(f"const node '{n.id}': non-finite float const")
 
 
-def graph_of(
-    name: str,
-    dtype: ScalarType,
-    nodes: list[DFNode],
-    inputs: list[str],
-    outputs: list[str],
-) -> DFGraph:
-    """Build a validated graph."""
-    return DFGraph(name=name, dtype=dtype, nodes=nodes, inputs=inputs, outputs=outputs)
+graph_of = DFGraph  # (name, dtype, nodes, inputs, outputs) -> a validated graph
 
 
 # ---------------------------------------------------------------------------

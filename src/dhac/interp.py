@@ -13,16 +13,17 @@ the two forms stay bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import partial
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .approx import ArithBackend, add16_batch, mul16_batch, trunc_mantissa, trunc_mantissa_batch, wrap16
 from .errors import EvalError, InputError
-from .graph import INT16_MAX, INT16_MIN, DFGraph, Op, ScalarType, Trace
+from .graph import ADD16, ADD64, ARCTAN64, CONST16, DIV16, DIV64, EXPORT16, MUL16, MUL64, OUTPUT16, SUB16, SUB64, TAN64, WIDEN
+from .graph import INT16_MAX, INT16_MIN, DFGraph, ScalarType, Trace
 
 _tan_lane = np.frompyfunc(math.tan, 1, 1)
 _atan_lane = np.frompyfunc(math.atan, 1, 1)
@@ -44,8 +45,8 @@ _LANE_PRIMITIVES = (
 )
 
 
-def _walk(graph: DFGraph, values: dict, ints: tuple, bits: int, lanes: bool):
-    """Evaluate every node in topological order, starting from the checked inputs.
+def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
+    """Run the graph's plan over its checked inputs `xs`, in `inputs` order; empties `xs`.
 
     `ints` is the integer arithmetic as (const, add, sub, mul, div); `div`
     also gets the node id, for its errors. `bits` is the float mantissa
@@ -56,57 +57,48 @@ def _walk(graph: DFGraph, values: dict, ints: tuple, bits: int, lanes: bool):
     """
     all_finite, any_true, trunc, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
     const, add, sub, mul, div = ints
-    # Lanes are freed after their last use, so peak memory tracks graph
-    # width; for scalars the liveness pass would cost more than it saves.
-    dead_after = graph.dead_after if lanes else repeat(())
+    ids, codes, first, second, last, consts, _, outputs = graph.plan
+    # the unit of each arithmetic opcode but int16 division, which also gets the node id
+    units = {
+        ADD16: add, SUB16: sub, MUL16: mul,
+        ADD64: operator.add, SUB64: operator.sub, MUL64: operator.mul, DIV64: operator.truediv,
+        TAN64: lambda x, _: tan(x), ARCTAN64: lambda x, _: atan(x),
+    }
+    vals = []  # one value per position
     exports = {}
-    for nid, dead in zip(graph.topo_order, dead_after):
-        node = graph.node(nid)
-        op = node.op
-        if op is Op.INPUT:
-            r = values[nid]
-        elif op is Op.CONST:
-            r = const(node.value) if graph.node_type(nid) is ScalarType.INT16 else float(node.value)
-        elif op is Op.OUTPUT or op is Op.EXPORT:  # not `in`: Enum hashing is slow per node
-            r = values[node.operands[0]]
-            if op is Op.EXPORT:
-                exports[nid] = r
-        elif graph.node_type(nid) is ScalarType.INT16:
-            a, b = values[node.operands[0]], values[node.operands[1]]
-            if op is Op.ADD:
-                r = add(a, b)
-            elif op is Op.SUB:
-                r = sub(a, b)
-            elif op is Op.MUL:
-                r = mul(a, b)
-            else:
-                r = div(a, b, nid)
+    for p, (code, a, b) in enumerate(zip(codes, first, second)):
+        if code >= ADD16:
+            x, y = vals[a], vals[b]  # y is x for one operand
+            if not code & 1:
+                r = div(x, y, ids[p]) if code == DIV16 else units[code](x, y)
+            else:  # float units truncate their operands, then do exact double math
+                if code >= WIDEN:  # int16 operands widen exactly
+                    code -= WIDEN
+                    x, y = widen(x), widen(y)
+                if bits:
+                    x, y = trunc(x, bits), trunc(y, bits)
+                if code == DIV64 and any_true(y == 0.0):
+                    raise EvalError("div-by-zero", ids[p])
+                r = units[code](x, y)
+                if not all_finite(r):
+                    raise EvalError("non-finite", ids[p])
+        elif code >= OUTPUT16:
+            r = vals[a]
+            if code >= EXPORT16:
+                exports[ids[p]] = r
+        elif code >= CONST16:
+            r = consts[a] if code & 1 else const(consts[a])
         else:
-            # int16 operands widen exactly; float units truncate their
-            # operands and then do exact double math
-            args = [widen(values[x]) for x in node.operands]
-            if bits:
-                args = [trunc(v, bits) for v in args]
-            if op is Op.TAN:
-                r = tan(args[0])
-            elif op is Op.ARCTAN:
-                r = atan(args[0])
-            elif op is Op.ADD:
-                r = args[0] + args[1]
-            elif op is Op.SUB:
-                r = args[0] - args[1]
-            elif op is Op.MUL:
-                r = args[0] * args[1]
-            else:
-                if any_true(args[1] == 0.0):
-                    raise EvalError("div-by-zero", nid)
-                r = args[0] / args[1]
-            if not all_finite(r):
-                raise EvalError("non-finite", nid)
-        values[nid] = r
-        for op_id in dead:
-            del values[op_id]
-    return [values[o] for o in graph.outputs], exports
+            r, xs[a] = xs[a], None  # taken, so that only `vals` holds it
+        vals.append(r)
+        # Lanes are freed after their last use, so peak memory tracks graph
+        # width; for scalars the check would cost more than it saves.
+        if lanes and code >= OUTPUT16:
+            if last[a] == p:
+                vals[a] = None
+            if last[b] == p:
+                vals[b] = None
+    return [vals[q] for q in outputs], exports
 
 
 def _int16_units(backend: ArithBackend, any_true) -> tuple:
@@ -154,10 +146,8 @@ def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBacken
     """
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    values = {
-        nid: _check_scalar_input(inputs[pos], graph.node_type(nid), f"input {pos}") for pos, nid in enumerate(graph.inputs)
-    }
-    outputs, exports = _walk(graph, values, _int16_units(backend, bool), backend.fp_bits, lanes=False)
+    xs = [_check_scalar_input(x, t, f"input {pos}") for pos, (x, t) in enumerate(zip(inputs, graph.plan.inputs))]
+    outputs, exports = _walk(graph, xs, _int16_units(backend, bool), backend.fp_bits, lanes=False)
     return Trace(outputs=tuple(outputs), exports=exports)
 
 
@@ -178,38 +168,27 @@ def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.n
     return out
 
 
-def _batch_columns(graph: DFGraph, inputs) -> tuple[int, dict[str, np.ndarray]]:
+def _batch_columns(graph: DFGraph, inputs) -> tuple[int, list[np.ndarray]]:
     """The lane count n and each input column checked against its node's type.
 
     Every column must be 1-d with the first column's length (InputError).
     """
     cols = [np.asarray(c) for c in inputs]
     n = cols[0].shape[0] if cols and cols[0].ndim else 0
-    return n, {
-        nid: _check_batch_input(col, graph.node_type(nid), pos, n)
-        for pos, (nid, col) in enumerate(zip(graph.inputs, cols))
-    }
+    return n, [_check_batch_input(col, t, pos, n) for pos, (col, t) in enumerate(zip(cols, graph.plan.inputs))]
 
 
-def evaluate_batch(
-    graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithBackend
-) -> Trace:
+def evaluate_batch(graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithBackend) -> Trace:
     """Evaluate n trials at once; outputs/exports are length-n arrays."""
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    n, values = _batch_columns(graph, inputs)
+    n, xs = _batch_columns(graph, inputs)
     # lane overflow surfaces as the walk's non-finite EvalError, not a
     # warning; Python floats never warn, so the scalar walk skips this
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs, exports = _walk(graph, values, _int16_units(backend, np.any), backend.fp_bits, lanes=True)
+        outputs, exports = _walk(graph, xs, _int16_units(backend, np.any), backend.fp_bits, lanes=True)
 
-    def widen(v) -> np.ndarray:
-        arr = np.asarray(v)
-        if arr.ndim == 0:
-            arr = np.broadcast_to(arr, (n,)).copy()
-        return arr
+    def widen(v) -> np.ndarray:  # a constant's value fills every lane
+        return np.asarray(v) if np.ndim(v) else np.full(n, v)
 
-    return Trace(
-        outputs=tuple(widen(v) for v in outputs),
-        exports={k: widen(v) for k, v in exports.items()},
-    )
+    return Trace(outputs=tuple(map(widen, outputs)), exports={k: widen(v) for k, v in exports.items()})

@@ -42,6 +42,16 @@ class BuiltinSpec:
     meta: dict = field(default_factory=dict)
 
 
+# The most nodes a builtin may have. Each builtin counts its nodes from its
+# parameters and refuses a larger graph before building it.
+NODE_BUDGET = 1_000_000
+
+
+def _check_budget(name: str, nodes: int) -> None:
+    if nodes > NODE_BUDGET:
+        raise BuiltinError(f"{name}: parameters give {nodes} nodes, more than the budget of {NODE_BUDGET}")
+
+
 def _n(nid, op, *operands, value=None, dtype=None) -> DFNode:
     return DFNode(id=nid, op=op, operands=tuple(operands), value=value, dtype=dtype)
 
@@ -120,6 +130,7 @@ def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
         raise BuiltinError("euler: order must be 2 or 3")
     if steps < 2:
         raise BuiltinError("euler: steps must be >= 2")
+    _check_budget("euler", 8 + 7 * steps if order == 2 else 6 + 11 * steps)
     ts = [2 * n - (steps - 1) for n in range(steps)]  # centered odd grid
     nodes = [_n("y0", Op.INPUT)]
     inputs = ["y0"]
@@ -190,6 +201,7 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
         raise BuiltinError("runge_kutta: order must be 2 or 3")
     if steps < 2:
         raise BuiltinError("runge_kutta: steps must be >= 2")
+    _check_budget("runge_kutta", 13 + 10 * steps if order == 2 else 14 + 20 * steps)
 
     nodes = [_n("y0", Op.INPUT)]
     inputs = ["y0"]
@@ -271,8 +283,10 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
 def _conv_layer(channels: int = 8, kernel: int = 3, size: int = 16, seed: int = 0) -> BuiltinSpec:
     if kernel > size or channels < 1 or kernel < 1:
         raise BuiltinError("conv_layer: need kernel <= size and channels >= 1")
-    rng = substream(seed, "builtin", "conv_layer", "weights")
     fan_in = channels * kernel * kernel
+    # inputs, weights and bias; then per output pixel, its products, sums, bias add and output
+    _check_budget("conv_layer", channels * size * size + fan_in + 1 + (size - kernel + 1) ** 2 * (2 * fan_in + 1))
+    rng = substream(seed, "builtin", "conv_layer", "weights")
     # |sum(w*v)| <= 2 hard; bias keeps sentinel sites in ~[0.8, 4.4] so the
     # tan/arctan sentinel stays far from its libm noise floor
     w_amp = 2.0 / fan_in

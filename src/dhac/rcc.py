@@ -153,7 +153,7 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     return out[0] if single else out
 
 
-def _residue_walk(graph: DFGraph, cols: dict, mods: list[int], n: int) -> np.ndarray:
+def _residue_walk(graph: DFGraph, cols: list, mods: list[int], n: int) -> np.ndarray:
     """The (k, n) output residues of checked int64 input columns under checked moduli."""
     top = max(mods) - 1
     dtype, limit = next(((t, lim) for t, lim in _LANES if top <= lim), (object, 0))
@@ -184,8 +184,8 @@ def _residue_walk(graph: DFGraph, cols: dict, mods: list[int], n: int) -> np.nda
         return a[0] * inv % m, top
 
     ring = (lambda v: (int(v) % m, top), add, sub, mul, div)
-    values = {nid: ((col[None, :] % m).astype(dtype), top) for nid, col in cols.items()}
-    ((out, _),), _ = _walk(graph, values, ring, 0, lanes=True)
+    xs = [((col[None, :] % m).astype(dtype), top) for col in cols]
+    ((out, _),), _ = _walk(graph, xs, ring, 0, lanes=True)
     return np.where(no_inverse, -1, out % m).astype(np.result_type(dtype, np.int64))
 
 
@@ -206,10 +206,10 @@ def _one_vector(graph: DFGraph, inputs, moduli) -> np.ndarray:
     _require_residue_graph(graph)
     if len(inputs) != len(graph.inputs):
         raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    cols = {
-        nid: np.array([_check_scalar_input(v, ScalarType.INT16, f"input {pos}")], dtype=np.int64)
-        for pos, (nid, v) in enumerate(zip(graph.inputs, inputs))
-    }
+    cols = [
+        np.array([_check_scalar_input(v, ScalarType.INT16, f"input {pos}")], dtype=np.int64)
+        for pos, v in enumerate(inputs)
+    ]
     return _residue_walk(graph, cols, mods, 1)[:, 0]
 
 

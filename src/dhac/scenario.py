@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel, error_stats
-from .errors import ConfigError, InputError, known_keys, typed
+from .errors import ConfigError, known_keys, typed
 from .fbc import (
     DEFAULT_DELTA,
     DEFAULT_STEPS,
@@ -87,14 +87,6 @@ def server_execute(
     state.index += 1
     cheated = strategy.cheats(index, op_census(graph)["total"], draw)
     return evaluate(graph, inputs, approx_backend if cheated else ArithBackend.accurate()), cheated
-
-
-def ground_truth_oracle(graph: DFGraph, inputs, claimed_outputs) -> bool:
-    """True when the claimed outputs differ from an accurate re-run."""
-    tr = evaluate(graph, inputs, ArithBackend.accurate())
-    if len(claimed_outputs) != len(tr.outputs):
-        raise InputError(f"expected {len(tr.outputs)} outputs, got {len(claimed_outputs)}")
-    return any(float(c) != float(e) for c, e in zip(claimed_outputs, tr.outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,31 @@ def eval_unbounded(graph, inputs):
     return [vals[o] for o in graph.outputs], vals
 
 
+def kahn_order(graph) -> list[str]:
+    """Node ids in Kahn's first-in first-out topological order.
+
+    The ready nodes start in file order, and each node's consumers are
+    visited in file order, once per operand slot that reads it.
+    """
+    from collections import deque
+
+    pending = {n.id: len(n.operands) for n in graph.nodes}
+    consumers: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    for n in graph.nodes:
+        for op_id in n.operands:
+            consumers[op_id].append(n.id)
+    ready = deque(nid for nid, k in pending.items() if k == 0)
+    order = []
+    while ready:
+        nid = ready.popleft()
+        order.append(nid)
+        for c in consumers[nid]:
+            pending[c] -= 1
+            if pending[c] == 0:
+                ready.append(c)
+    return order
+
+
 def mod_inverse(x: int, m: int) -> int:
     return pow(x, -1, m)
 

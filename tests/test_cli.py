@@ -454,6 +454,14 @@ class TestBench:
                 "bad config value: 'steps' must be an integer, got 3.0",
             ),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            (
+                {"rcc": {"programs": [{"name": "euler", "steps": 10**9}]}},
+                "euler: parameters give 7000000008 nodes, more than the budget of 1000000",
+            ),
+            (
+                {"rcc": {"programs": ["conv2x2"]}, "fbc": {"programs": [{"name": "conv_layer", "size": 10**6}]}},
+                "conv_layer: parameters give 152999420000653 nodes, more than the budget of 1000000",
+            ),
         ],
     )
     def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):
@@ -482,6 +490,10 @@ class TestSweep:
     def test_bad_delta(self, tmp_path, capsys):
         cfg = _json_file(tmp_path, "cfg.json", {"trials": 50})
         assert main(["sweep", "--config", cfg, "--deltas", "abc"]) == 1
+        assert capsys.readouterr().err == "error: --deltas: 'abc' is not a number\n"
+        bad_cfg = _json_file(tmp_path, "bad.json", {"trials": 0})
+        assert main(["sweep", "--config", bad_cfg, "--deltas", "abc"]) == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"  # the config is read first
 
     @pytest.mark.parametrize("delta", ["-1", "0", "nan"])
     def test_delta_must_be_positive(self, tmp_path, capsys, delta):

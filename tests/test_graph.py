@@ -1,9 +1,11 @@
 """Graph IR: validation, file round trips, census, type rules."""
 
 import json
+from functools import cache
 
 import pytest
 
+import oracles as O
 from dhac import (
     DFGraph,
     DFNode,
@@ -11,6 +13,7 @@ from dhac import (
     ParseError,
     ScalarType,
     ValidationError,
+    SentinelKind,
     builtin_program,
     graph_of,
     op_census,
@@ -18,7 +21,10 @@ from dhac import (
     program_to_dict,
     serialize_program,
 )
+from dhac.cli import main
+from dhac.fbc import instrument_seeded
 from dhac.graph import parse_program_dict
+from dhac.programs import INTEGER_SHORTHANDS
 
 
 def n(nid, op, *operands, value=None, dtype=None):
@@ -274,3 +280,139 @@ class TestCensus:
         ]
         g = graph_of("g", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         assert op_census(g) == {"add_sub": 1, "mul": 0, "div": 1, "total": 2}
+
+
+# ---------------------------------------------------------------------------
+# the topological order is part of the output: it orders export keys and
+# auto_sites, and decides which node an error names
+
+
+SMALL_CONV = {"channels": 2, "size": 6}
+GRAPHS = [*INTEGER_SHORTHANDS, "conv_layer", "conv_layer-small", "conv_layer+fbc", "conv_layer-small+fbc"]
+
+
+@cache
+def named_graph(label: str):
+    """A builtin by label; '-small' is the 2-channel 6x6 conv_layer, '+fbc' its `fbc-instrument` form."""
+    name, _, fbc = label.partition("+")
+    g = builtin_program("conv_layer", **SMALL_CONV) if name == "conv_layer-small" else builtin_program(name)
+    if fbc:
+        kinds = [SentinelKind(k) for k in ("add", "mul", "tan")]
+        g = instrument_seeded(g, kinds, None, 0, g.name, n=3, delta=1e-13).graph
+    return g
+
+
+class TestTopologicalOrder:
+    @pytest.mark.parametrize("label", GRAPHS)
+    def test_topo_order_is_kahns(self, label):
+        g = named_graph(label)
+        assert list(g.topo_order) == O.kahn_order(g)
+
+    @pytest.mark.parametrize("label", GRAPHS)
+    def test_node_types_iterate_in_topo_order(self, label):
+        g = named_graph(label)
+        assert list(g.node_types()) == list(g.topo_order)
+
+    def test_kahn_order_is_not_file_order(self):
+        # x's consumers are visited in file order, so t1 is ready before t2
+        nodes = [
+            n("x", Op.INPUT),
+            n("s", Op.ADD, "x", "x"),
+            n("t2", Op.MUL, "s", "x"),
+            n("t1", Op.MUL, "x", "x"),
+            n("o2", Op.OUTPUT, "t2"),
+            n("o1", Op.OUTPUT, "t1"),
+        ]
+        g = graph_of("g", ScalarType.INT16, nodes, ["x"], ["o1", "o2"])
+        assert list(g.topo_order) == ["x", "s", "t1", "t2", "o1", "o2"] == O.kahn_order(g)
+
+    def test_run_export_keys_follow_topo_order(self, tmp_path, capsys):
+        prog = tmp_path / "conv.json"
+        prog.write_text(serialize_program(named_graph("conv_layer-small")))
+        ins, trace = tmp_path / "ins.json", tmp_path / "trace.json"
+        assert main(["fbc-instrument", "--program", str(prog), "--out", str(ins)]) == 0
+        graph = parse_program_dict(json.loads(ins.read_text())["graph"])
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([0.25] * len(graph.inputs)))
+        assert main(["run", "--program", str(ins), "--inputs", str(inputs), "--out", str(trace)]) == 0
+        exports = [nid for nid in O.kahn_order(graph) if graph.node(nid).op is Op.EXPORT]
+        assert len(exports) == 6
+        assert list(json.loads(trace.read_text())["exports"]) == exports
+
+
+def _faulty(*nodes, dtype=ScalarType.INT16, inputs=("x",), outputs=("out",)):
+    return lambda: graph_of("g", dtype, list(nodes), list(inputs), list(outputs))
+
+
+class TestValidationPrecedence:
+    """Each fault's message, and which fault of several is reported."""
+
+    @pytest.mark.parametrize(
+        "make, msg",
+        [
+            # ids are checked for every node before anything else
+            (_faulty(n("x", Op.INPUT), n("a", Op.ADD, "x"), n("x", Op.INPUT)), "duplicate node id 'x'"),
+            (_faulty(n("x", Op.INPUT), n("", Op.INPUT)), "node id must be a non-empty string, got ''"),
+            # then arity, operands and values, node by node in file order
+            (
+                _faulty(n("x", Op.INPUT), n("a", Op.ADD, "x", "ghost"), n("b", Op.ADD, "x")),
+                "node 'a': unknown operand id 'ghost'",
+            ),
+            (_faulty(n("x", Op.INPUT), n("a", Op.ADD, "ghost")), "node 'a': op add takes 2 operands, got 1"),
+            (_faulty(n("x", Op.INPUT), n("c", Op.CONST)), "const node 'c' has no value"),
+            (_faulty(n("x", Op.INPUT, value=1), n("c", Op.CONST)), "node 'x': only const nodes carry a value"),
+            # then the graph's inputs and outputs
+            (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), inputs=["x", "x"]), "graph 'inputs' must list every input node exactly once"),
+            (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), outputs=["x"]), "graph 'outputs' must list every output node exactly once"),
+            # then cycles, naming the first stuck node in file order
+            (
+                _faulty(n("x", Op.INPUT), n("b", Op.ADD, "x", "a"), n("a", Op.ADD, "b", "x"), n("out", Op.OUTPUT, "a")),
+                "graph contains a cycle through node 'b'",
+            ),
+            # then types and consts, in topological order
+            (
+                _faulty(
+                    n("x", Op.INPUT),
+                    n("s", Op.ADD, "x", "x"),
+                    n("t2", Op.TAN, "s"),
+                    n("t1", Op.TAN, "x"),
+                    n("out", Op.OUTPUT, "t1"),
+                    n("o2", Op.OUTPUT, "t2"),
+                    outputs=["out", "o2"],
+                ),
+                "node 't1': tan is float64-only",
+            ),
+            (
+                _faulty(
+                    n("x", Op.INPUT),
+                    n("s", Op.ADD, "x", "x"),
+                    n("c2", Op.CONST, value=1.5),
+                    n("a", Op.ADD, "s", "c2"),
+                    n("c1", Op.CONST, value=40000),
+                    n("b", Op.ADD, "x", "c1"),
+                    n("out", Op.OUTPUT, "a"),
+                    n("o2", Op.OUTPUT, "b"),
+                    outputs=["out", "o2"],
+                ),
+                "const node 'c2': int16 const must be an integer",
+            ),
+            (
+                _faulty(
+                    n("x", Op.INPUT, dtype=ScalarType.FLOAT64),
+                    n("y", Op.INPUT),
+                    n("m", Op.MUL, "y", "x"),
+                    n("out", Op.OUTPUT, "m"),
+                    inputs=["x", "y"],
+                ),
+                "node 'm': int16 node cannot consume float64 operand 'x'",
+            ),
+            (
+                _faulty(n("x", Op.INPUT), n("out", Op.EXPORT, "x", dtype=ScalarType.FLOAT64), n("o", Op.OUTPUT, "x"), outputs=["o"]),
+                "node 'out': declared type float64 but operand is int16",
+            ),
+        ],
+    )
+    def test_message_and_precedence(self, make, msg):
+        with pytest.raises(ValidationError) as e:
+            make()
+        assert str(e.value) == msg

@@ -19,7 +19,7 @@ from dhac import (
     graph_of,
 )
 from dhac.rng import substream
-from dhac.scenario import default_combos
+from dhac.scenario import ProgramEntry, ScenarioConfig, build_instrumented, default_combos
 from graphs import float_graph, int_div_graph, mixed_graph
 
 ACC = ArithBackend.accurate()
@@ -357,3 +357,60 @@ class TestBatchParity:
         g = graph_of("ovf2", ScalarType.FLOAT64, nodes, ["u"], ["out"])
         with pytest.raises(EvalError, match="non-finite"):
             evaluate_batch(g, [np.array([1.0, 1e200])], ACC)
+
+
+class TestPlanParity:
+    """Scalar and lane walks agree on every value the trace holds."""
+
+    @pytest.mark.parametrize("backend", default_combos(), ids=backend_id)
+    @pytest.mark.parametrize("name", ["fir", "conv2x2", "euler2", "euler3", "rk2", "rk3"])
+    def test_integer_builtins_every_default_combo(self, name, backend):
+        spec = builtin_spec(name)
+        cols = draw_inputs(spec, substream(15, "parity", name), 24)
+        batch = evaluate_batch(spec.graph, cols, backend)
+        for i in range(24):
+            tr = evaluate(spec.graph, [int(c[i]) for c in cols], backend)
+            assert tr.outputs[0] == batch.outputs[0][i]
+
+    @pytest.mark.parametrize("bits", [0, 10, 20])
+    def test_instrumented_conv_layer(self, bits):
+        entry = ProgramEntry("conv_layer", "conv_layer", (("channels", 2), ("size", 6)))
+        g = build_instrumented(ScenarioConfig(), entry).graph
+        backend = ArithBackend(fp_bits=bits)
+        cols = draw_inputs(entry.spec(), substream(16, "parity", "conv"), 8)
+        batch = evaluate_batch(g, cols, backend)
+        assert len(batch.outputs) == 16 and len(batch.exports) == 6
+        for i in range(8):
+            tr = evaluate(g, [float(c[i]) for c in cols], backend)
+            assert [np.float64(v).tobytes() for v in tr.outputs] == [o[i].tobytes() for o in batch.outputs]
+            assert list(tr.exports) == list(batch.exports)
+            for k, v in tr.exports.items():
+                assert np.float64(v).tobytes() == batch.exports[k][i].tobytes(), k
+
+
+def two_zero_divisors_graph(dtype):
+    """d2 comes first in the file, but d1 is ready first: x's consumers are visited in file order."""
+    nodes = [
+        _n("x", Op.INPUT),
+        _n("z", Op.CONST, value=0 if dtype is ScalarType.INT16 else 0.0),
+        _n("s", Op.ADD, "x", "x"),
+        _n("d2", Op.DIV, "s", "z"),
+        _n("d1", Op.DIV, "x", "z"),
+        _n("o2", Op.OUTPUT, "d2"),
+        _n("o1", Op.OUTPUT, "d1"),
+    ]
+    return graph_of("twodiv", dtype, nodes, ["x"], ["o1", "o2"])
+
+
+class TestErrorNamesTopologicallyFirst:
+    @pytest.mark.parametrize("dtype", [ScalarType.INT16, ScalarType.FLOAT64], ids=lambda t: t.value)
+    def test_two_zero_divisors(self, dtype):
+        g = two_zero_divisors_graph(dtype)
+        assert g.topo_order.index("d1") < g.topo_order.index("d2")
+        x = 3 if dtype is ScalarType.INT16 else 3.0
+        with pytest.raises(EvalError) as e:
+            evaluate(g, [x], ACC)
+        assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d1")
+        with pytest.raises(EvalError) as e:
+            evaluate_batch(g, [np.array([x, x])], ACC)
+        assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d1")

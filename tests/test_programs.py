@@ -17,6 +17,7 @@ from dhac import (
     op_census,
     serialize_program,
 )
+from dhac import programs
 from dhac.rng import substream
 
 ACC = ArithBackend.accurate()
@@ -61,6 +62,36 @@ class TestRegistry:
             builtin_spec("fir_filter", taps=66)
         spec = builtin_spec("fir_filter", taps=65)
         assert draw_inputs(spec, substream(0, "fir65")) == [100] * 65
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("euler", {"order": 2, "steps": 5}),
+            ("euler", {"order": 3, "steps": 4}),
+            ("runge_kutta", {"order": 2, "steps": 6}),
+            ("runge_kutta", {"order": 3, "steps": 3}),
+            ("conv_layer", {"channels": 2, "kernel": 2, "size": 5}),
+        ],
+    )
+    def test_node_budget_counts_exactly(self, name, params, monkeypatch):
+        nodes = len(builtin_program(name, **params).nodes)
+        monkeypatch.setattr(programs, "NODE_BUDGET", nodes)
+        assert len(builtin_program(name, **params).nodes) == nodes
+        monkeypatch.setattr(programs, "NODE_BUDGET", nodes - 1)
+        msg = f"^{name}: parameters give {nodes} nodes, more than the budget of {nodes - 1}$"
+        with pytest.raises(BuiltinError, match=msg):
+            builtin_program(name, **params)
+
+    @pytest.mark.parametrize("name", [*INTEGER_NAMES, "conv_layer"])
+    def test_defaults_fit_well_inside_the_node_budget(self, name):
+        assert len(builtin_program(name).nodes) * 20 <= programs.NODE_BUDGET
+
+    @pytest.mark.parametrize(
+        "name, params", [("conv_layer", {"size": 10**30}), ("euler", {"steps": 10**30}), ("rk3", {"steps": 10**6})]
+    )
+    def test_oversized_graph_is_refused_before_it_is_built(self, name, params):
+        with pytest.raises(BuiltinError, match="more than the budget of 1000000$"):
+            builtin_spec(name, **params)
 
     def test_spec_determinism(self):
         # seeded constants must not drift between constructions

@@ -9,7 +9,6 @@ from dhac import (
     ArithBackend,
     ConfigError,
     ErrorStats,
-    InputError,
     IntUnitModel,
     Judgement,
     ModuleSet,
@@ -21,7 +20,6 @@ from dhac import (
     default_combos,
     draw_inputs,
     evaluate,
-    ground_truth_oracle,
     op_census,
     rcc_check,
     report_to_csv,
@@ -36,7 +34,6 @@ from dhac.programs import INTEGER_SHORTHANDS
 from dhac.rng import substream
 from dhac import scenario
 from dhac.scenario import REPORT_VERSION, ProgramEntry, _program_entry
-from graphs import float_graph
 
 ACC = ArithBackend.accurate()
 LOA_BACKEND = ArithBackend(adder=IntUnitModel("loa", 8))
@@ -153,27 +150,6 @@ class TestServerExecute:
         want = [i >= 2 and c >= 30 and draws[i] < 0.5 for i, c in enumerate(censuses)]
         assert got == want
         assert True in got and False in got  # the sequence must exercise both arms
-
-
-class TestGroundTruthOracle:
-    def test_exact_claim_is_clean(self):
-        spec = builtin_spec("conv2x2")
-        ins = draw_inputs(spec, substream(2, "gt"))
-        out = evaluate(spec.graph, ins, ACC).outputs
-        assert ground_truth_oracle(spec.graph, ins, out) is False
-        assert ground_truth_oracle(spec.graph, ins, (out[0] + 1,)) is True
-
-    def test_float_outputs(self):
-        g = float_graph()
-        out = evaluate(g, [0.5, 1.25], ACC).outputs
-        assert ground_truth_oracle(g, [0.5, 1.25], out) is False
-        assert ground_truth_oracle(g, [0.5, 1.25], (out[0] * (1 + 1e-16),)) is False  # same double
-        assert ground_truth_oracle(g, [0.5, 1.25], (out[0] + 1e-9,)) is True
-
-    def test_arity_checked(self):
-        g = float_graph()
-        with pytest.raises(InputError, match="expected 1 outputs"):
-            ground_truth_oracle(g, [0.5, 1.25], (1.0, 2.0))
 
 
 class TestDefaultCombos:
