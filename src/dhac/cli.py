@@ -19,12 +19,14 @@ from dataclasses import replace
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
 from .errors import ConfigError, DhacError, InputError, typed
-from .fbc import SentinelKind, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge, sentinels_from_dict
-from .graph import DFGraph, Judgement, Trace, parse_program_dict
+from .fbc import DEFAULT_DELTA, DEFAULT_STEPS, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
+from .fbc import sentinel_kind, sentinels_from_dict
+from .graph import DFGraph, Judgement, Trace, json_document, parse_program_dict
 from .interp import evaluate
 from .programs import BUILTIN_NAMES, builtin_program
 from .rcc import ModuleSet, rcc_check
 from .scenario import (
+    ScenarioConfig,
     config_from_dict,
     report_to_csv,
     run_bench,
@@ -46,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return json_document(f.read(), path)
 
 
 def _load_program(value: str) -> DFGraph:
@@ -139,7 +141,7 @@ def _cmd_rcc(args) -> int:
 
 def _cmd_fbc_instrument(args) -> int:
     g = _load_program(args.program)
-    kinds = [SentinelKind(k) for k in args.kinds.split(",")]
+    kinds = [sentinel_kind(k, "--kinds", ConfigError) for k in args.kinds.split(",")]
     sites = None if args.sites == "auto" else args.sites.split(",")
     ins = instrument_seeded(g, kinds, sites, args.seed, g.name, n=args.n, delta=args.delta)
     _write_text(args.out, json.dumps(instrumented_to_dict(ins), indent=2) + "\n")
@@ -211,16 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True)
     p.add_argument("--inputs", required=True)
     p.add_argument("--claimed", required=True, type=int, help="the result the server returned")
-    p.add_argument("--moduli", default="3,5,7")
+    p.add_argument("--moduli", default=",".join(map(str, ModuleSet().moduli)))
     p.add_argument("--out", help="write the verdict as JSON")
     p.set_defaults(func=_cmd_rcc)
 
     p = sub.add_parser("fbc-instrument", help="graft forward-backward sentinels onto a program")
     p.add_argument("--program", required=True)
     p.add_argument("--sites", default="auto", help="'auto' or comma-separated node ids")
-    p.add_argument("--kinds", default="add,mul,tan")
-    p.add_argument("--n", type=int, default=3, help="forward steps per add/mul sentinel")
-    p.add_argument("--delta", type=float, default=1e-13)
+    p.add_argument("--kinds", default=",".join(k.value for k in ScenarioConfig.fbc_kinds))
+    p.add_argument("--n", type=int, default=DEFAULT_STEPS, help="forward steps per add/mul sentinel")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fbc_instrument)
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DhacError, OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+    except (DhacError, OSError, ValueError) as e:  # a ValueError such as a file that is not UTF-8
         # one line, even where the message quotes a document's own text
         print("error: " + str(e).replace("\n", "\\n"), file=sys.stderr)
         return _EXIT_ERROR

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SiteError, TraceError, ValidationError, typed
+from .errors import DhacError, SiteError, TraceError, ValidationError, typed
 from .graph import (
     ADD64,
     DIV64,
@@ -36,7 +36,6 @@ from .graph import (
     Op,
     ScalarType,
     Trace,
-    graph_of,
     parse_program_dict,
     program_to_dict,
 )
@@ -65,6 +64,14 @@ class SentinelKind(Enum):
     ADDITION = "add"
     MULTIPLICATION = "mul"
     TAN_ARCTAN = "tan"
+
+
+def sentinel_kind(value: str, name: str, error: type[DhacError]) -> SentinelKind:
+    """The kind whose value is `value`, or `error` naming the field `name` and the kinds."""
+    try:
+        return SentinelKind(value)
+    except ValueError:
+        raise error(f"{name}: unknown sentinel kind {value!r} (choose from {', '.join(k.value for k in SentinelKind)})") from None
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,7 @@ def instrument(graph: DFGraph, sentinels) -> InstrumentedGraph:
         nodes.append(DFNode(id=exit_, op=Op.EXPORT, operands=(prev,), dtype=ScalarType.FLOAT64))
         placed.append(replace(s, entry_export=entry, exit_export=exit_))
 
-    g = graph_of(f"{graph.name}+fbc", graph.dtype, nodes, list(graph.inputs), list(graph.outputs))
+    g = DFGraph(f"{graph.name}+fbc", graph.dtype, nodes, list(graph.inputs), list(graph.outputs))
     return InstrumentedGraph(graph=g, sentinels=tuple(placed))
 
 
@@ -298,13 +305,9 @@ def sentinels_from_dict(d: dict) -> tuple[Sentinel, ...]:
                 raise ValidationError(f"{at} lacks '{key}'")
             return typed(sd[key], kind, f"{at}: '{key}'", ValidationError, of)
 
-        try:
-            kind = SentinelKind(field("kind", str))
-        except ValueError:
-            raise ValidationError(f"{at}: unknown sentinel kind {sd['kind']!r}") from None
         sentinels.append(
             Sentinel(
-                kind=kind,
+                kind=sentinel_kind(field("kind", str), at, ValidationError),
                 site=field("site", str),
                 n=field("n", int),
                 operands=tuple(field("operands", list, of=float)),

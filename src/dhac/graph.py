@@ -13,7 +13,6 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError, typed
@@ -27,22 +26,22 @@ class ScalarType(Enum):
     FLOAT64 = "float64"
 
 
-class Op(Enum):
+class Op(Enum):  # in plan order: a member's place is its op number
     INPUT = "input"
     CONST = "const"
+    OUTPUT = "output"
+    EXPORT = "export"
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
     DIV = "div"
     TAN = "tan"
     ARCTAN = "arctan"
-    OUTPUT = "output"
-    EXPORT = "export"
 
 
 # Each op's number, keyed by its value string: hashing an Enum member runs
 # Python code, too slow per node.
-_OP_NUMBER = {op: i for i, op in enumerate(("input", "const", "output", "export", "add", "sub", "mul", "div", "tan", "arctan"))}
+_OP_NUMBER = {op.value: i for i, op in enumerate(Op)}
 _ARITY = (0, 0, 1, 1, 2, 2, 2, 2, 1, 1)
 
 # Plan opcodes, one per (op, type): twice the op's number, plus 1 for
@@ -108,24 +107,9 @@ class DFGraph:
     outputs: list[str]
     # filled by validate()
     plan: Plan = field(init=False, repr=False, compare=False)
-    _pos: array = field(init=False, repr=False, compare=False)  # place in `nodes` -> position
 
     def __post_init__(self):
         self.validate()
-
-    def node(self, node_id: str) -> DFNode:
-        return self.nodes[self._index[node_id]]
-
-    @property
-    def topo_order(self) -> tuple[str, ...]:
-        return self.plan.ids
-
-    def node_type(self, node_id: str) -> ScalarType:
-        return _TYPES[self.plan.codes[self._pos[self._index[node_id]]] & 1]
-
-    @cached_property
-    def _index(self) -> dict[str, int]:  # node id -> place in `nodes`; built on first use, as no walk needs it
-        return {n.id: i for i, n in enumerate(self.nodes)}
 
     def node_types(self) -> dict[str, ScalarType]:
         """Each node's type, in topological order."""
@@ -235,8 +219,6 @@ class DFGraph:
         outputs = array("i", [pos[index[o]] for o in self.outputs])
         for q in outputs:
             last[q] = -1  # read after the walk
-        self.__dict__.pop("_index", None)  # the nodes may have changed since it was built
-        self._pos = pos
         self.plan = Plan(tuple(ids), codes, first, second, last, consts, tuple(input_types), outputs)
 
 
@@ -253,11 +235,16 @@ def _check_const(n: DFNode, t: ScalarType) -> None:
             raise ValidationError(f"const node '{n.id}': non-finite float const")
 
 
-graph_of = DFGraph  # (name, dtype, nodes, inputs, outputs) -> a validated graph
-
-
 # ---------------------------------------------------------------------------
 # file format
+
+
+def json_document(text: str, source: str):
+    """The JSON value in `text`, or ParseError naming `source` (its file) with the line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{source}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
 
 
 def parse_program(text: str) -> DFGraph:
@@ -267,11 +254,7 @@ def parse_program(text: str) -> DFGraph:
     errors); structural problems raise ValidationError naming the node.
     Unknown keys are tolerated so annotated documents stay readable.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    return parse_program_dict(doc)
+    return parse_program_dict(json_document(text, "program"))
 
 
 _OPS = {op.value: op for op in Op}  # a dict lookup costs less per node than Op(value)
@@ -306,7 +289,7 @@ def parse_program_dict(doc) -> DFGraph:
         if not isinstance(operands, list) or not all(isinstance(x, str) for x in operands):
             raise ParseError(f"nodes[{i}] ('{nd['id']}'): 'operands' must be a list of ids")
         nodes.append(DFNode(nd["id"], op, tuple(operands), nd.get("value"), dtype))
-    return graph_of(
+    return DFGraph(
         name=typed(doc["name"], str, "program 'name'", ParseError),
         dtype=gtype,
         nodes=nodes,
@@ -345,8 +328,8 @@ def serialize_program(graph: DFGraph) -> str:
 
 
 def op_census(graph: DFGraph) -> dict[str, int]:
-    """Count arithmetic nodes: {'add_sub', 'mul', 'div', 'total'}."""
-    add_sub = sum(1 for n in graph.nodes if n.op in (Op.ADD, Op.SUB))
-    mul = sum(1 for n in graph.nodes if n.op is Op.MUL)
-    div = sum(1 for n in graph.nodes if n.op is Op.DIV)
+    """Count arithmetic nodes: {'add_sub', 'mul', 'div', 'total'}; tan and arctan are not counted."""
+    nums = [code % WIDEN >> 1 for code in graph.plan.codes]
+    add_sub = nums.count(ADD16 >> 1) + nums.count(SUB16 >> 1)
+    mul, div = nums.count(MUL16 >> 1), nums.count(DIV16 >> 1)
     return {"add_sub": add_sub, "mul": mul, "div": div, "total": add_sub + mul + div}

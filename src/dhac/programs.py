@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BuiltinError
-from .graph import DFGraph, DFNode, Op, ScalarType, graph_of
+from .graph import DFGraph, DFNode, Op, ScalarType
 from .rng import substream
 
 
@@ -80,7 +80,7 @@ def _fir(taps: int = 11, seed: int = 0) -> BuiltinSpec:
         nodes.append(_n(f"s{i}", Op.ADD, acc, f"m{i}"))
         acc = f"s{i}"
     nodes.append(_n("out", Op.OUTPUT, acc))
-    g = graph_of(f"fir{taps}" if taps != 11 else "fir", ScalarType.INT16, nodes, inputs, ["out"])
+    g = DFGraph(f"fir{taps}" if taps != 11 else "fir", ScalarType.INT16, nodes, inputs, ["out"])
     return BuiltinSpec(
         graph=g,
         input_ranges=[InputRange(100, x_hi)] * taps,
@@ -107,7 +107,7 @@ def _conv2x2() -> BuiltinSpec:
     nodes.append(_n("s2", Op.ADD, "s1", "m2"))
     nodes.append(_n("s3", Op.ADD, "s2", "m3"))
     nodes.append(_n("out", Op.OUTPUT, "s3"))
-    g = graph_of("conv2x2", ScalarType.INT16, nodes, inputs, ["out"])
+    g = DFGraph("conv2x2", ScalarType.INT16, nodes, inputs, ["out"])
     # 4 * 300 * 27 = 32400 < 32767: wrap-free
     ranges = [InputRange(50, 300)] * 4 + [InputRange(10, 27)] * 4
     return BuiltinSpec(graph=g, input_ranges=ranges)
@@ -175,7 +175,7 @@ def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
             acc = f"y_{s}"
 
     nodes.append(_n("out", Op.OUTPUT, acc))
-    g = graph_of(f"euler{order}", ScalarType.INT16, nodes, inputs, ["out"])
+    g = DFGraph(f"euler{order}", ScalarType.INT16, nodes, inputs, ["out"])
     # exact output: y0 + 16*330*c2 + 10*c0, well inside int16
     if order == 2:
         ranges = [
@@ -272,7 +272,7 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
         meta = {"order": order, "steps": steps, "h": 2, "grid": ts}
 
     nodes.append(_n("out", Op.OUTPUT, acc))
-    g = graph_of(f"rk{order}", ScalarType.INT16, nodes, inputs, ["out"])
+    g = DFGraph(f"rk{order}", ScalarType.INT16, nodes, inputs, ["out"])
     return BuiltinSpec(graph=g, input_ranges=ranges, meta=meta)
 
 
@@ -329,7 +329,7 @@ def _conv_layer(channels: int = 8, kernel: int = 3, size: int = 16, seed: int = 
             nodes.append(_n(f"o{y}_{x}", Op.OUTPUT, f"acc{y}_{x}"))
             outputs.append(f"o{y}_{x}")
 
-    g = graph_of("conv_layer", ScalarType.FLOAT64, nodes, inputs, outputs)
+    g = DFGraph("conv_layer", ScalarType.FLOAT64, nodes, inputs, outputs)
     return BuiltinSpec(
         graph=g,
         input_ranges=[InputRange(-1.0, 1.0)] * len(inputs),

@@ -120,9 +120,9 @@ class ModuleSet:
 
 
 def _require_residue_graph(graph: DFGraph) -> None:
-    for nid, t in graph.node_types().items():
-        if t is not ScalarType.INT16:
-            raise ValidationError(f"residue evaluation needs an all-integer graph; node '{nid}' is {t.value}")
+    first = next((p for p, code in enumerate(graph.plan.codes) if code & 1), None)  # the first float64 step
+    if first is not None:
+        raise ValidationError(f"residue evaluation needs an all-integer graph; node '{graph.plan.ids[first]}' is float64")
     if len(graph.outputs) != 1:
         raise ValidationError(f"residue evaluation needs exactly one output, got {len(graph.outputs)}")
 

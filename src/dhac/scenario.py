@@ -1,11 +1,11 @@
 """Dishonest-server simulation and detection campaigns.
 
-The simulated server plays a fixed strategy: the first `honest_warmup` jobs
-run accurately, jobs whose arithmetic census is below `small_job_threshold`
-run accurately, and every other job runs on the approximate backend with
-probability `dishonest_prob`. The per-job coin is drawn from a stream
-independent of the input stream, so the scalar server and the vectorized
-trial runners make identical decisions for the same seed.
+The simulated server plays a fixed strategy, `ServerStrategy.cheats`: the
+first `honest_warmup` jobs run accurately, jobs whose arithmetic census is
+below `small_job_threshold` run accurately, and every other job runs on the
+approximate backend with probability `dishonest_prob`. The scalar server and
+the vectorized campaign cells both apply that rule and burn one coin draw per
+job, each from its own substream, so they agree by rule, not draw for draw.
 
 Campaign reports aggregate per (program, backend) cell and serialize to a
 versioned CSV whose bytes depend only on the configuration and seed.
@@ -29,6 +29,7 @@ from .fbc import (
     SentinelKind,
     instrument_seeded,
     sentinel_distance,
+    sentinel_kind,
 )
 from .graph import DFGraph, ScalarType, Trace, op_census
 from .interp import evaluate, evaluate_batch
@@ -203,10 +204,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     if "fp_bits" in fbc:
         kw["fp_bits"] = tuple(_value(fbc["fp_bits"], list, "fp_bits", of=int))
     if "kinds" in fbc:
-        try:
-            kw["fbc_kinds"] = tuple(map(SentinelKind, _value(fbc["kinds"], list, "kinds", of=str)))
-        except ValueError as e:
-            raise ConfigError(f"unknown sentinel kind in config: {e}") from None
+        kinds = _value(fbc["kinds"], list, "kinds", of=str)
+        kw["fbc_kinds"] = tuple(sentinel_kind(k, "bad config value: 'kinds'", ConfigError) for k in kinds)
     if "n" in fbc:
         kw["fbc_n"] = _value(fbc["n"], int, "n")
     if "delta" in fbc:

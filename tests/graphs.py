@@ -1,6 +1,6 @@
 """Hand-built fixture graphs shared across test modules."""
 
-from dhac import DFNode, Op, ScalarType, graph_of
+from dhac import DFGraph, DFNode, Op, ScalarType
 
 
 def _n(nid, op, *operands, value=None, dtype=None):
@@ -16,7 +16,7 @@ def int_div_graph():
         _n("q", Op.DIV, "p", "y"),
         _n("out", Op.OUTPUT, "q"),
     ]
-    return graph_of("intdiv", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+    return DFGraph("intdiv", ScalarType.INT16, nodes, ["x", "y"], ["out"])
 
 
 def float_graph():
@@ -34,7 +34,7 @@ def float_graph():
         _n("m", Op.MUL, "sd", "v"),
         _n("out", Op.OUTPUT, "m"),
     ]
-    return graph_of("floaty", ScalarType.FLOAT64, nodes, ["u", "v"], ["out"])
+    return DFGraph("floaty", ScalarType.FLOAT64, nodes, ["u", "v"], ["out"])
 
 
 def mixed_graph():
@@ -60,7 +60,7 @@ def mixed_graph():
         _n("th", Op.ARCTAN, "fa"),
         _n("out", Op.OUTPUT, "th"),
     ]
-    return graph_of("mixed", ScalarType.FLOAT64, nodes, ["x0", "x1", "y0", "y1"], ["out"])
+    return DFGraph("mixed", ScalarType.FLOAT64, nodes, ["x0", "x1", "y0", "y1"], ["out"])
 
 
 def div_by_const_graph(c):
@@ -72,4 +72,4 @@ def div_by_const_graph(c):
         _n("q", Op.DIV, "p", "c"),
         _n("out", Op.OUTPUT, "q"),
     ]
-    return graph_of("divconst", ScalarType.INT16, nodes, ["x"], ["out"])
+    return DFGraph("divconst", ScalarType.INT16, nodes, ["x"], ["out"])

@@ -153,9 +153,10 @@ def eval_unbounded(graph, inputs):
     from dhac import Op
 
     in_vals = dict(zip(graph.inputs, [int(v) for v in inputs]))
+    node = {n.id: n for n in graph.nodes}
     vals: dict[str, int] = {}
-    for nid in graph.topo_order:
-        n = graph.node(nid)
+    for nid in kahn_order(graph):
+        n = node[nid]
         if n.op is Op.INPUT:
             vals[nid] = in_vals[nid]
         elif n.op is Op.CONST:
@@ -199,6 +200,16 @@ def kahn_order(graph) -> list[str]:
             if pending[c] == 0:
                 ready.append(c)
     return order
+
+
+def census(graph) -> dict[str, int]:
+    """Arithmetic node counts by a scan of the nodes, op by op; tan and arctan do not count."""
+    from dhac import Op
+
+    add_sub = sum(1 for n in graph.nodes if n.op in (Op.ADD, Op.SUB))
+    mul = sum(1 for n in graph.nodes if n.op is Op.MUL)
+    div = sum(1 for n in graph.nodes if n.op is Op.DIV)
+    return {"add_sub": add_sub, "mul": mul, "div": div, "total": add_sub + mul + div}
 
 
 def mod_inverse(x: int, m: int) -> int:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles as O
 from dhac import ArithBackend, ConfigError, ErrorStats, EvalError, IntUnitModel, StatsError
 from dhac import DFNode, Op, ScalarType, backend_from_dict, error_stats, evaluate, evaluate_batch
-from dhac import graph_of, trunc_mantissa
+from dhac import DFGraph, trunc_mantissa
 from dhac.approx import _mitchell, add16_batch, mul16_batch, trunc_mantissa_batch
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -313,7 +313,7 @@ def _float_op_graph(op: Op, unary: bool = False):
     ins = ["u"] if unary else ["u", "v"]
     nodes = [DFNode(id=i, op=Op.INPUT) for i in ins]
     nodes += [DFNode(id="r", op=op, operands=tuple(ins)), DFNode(id="out", op=Op.OUTPUT, operands=("r",))]
-    return graph_of(f"fp_{op.value}", ScalarType.FLOAT64, nodes, ins, ["out"])
+    return DFGraph(f"fp_{op.value}", ScalarType.FLOAT64, nodes, ins, ["out"])
 
 
 class TestFpOp:

@@ -128,6 +128,12 @@ class TestRun:
         assert main(["run", "--program", prog, "--inputs", conv_inputs]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {prog}: invalid JSON at line 1 column 25: Expecting value\n"
+
+    def test_invalid_json_inputs(self, tmp_path, capsys):
+        ins = _json_file(tmp_path, "i.json", "[1, 2,\n 3 4]")
+        assert main(["run", "--program", "conv2x2", "--inputs", ins]) == 1
+        assert capsys.readouterr().err == f"error: {ins}: invalid JSON at line 2 column 4: Expecting ',' delimiter\n"
 
     def test_bad_inputs_shape(self, tmp_path, capsys):
         ins = _json_file(tmp_path, "i.json", {"x": 1})
@@ -517,8 +523,12 @@ class TestEntryPoint:
             (["rcc", "--program", "conv2x2", "--claimed", "110", "--moduli", "3,x"], "--moduli: 'x' is not an integer"),
             (["run", "--program", "conv2x2", "--adder", "loa:x"], "--adder: 'x' is not an integer"),
             (["run", "--program", "conv2x2", "--multiplier", "trunc_mul:x"], "--multiplier: 'x' is not an integer"),
+            (
+                ["fbc-instrument", "--program", "conv_layer", "--kinds", "add,foo", "--out", "o.json"],
+                "--kinds: unknown sentinel kind 'foo' (choose from add, mul, tan)",
+            ),
         ],
-        ids=["bench-seed", "fbc-instrument-seed", "rcc-moduli", "run-adder", "run-multiplier"],
+        ids=["bench-seed", "fbc-instrument-seed", "rcc-moduli", "run-adder", "run-multiplier", "fbc-instrument-kinds"],
     )
     def test_bad_flag_value_is_one_line(self, argv, msg, conv_inputs, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

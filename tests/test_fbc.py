@@ -9,6 +9,7 @@ import pytest
 import oracles as O
 from dhac import (
     ArithBackend,
+    DFGraph,
     DFNode,
     InstrumentedGraph,
     Judgement,
@@ -24,7 +25,6 @@ from dhac import (
     builtin_spec,
     draw_inputs,
     evaluate,
-    graph_of,
     instrument,
     judge,
     make_sentinel,
@@ -55,7 +55,7 @@ def _sentinel(kind, site="m", seed=7, **kw):
 def _roundtrip(s, x, fp_bits=0):
     """(restored, distance) of s's detour grafted onto a graph whose one input is its site."""
     nodes = [DFNode(id=s.site, op=Op.INPUT), DFNode(id="out", op=Op.OUTPUT, operands=(s.site,))]
-    ins = instrument(graph_of("one", ScalarType.FLOAT64, nodes, [s.site], ["out"]), [s])
+    ins = instrument(DFGraph("one", ScalarType.FLOAT64, nodes, [s.site], ["out"]), [s])
     backend = ArithBackend(fp_bits=fp_bits) if fp_bits else ACC
     trace = evaluate(ins.graph, [x], backend)
     placed = ins.sentinels[0]
@@ -240,7 +240,7 @@ class TestInstrument:
             DFNode(id="a__fbc0_in", op=Op.EXPORT, operands=("a",)),
             DFNode(id="out", op=Op.OUTPUT, operands=("a",)),
         ]
-        g = graph_of("clash", ScalarType.FLOAT64, nodes, ["u"], ["out"])
+        g = DFGraph("clash", ScalarType.FLOAT64, nodes, ["u"], ["out"])
         with pytest.raises(SiteError, match="collision"):
             instrument(g, [_sentinel("add", site="a")])
 

@@ -15,7 +15,6 @@ from dhac import (
     ValidationError,
     SentinelKind,
     builtin_program,
-    graph_of,
     op_census,
     parse_program,
     program_to_dict,
@@ -24,7 +23,8 @@ from dhac import (
 from dhac.cli import main
 from dhac.fbc import instrument_seeded
 from dhac.graph import parse_program_dict
-from dhac.programs import INTEGER_SHORTHANDS
+from dhac.programs import BUILTIN_NAMES, INTEGER_SHORTHANDS
+from graphs import float_graph, mixed_graph
 
 
 def n(nid, op, *operands, value=None, dtype=None):
@@ -40,19 +40,18 @@ def tiny_int_graph():
         n("s", Op.ADD, "m", "y"),
         n("out", Op.OUTPUT, "s"),
     ]
-    return graph_of("tiny", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+    return DFGraph("tiny", ScalarType.INT16, nodes, ["x", "y"], ["out"])
 
 
 class TestValidation:
     def test_valid_graph_has_caches(self):
         g = tiny_int_graph()
-        assert g.node("m").op is Op.MUL
-        assert [g.node(n.id) for n in g.nodes] == g.nodes
-        assert g.node_type("m") is ScalarType.INT16
+        assert {n.id: n for n in g.nodes}["m"].op is Op.MUL
+        assert g.node_types()["m"] is ScalarType.INT16
 
     def test_topo_order_respects_edges(self):
         g = builtin_program("rk3")
-        pos = {nid: i for i, nid in enumerate(g.topo_order)}
+        pos = {nid: i for i, nid in enumerate(g.plan.ids)}
         assert len(pos) == len(g.nodes)
         for node in g.nodes:
             for op_id in node.operands:
@@ -61,42 +60,42 @@ class TestValidation:
     def test_duplicate_id(self):
         nodes = [n("x", Op.INPUT), n("x", Op.INPUT), n("out", Op.OUTPUT, "x")]
         with pytest.raises(ValidationError, match="duplicate node id"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_unknown_operand(self):
         nodes = [n("x", Op.INPUT), n("out", Op.OUTPUT, "ghost")]
         with pytest.raises(ValidationError, match="unknown operand"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_bad_arity(self):
         nodes = [n("x", Op.INPUT), n("a", Op.ADD, "x"), n("out", Op.OUTPUT, "a")]
         with pytest.raises(ValidationError, match="takes 2 operands"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_const_needs_value(self):
         nodes = [n("x", Op.INPUT), n("c", Op.CONST), n("s", Op.ADD, "x", "c"), n("out", Op.OUTPUT, "s")]
         with pytest.raises(ValidationError, match="no value"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_only_consts_carry_values(self):
         nodes = [n("x", Op.INPUT, value=5), n("out", Op.OUTPUT, "x")]
         with pytest.raises(ValidationError, match="only const nodes"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_no_inputs_rejected(self):
         nodes = [n("c", Op.CONST, value=1), n("out", Op.OUTPUT, "c")]
         with pytest.raises(ValidationError, match="no input nodes"):
-            graph_of("g", ScalarType.INT16, nodes, [], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, [], ["out"])
 
     def test_no_outputs_rejected(self):
         nodes = [n("x", Op.INPUT)]
         with pytest.raises(ValidationError, match="no output nodes"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], [])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], [])
 
     def test_inputs_list_must_match_input_nodes(self):
         nodes = [n("x", Op.INPUT), n("y", Op.INPUT), n("s", Op.ADD, "x", "y"), n("out", Op.OUTPUT, "s")]
         with pytest.raises(ValidationError, match="'inputs'"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_cycle_detected(self):
         nodes = [
@@ -106,12 +105,12 @@ class TestValidation:
             n("out", Op.OUTPUT, "b"),
         ]
         with pytest.raises(ValidationError, match="cycle"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_tan_is_float_only(self):
         nodes = [n("x", Op.INPUT), n("t", Op.TAN, "x"), n("out", Op.OUTPUT, "t")]
         with pytest.raises(ValidationError, match="float64-only"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_widening_edge_allowed(self):
         nodes = [
@@ -120,9 +119,9 @@ class TestValidation:
             n("m", Op.MUL, "x", "w"),
             n("out", Op.OUTPUT, "m"),
         ]
-        g = graph_of("g", ScalarType.FLOAT64, nodes, ["x"], ["out"])
-        assert g.node_type("x") is ScalarType.INT16
-        assert g.node_type("m") is ScalarType.FLOAT64
+        g = DFGraph("g", ScalarType.FLOAT64, nodes, ["x"], ["out"])
+        assert g.node_types()["x"] is ScalarType.INT16
+        assert g.node_types()["m"] is ScalarType.FLOAT64
 
     def test_narrowing_edge_rejected(self):
         nodes = [
@@ -132,7 +131,7 @@ class TestValidation:
             n("out", Op.OUTPUT, "m"),
         ]
         with pytest.raises(ValidationError, match="cannot consume"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_passthrough_type_declaration_checked(self):
         nodes = [
@@ -140,29 +139,29 @@ class TestValidation:
             n("out", Op.OUTPUT, "x", dtype=ScalarType.FLOAT64),
         ]
         with pytest.raises(ValidationError, match="declared type"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_int_const_range(self):
         for bad in (40000, -40000):
             nodes = [n("x", Op.INPUT), n("c", Op.CONST, value=bad), n("s", Op.ADD, "x", "c"), n("out", Op.OUTPUT, "s")]
             with pytest.raises(ValidationError, match="outside int16"):
-                graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+                DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_int_const_must_be_integer(self):
         nodes = [n("x", Op.INPUT), n("c", Op.CONST, value=1.5), n("s", Op.ADD, "x", "c"), n("out", Op.OUTPUT, "s")]
         with pytest.raises(ValidationError, match="must be an integer"):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_bool_const_rejected(self):
         nodes = [n("x", Op.INPUT), n("c", Op.CONST, value=True), n("s", Op.ADD, "x", "c"), n("out", Op.OUTPUT, "s")]
         with pytest.raises(ValidationError):
-            graph_of("g", ScalarType.INT16, nodes, ["x"], ["out"])
+            DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_nonfinite_float_const_rejected(self):
         for bad in (float("nan"), float("inf"), 10**400):  # JSON may spell an int no float holds
             nodes = [n("x", Op.INPUT), n("c", Op.CONST, value=bad), n("s", Op.ADD, "x", "c"), n("out", Op.OUTPUT, "s")]
             with pytest.raises(ValidationError, match="non-finite"):
-                graph_of("g", ScalarType.FLOAT64, nodes, ["x"], ["out"])
+                DFGraph("g", ScalarType.FLOAT64, nodes, ["x"], ["out"])
 
 
 class TestFileFormat:
@@ -186,10 +185,10 @@ class TestFileFormat:
             n("m", Op.MUL, "x", "w"),
             n("out", Op.OUTPUT, "m"),
         ]
-        g = graph_of("mix", ScalarType.FLOAT64, nodes, ["x"], ["out"])
+        g = DFGraph("mix", ScalarType.FLOAT64, nodes, ["x"], ["out"])
         g2 = parse_program(serialize_program(g))
-        assert g2.node_type("x") is ScalarType.INT16
-        assert g2.node_type("m") is ScalarType.FLOAT64
+        assert g2.node_types()["x"] is ScalarType.INT16
+        assert g2.node_types()["m"] is ScalarType.FLOAT64
 
     def test_bad_json_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -278,7 +277,7 @@ class TestCensus:
             n("q", Op.DIV, "d", "y"),
             n("out", Op.OUTPUT, "q"),
         ]
-        g = graph_of("g", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+        g = DFGraph("g", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         assert op_census(g) == {"add_sub": 1, "mul": 0, "div": 1, "total": 2}
 
 
@@ -302,16 +301,31 @@ def named_graph(label: str):
     return g
 
 
+class TestCensusReadsThePlan:
+    @pytest.mark.parametrize("label", [*sorted(BUILTIN_NAMES), "conv_layer+fbc", "conv_layer-small+fbc"])
+    def test_matches_node_scan(self, label):
+        g = named_graph(label)
+        assert op_census(g) == O.census(g)
+
+    def test_widening_ops_count(self):
+        g = mixed_graph()
+        assert op_census(g) == O.census(g) == {"add_sub": 3, "mul": 3, "div": 0, "total": 6}
+
+    def test_tan_and_arctan_do_not_count(self):
+        g = float_graph()
+        assert op_census(g) == O.census(g) == {"add_sub": 2, "mul": 1, "div": 1, "total": 4}
+
+
 class TestTopologicalOrder:
     @pytest.mark.parametrize("label", GRAPHS)
     def test_topo_order_is_kahns(self, label):
         g = named_graph(label)
-        assert list(g.topo_order) == O.kahn_order(g)
+        assert list(g.plan.ids) == O.kahn_order(g)
 
     @pytest.mark.parametrize("label", GRAPHS)
     def test_node_types_iterate_in_topo_order(self, label):
         g = named_graph(label)
-        assert list(g.node_types()) == list(g.topo_order)
+        assert list(g.node_types()) == list(g.plan.ids)
 
     def test_kahn_order_is_not_file_order(self):
         # x's consumers are visited in file order, so t1 is ready before t2
@@ -323,8 +337,8 @@ class TestTopologicalOrder:
             n("o2", Op.OUTPUT, "t2"),
             n("o1", Op.OUTPUT, "t1"),
         ]
-        g = graph_of("g", ScalarType.INT16, nodes, ["x"], ["o1", "o2"])
-        assert list(g.topo_order) == ["x", "s", "t1", "t2", "o1", "o2"] == O.kahn_order(g)
+        g = DFGraph("g", ScalarType.INT16, nodes, ["x"], ["o1", "o2"])
+        assert list(g.plan.ids) == ["x", "s", "t1", "t2", "o1", "o2"] == O.kahn_order(g)
 
     def test_run_export_keys_follow_topo_order(self, tmp_path, capsys):
         prog = tmp_path / "conv.json"
@@ -335,13 +349,14 @@ class TestTopologicalOrder:
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps([0.25] * len(graph.inputs)))
         assert main(["run", "--program", str(ins), "--inputs", str(inputs), "--out", str(trace)]) == 0
-        exports = [nid for nid in O.kahn_order(graph) if graph.node(nid).op is Op.EXPORT]
+        node = {n.id: n for n in graph.nodes}
+        exports = [nid for nid in O.kahn_order(graph) if node[nid].op is Op.EXPORT]
         assert len(exports) == 6
         assert list(json.loads(trace.read_text())["exports"]) == exports
 
 
 def _faulty(*nodes, dtype=ScalarType.INT16, inputs=("x",), outputs=("out",)):
-    return lambda: graph_of("g", dtype, list(nodes), list(inputs), list(outputs))
+    return lambda: DFGraph("g", dtype, list(nodes), list(inputs), list(outputs))
 
 
 class TestValidationPrecedence:

@@ -6,6 +6,7 @@ import pytest
 import oracles as O
 from dhac import (
     ArithBackend,
+    DFGraph,
     DFNode,
     EvalError,
     InputError,
@@ -16,7 +17,6 @@ from dhac import (
     draw_inputs,
     evaluate,
     evaluate_batch,
-    graph_of,
 )
 from dhac.rng import substream
 from dhac.scenario import ProgramEntry, ScenarioConfig, build_instrumented, default_combos
@@ -35,12 +35,12 @@ def _n(nid, op, *operands, value=None, dtype=None):
 
 def add_graph():
     nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("s", Op.ADD, "x", "y"), _n("out", Op.OUTPUT, "s")]
-    return graph_of("addg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+    return DFGraph("addg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
 
 
 def sub_graph():
     nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("s", Op.SUB, "x", "y"), _n("out", Op.OUTPUT, "s")]
-    return graph_of("subg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+    return DFGraph("subg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
 
 
 class TestScalarSemantics:
@@ -80,7 +80,7 @@ class TestScalarSemantics:
 
     def test_approx_multiplier_applied(self):
         nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("p", Op.MUL, "x", "y"), _n("out", Op.OUTPUT, "p")]
-        g = graph_of("mulg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+        g = DFGraph("mulg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         m = IntUnitModel("log_approx")
         be = ArithBackend(multiplier=m)
         assert evaluate(g, [5, 10], be).outputs[0] == 48
@@ -104,7 +104,7 @@ class TestScalarSemantics:
 
     def test_inexact_div(self):
         nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("q", Op.DIV, "x", "y"), _n("out", Op.OUTPUT, "q")]
-        g = graph_of("divg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+        g = DFGraph("divg", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         assert evaluate(g, [42, 7], ACC).outputs[0] == 6
         with pytest.raises(EvalError, match="inexact-div"):
             evaluate(g, [7, 2], ACC)
@@ -125,7 +125,7 @@ class TestScalarSemantics:
 
     def test_nonfinite_result_rejected(self):
         nodes = [_n("u", Op.INPUT), _n("p", Op.MUL, "u", "u"), _n("out", Op.OUTPUT, "p")]
-        g = graph_of("ovf", ScalarType.FLOAT64, nodes, ["u"], ["out"])
+        g = DFGraph("ovf", ScalarType.FLOAT64, nodes, ["u"], ["out"])
         with pytest.raises(EvalError, match="non-finite"):
             evaluate(g, [1e200], ACC)
 
@@ -138,7 +138,7 @@ class TestScalarSemantics:
 
     def test_int_const_in_float_graph_coerced(self):
         nodes = [_n("u", Op.INPUT), _n("c", Op.CONST, value=2), _n("m", Op.MUL, "u", "c"), _n("out", Op.OUTPUT, "m")]
-        g = graph_of("coerce", ScalarType.FLOAT64, nodes, ["u"], ["out"])
+        g = DFGraph("coerce", ScalarType.FLOAT64, nodes, ["u"], ["out"])
         r = evaluate(g, [1.5], ACC).outputs[0]
         assert isinstance(r, float) and r == 3.0
 
@@ -151,12 +151,10 @@ class TestScalarSemantics:
             _n("o1", Op.OUTPUT, "s"),
             _n("o2", Op.OUTPUT, "d"),
         ]
-        g = graph_of("two", ScalarType.INT16, nodes, ["x", "y"], ["o1", "o2"])
+        g = DFGraph("two", ScalarType.INT16, nodes, ["x", "y"], ["o1", "o2"])
         assert evaluate(g, [7, 2], ACC).outputs == (9, 5)
 
     def test_validates_lazily(self):
-        from dhac import DFGraph
-
         g = DFGraph("lazy", ScalarType.INT16, add_graph().nodes, ["x", "y"], ["out"])
         assert evaluate(g, [1, 2], ACC).outputs[0] == 3
 
@@ -176,13 +174,13 @@ def int_export_graph():
         _n("o1", Op.OUTPUT, "q"),
         _n("o2", Op.OUTPUT, "s"),
     ]
-    return graph_of("intex", ScalarType.INT16, nodes, ["x", "y"], ["o1", "o2"])
+    return DFGraph("intex", ScalarType.INT16, nodes, ["x", "y"], ["o1", "o2"])
 
 
 def mixed_export_graph():
     g = mixed_graph()
     nodes = [*g.nodes, _n("qx", Op.EXPORT, "q", dtype=ScalarType.INT16), _n("fx", Op.EXPORT, "fa")]
-    return graph_of("mixedex", g.dtype, nodes, g.inputs, g.outputs)
+    return DFGraph("mixedex", g.dtype, nodes, g.inputs, g.outputs)
 
 
 class TestPythonScalars:
@@ -207,7 +205,7 @@ class TestPythonScalars:
         assert tr.exports
         values = {**dict(zip(g.outputs, tr.outputs)), **tr.exports}
         for nid, v in values.items():
-            assert type(v) is (int if g.node_type(nid) is ScalarType.INT16 else float), nid
+            assert type(v) is (int if g.node_types()[nid] is ScalarType.INT16 else float), nid
 
 
 class TestInputChecks:
@@ -319,7 +317,7 @@ class TestBatchParity:
             _n("out", Op.OUTPUT, "s"),
             _n("out2", Op.OUTPUT, "at"),
         ]
-        g = graph_of("trigc", ScalarType.FLOAT64, nodes, ["u"], ["out", "out2"])
+        g = DFGraph("trigc", ScalarType.FLOAT64, nodes, ["u"], ["out", "out2"])
         batch = evaluate_batch(g, [np.array([1.0, 2.0])], ACC)
         for i, u in enumerate([1.0, 2.0]):
             tr = evaluate(g, [u], ACC)
@@ -348,13 +346,13 @@ class TestBatchParity:
 
     def test_batch_inexact_div(self):
         nodes = [_n("x", Op.INPUT), _n("y", Op.INPUT), _n("q", Op.DIV, "x", "y"), _n("out", Op.OUTPUT, "q")]
-        g = graph_of("divg2", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+        g = DFGraph("divg2", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         with pytest.raises(EvalError, match="inexact-div"):
             evaluate_batch(g, [np.array([6, 7]), np.array([3, 2])], ACC)
 
     def test_batch_nonfinite(self):
         nodes = [_n("u", Op.INPUT), _n("p", Op.MUL, "u", "u"), _n("out", Op.OUTPUT, "p")]
-        g = graph_of("ovf2", ScalarType.FLOAT64, nodes, ["u"], ["out"])
+        g = DFGraph("ovf2", ScalarType.FLOAT64, nodes, ["u"], ["out"])
         with pytest.raises(EvalError, match="non-finite"):
             evaluate_batch(g, [np.array([1.0, 1e200])], ACC)
 
@@ -399,14 +397,14 @@ def two_zero_divisors_graph(dtype):
         _n("o2", Op.OUTPUT, "d2"),
         _n("o1", Op.OUTPUT, "d1"),
     ]
-    return graph_of("twodiv", dtype, nodes, ["x"], ["o1", "o2"])
+    return DFGraph("twodiv", dtype, nodes, ["x"], ["o1", "o2"])
 
 
 class TestErrorNamesTopologicallyFirst:
     @pytest.mark.parametrize("dtype", [ScalarType.INT16, ScalarType.FLOAT64], ids=lambda t: t.value)
     def test_two_zero_divisors(self, dtype):
         g = two_zero_divisors_graph(dtype)
-        assert g.topo_order.index("d1") < g.topo_order.index("d2")
+        assert g.plan.ids.index("d1") < g.plan.ids.index("d2")
         x = 3 if dtype is ScalarType.INT16 else 3.0
         with pytest.raises(EvalError) as e:
             evaluate(g, [x], ACC)

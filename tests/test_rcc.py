@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles as O
 from dhac import (
     ArithBackend,
+    DFGraph,
     DFNode,
     InputError,
     Judgement,
@@ -26,7 +27,6 @@ from dhac import (
     evaluate,
     evaluate_batch,
     evaluate_mod,
-    graph_of,
     rcc_check,
     ring_add,
     ring_div,
@@ -173,7 +173,7 @@ class TestEvaluateMod:
             _n("o1", Op.OUTPUT, "a"),
             _n("o2", Op.OUTPUT, "x"),
         ]
-        g = graph_of("two", ScalarType.INT16, nodes, ["x"], ["o1", "o2"])
+        g = DFGraph("two", ScalarType.INT16, nodes, ["x"], ["o1", "o2"])
         with pytest.raises(ValidationError, match="exactly one output"):
             evaluate_mod(g, [1], 7)
 
@@ -195,6 +195,23 @@ class TestEvaluateMod:
 
 
 class TestRccCheck:
+    def test_names_first_float_node_in_kahn_order(self):
+        # file order reaches the float mul 'm' before the float const 'w' it reads; Kahn order reaches 'w' first
+        nodes = [
+            _n("x", Op.INPUT, dtype=ScalarType.INT16),
+            _n("m", Op.MUL, "x", "w"),
+            _n("w", Op.CONST, value=0.5),
+            _n("out", Op.OUTPUT, "m"),
+        ]
+        late = DFGraph("late", ScalarType.FLOAT64, nodes, ["x"], ["out"])
+        for g in (mixed_graph(), late):
+            declared = {n.id: n.dtype or g.dtype for n in g.nodes}  # neither graph has an int16 output
+            first = next(nid for nid in O.kahn_order(g) if declared[nid] is ScalarType.FLOAT64)
+            assert first == "w"
+            msg = f"^residue evaluation needs an all-integer graph; node '{first}' is float64$"
+            with pytest.raises(ValidationError, match=msg):
+                rcc_check(g, [1] * len(g.inputs), 0)
+
     def _honest(self, name="fir", seed=3):
         spec = builtin_spec(name)
         ins = draw_inputs(spec, substream(seed, "rcc-test", name))
@@ -301,7 +318,7 @@ class TestResiduesBatch:
             _n("f", Op.SUB, "c", "e"),
             _n("out", Op.OUTPUT, "f"),
         ]
-        g = graph_of("sub", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+        g = DFGraph("sub", ScalarType.INT16, nodes, ["x", "y"], ["out"])
         xs, ys = substream(14, "batch-oracle", "sub").integers(-32768, 32768, size=(2, 256))
         moduli = (3, 5, 7, 65521, 4294967311)
         got = residues_batch(g, [xs, ys], moduli)
@@ -444,7 +461,7 @@ class TestResiduesBatch:
             prev = f"v{i}"
         nodes.append(_n("out", Op.OUTPUT, prev))
         assert len(steps) == 40
-        return graph_of("chain", ScalarType.INT16, nodes, ["x", "y"], ["out"])
+        return DFGraph("chain", ScalarType.INT16, nodes, ["x", "y"], ["out"])
 
     @staticmethod
     def _edge_inputs():
@@ -470,7 +487,7 @@ class TestResiduesBatch:
             _n("c", Op.CONST, value=5),
             _n("out", Op.OUTPUT, "c"),
         ]
-        g = graph_of("constout", ScalarType.INT16, nodes, ["x"], ["out"])
+        g = DFGraph("constout", ScalarType.INT16, nodes, ["x"], ["out"])
         got = residues_batch(g, [np.array([1, 2, 3])], 3)
         assert got.tolist() == [2, 2, 2]
 
@@ -496,6 +513,6 @@ class TestKnownFalsePositives:
             _n("q", Op.DIV, "p", "c"),
             _n("out", Op.OUTPUT, "q"),
         ]
-        g = graph_of("abc", ScalarType.INT16, nodes, ["a", "b", "c"], ["out"])
+        g = DFGraph("abc", ScalarType.INT16, nodes, ["a", "b", "c"], ["out"])
         claimed = evaluate(g, [300, 300, 2], ACC).outputs[0]
         assert not rcc_check(g, [300, 300, 2], claimed).positive
