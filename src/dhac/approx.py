@@ -112,7 +112,8 @@ class ArithBackend:
 
 
 # ---------------------------------------------------------------------------
-# 16-bit integer units: one definition, on Python ints and int64 lanes alike
+# 16-bit integer units: one definition for Python ints and int64 lanes. A
+# result's low 16 bits depend only on its operands' low 16 bits: wrap16 masks.
 
 
 def wrap16(x):
@@ -125,8 +126,6 @@ def add16_batch(model: IntUnitModel, a, b):
 
     a and b are Python ints or int64 lanes; the result has the same form.
     """
-    a = a & _MASK16
-    b = b & _MASK16
     k = model.param
     if model.is_exact:
         u = a + b
@@ -148,11 +147,9 @@ def mul16_batch(model: IntUnitModel, a, b):
 
     a and b are Python ints or int64 lanes; the result has the same form.
     """
-    a = a & _MASK16
-    b = b & _MASK16
     k = model.param
-    if model.kind == "log_approx":
-        u = _mitchell(a, b)
+    if model.kind == "log_approx":  # the one unit that reads whole 16-bit patterns
+        u = _mitchell(a & _MASK16, b & _MASK16)
     elif model.is_exact:
         u = a * b
     elif model.kind == "trunc_mul":

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
-from .errors import ConfigError, DhacError, InputError, typed
+from .errors import ConfigError, DhacError, InputError, ParseError, typed
 from .fbc import DEFAULT_DELTA, DEFAULT_STEPS, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
 from .fbc import sentinel_kind, sentinels_from_dict
 from .graph import DFGraph, Judgement, Trace, json_document, parse_program_dict
@@ -47,8 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        return json_document(f.read(), path)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json_document(f.read(), path)
+    except UnicodeDecodeError as e:  # one read decodes the whole file, so e.start is a file offset
+        raise ParseError(f"{path}: not UTF-8 text (bad byte at offset {e.start})") from None
 
 
 def _load_program(value: str) -> DFGraph:
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DhacError, OSError, ValueError) as e:  # a ValueError such as a file that is not UTF-8
+    except (DhacError, OSError, ValueError) as e:  # ValueError: a bad value no check above turned into a DhacError
         # one line, even where the message quotes a document's own text
         print("error: " + str(e).replace("\n", "\\n"), file=sys.stderr)
         return _EXIT_ERROR

@@ -74,6 +74,12 @@ def sentinel_kind(value: str, name: str, error: type[DhacError]) -> SentinelKind
         raise error(f"{name}: unknown sentinel kind {value!r} (choose from {', '.join(k.value for k in SentinelKind)})") from None
 
 
+def check_delta(delta: float, error: type[DhacError]) -> None:
+    """The one threshold rule: `error` unless delta is positive and finite (an infinite one never fires)."""
+    if not 0.0 < delta < math.inf:  # also rejects nan
+        raise error(f"delta must be positive and finite, got {delta!r}")
+
+
 @dataclass(frozen=True)
 class Sentinel:
     kind: SentinelKind
@@ -97,8 +103,7 @@ class Sentinel:
                 not 0.0 < r < 1.0 for r in self.operands
             ):
                 raise ValidationError("mul sentinel operands must lie in (0, 1)")
-        if not 0.0 < self.delta < math.inf:  # an infinite delta never fires
-            raise ValidationError(f"delta must be positive and finite, got {self.delta!r}")
+        check_delta(self.delta, ValidationError)
 
 
 def make_sentinel(
@@ -117,20 +122,13 @@ def make_sentinel(
     return Sentinel(kind=kind, site=site, n=n, operands=ops, delta=delta)
 
 
-def forward_steps(s: Sentinel) -> list[tuple[Op, float | None]]:
-    if s.kind is SentinelKind.ADDITION:
-        return [(Op.ADD, r) for r in s.operands]
-    if s.kind is SentinelKind.MULTIPLICATION:
-        return [(Op.MUL, r) for r in s.operands]
-    return [(Op.ARCTAN, None)]
-
-
-def backward_steps(s: Sentinel) -> list[tuple[Op, float | None]]:
-    if s.kind is SentinelKind.ADDITION:
-        return [(Op.SUB, r) for r in reversed(s.operands)]
-    if s.kind is SentinelKind.MULTIPLICATION:
-        return [(Op.DIV, r) for r in reversed(s.operands)]
-    return [(Op.TAN, None)]
+def detour_steps(s: Sentinel) -> list[tuple[Op, int | None]]:
+    """The detour's steps in order, each as (op, index of its operand in s.operands, or None)."""
+    if s.kind is SentinelKind.TAN_ARCTAN:
+        return [(Op.ARCTAN, None), (Op.TAN, None)]
+    forward, backward = (Op.ADD, Op.SUB) if s.kind is SentinelKind.ADDITION else (Op.MUL, Op.DIV)
+    idx = range(len(s.operands))
+    return [(forward, j) for j in idx] + [(backward, j) for j in reversed(idx)]
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def instrument(graph: DFGraph, sentinels) -> InstrumentedGraph:
         pre = f"{s.site}__fbc{i}"
         entry, exit_ = f"{pre}_in", f"{pre}_out"
         new_ids = [entry, exit_]
-        steps = forward_steps(s) + backward_steps(s)
+        steps = detour_steps(s)
         step_ids = [f"{pre}_s{j}" for j in range(len(steps))]
         const_ids = [f"{pre}_r{j}" for j in range(len(s.operands))]
         new_ids += step_ids + const_ids
@@ -176,12 +174,7 @@ def instrument(graph: DFGraph, sentinels) -> InstrumentedGraph:
         nodes.append(DFNode(id=entry, op=Op.EXPORT, operands=(s.site,), dtype=ScalarType.FLOAT64))
         prev = entry
         for j, (op, r) in enumerate(steps):
-            if r is None:
-                operands = (prev,)
-            else:
-                # operand j of the forward pass is reused by backward step n-1-j
-                ridx = j if j < len(s.operands) else 2 * len(s.operands) - 1 - j
-                operands = (prev, const_ids[ridx])
+            operands = (prev,) if r is None else (prev, const_ids[r])
             nodes.append(DFNode(id=step_ids[j], op=op, operands=operands, dtype=ScalarType.FLOAT64))
             prev = step_ids[j]
         nodes.append(DFNode(id=exit_, op=Op.EXPORT, operands=(prev,), dtype=ScalarType.FLOAT64))

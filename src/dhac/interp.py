@@ -3,8 +3,8 @@
 `evaluate` runs one input vector on Python scalars and `evaluate_batch` runs
 n vectors at once on numpy lanes. Both are the same topological walk over
 the same unit definitions; only a handful of primitives differ by form.
-`rcc.residues_batch` runs that walk too, with Z_m in place of the int16
-units.
+`rcc._residues` runs that walk too, with Z_m in place of the int16 units.
+Every walk's inputs are checked by `_inputs`.
 Tan/Arctan lanes go through math.tan / math.atan elementwise on purpose:
 numpy's vectorized transcendentals may differ from libm in the last ulp, so
 the two forms stay bit-identical.
@@ -121,11 +121,7 @@ def _int16_units(backend: ArithBackend, any_true) -> tuple:
 
 
 def _check_scalar_input(x, t: ScalarType, where: str):
-    """x as a Python int or float of type t, or InputError naming `where`.
-
-    The one rule for n=1 values: `evaluate`, `rcc_check` and `evaluate_mod`
-    all apply it.
-    """
+    """x as a Python int or float of type t, or InputError naming `where`: the rule for n=1 values."""
     if t is ScalarType.INT16:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
             raise InputError(f"{where}: expected an integer, got {type(x).__name__}")
@@ -137,18 +133,6 @@ def _check_scalar_input(x, t: ScalarType, where: str):
     if not abs(x) <= sys.float_info.max:  # nan, inf, or an int no float holds
         raise InputError(f"{where}: non-finite value")
     return float(x)
-
-
-def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBackend) -> Trace:
-    """Run one input vector through the graph; returns outputs and export taps.
-
-    Every value in the trace is a Python int or float.
-    """
-    if len(inputs) != len(graph.inputs):
-        raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    xs = [_check_scalar_input(x, t, f"input {pos}") for pos, (x, t) in enumerate(zip(inputs, graph.plan.inputs))]
-    outputs, exports = _walk(graph, xs, _int16_units(backend, bool), backend.fp_bits, lanes=False)
-    return Trace(outputs=tuple(outputs), exports=exports)
 
 
 def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.ndarray:
@@ -168,21 +152,35 @@ def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.n
     return out
 
 
-def _batch_columns(graph: DFGraph, inputs) -> tuple[int, list[np.ndarray]]:
-    """The lane count n and each input column checked against its node's type.
+def _inputs(graph: DFGraph, inputs, lanes: bool) -> tuple[int, list]:
+    """The lane count n and `inputs` checked against the graph's input types.
 
-    Every column must be 1-d with the first column's length (InputError).
+    The one input check of every walk (InputError): each value by the scalar
+    rule (n = 1), or with `lanes` each column by the batch rule.
     """
+    if len(inputs) != len(graph.inputs):
+        raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
+    types = graph.plan.inputs
+    if not lanes:
+        return 1, [_check_scalar_input(x, t, f"input {pos}") for pos, (x, t) in enumerate(zip(inputs, types))]
     cols = [np.asarray(c) for c in inputs]
     n = cols[0].shape[0] if cols and cols[0].ndim else 0
-    return n, [_check_batch_input(col, t, pos, n) for pos, (col, t) in enumerate(zip(cols, graph.plan.inputs))]
+    return n, [_check_batch_input(col, t, pos, n) for pos, (col, t) in enumerate(zip(cols, types))]
+
+
+def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBackend) -> Trace:
+    """Run one input vector through the graph; returns outputs and export taps.
+
+    Every value in the trace is a Python int or float.
+    """
+    _, xs = _inputs(graph, inputs, lanes=False)
+    outputs, exports = _walk(graph, xs, _int16_units(backend, bool), backend.fp_bits, lanes=False)
+    return Trace(outputs=tuple(outputs), exports=exports)
 
 
 def evaluate_batch(graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithBackend) -> Trace:
     """Evaluate n trials at once; outputs/exports are length-n arrays."""
-    if len(inputs) != len(graph.inputs):
-        raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    n, xs = _batch_columns(graph, inputs)
+    n, xs = _inputs(graph, inputs, lanes=True)
     # lane overflow surfaces as the walk's non-finite EvalError, not a
     # warning; Python floats never warn, so the scalar walk skips this
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModulusError, NoInverseError, ValidationError
+from .errors import ModulusError, NoInverseError, ValidationError
 from .graph import DFGraph, Judgement, ScalarType
-from .interp import _batch_columns, _check_scalar_input, _walk
+from .interp import _check_scalar_input, _inputs, _walk
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,15 @@ def residues_batch(graph: DFGraph, inputs, moduli) -> np.ndarray:
     length within int16 (InputError).
     """
     single = isinstance(moduli, (int, np.integer))
-    mods = _moduli([moduli] if single else moduli)
-    _require_residue_graph(graph)
-    if len(inputs) != len(graph.inputs):
-        raise InputError(f"expected {len(graph.inputs)} input columns, got {len(inputs)}")
-    n, cols = _batch_columns(graph, inputs)  # int16 columns: the graph is all-integer
-    out = _residue_walk(graph, cols, mods, n)
+    out = _residues(graph, inputs, [moduli] if single else moduli, lanes=True)
     return out[0] if single else out
 
 
-def _residue_walk(graph: DFGraph, cols: list, mods: list[int], n: int) -> np.ndarray:
-    """The (k, n) output residues of checked int64 input columns under checked moduli."""
+def _residues(graph: DFGraph, inputs, moduli, lanes: bool) -> np.ndarray:
+    """The (k, n) output residues of `inputs` under `moduli`; every residue call enters here."""
+    mods = _moduli(moduli)
+    _require_residue_graph(graph)
+    n, xs = _inputs(graph, inputs, lanes)
     top = max(mods) - 1
     dtype, limit = next(((t, lim) for t, lim in _LANES if top <= lim), (object, 0))
     m = np.array(mods, dtype=dtype)[:, None]
@@ -184,7 +182,8 @@ def _residue_walk(graph: DFGraph, cols: list, mods: list[int], n: int) -> np.nda
         return a[0] * inv % m, top
 
     ring = (lambda v: (int(v) % m, top), add, sub, mul, div)
-    xs = [((col[None, :] % m).astype(dtype), top) for col in cols]
+    # each input, an int or an int64 column, becomes one (1, n) row
+    xs = [((np.reshape(x, (1, -1)) % m).astype(dtype), top) for x in xs]
     ((out, _),), _ = _walk(graph, xs, ring, 0, lanes=True)
     return np.where(no_inverse, -1, out % m).astype(np.result_type(dtype, np.int64))
 
@@ -200,26 +199,13 @@ def failed_rounds(residues: np.ndarray, claimed, moduli) -> np.ndarray:
     return np.where(mismatch.any(axis=0), mismatch.argmax(axis=0) + 1, 0)
 
 
-def _one_vector(graph: DFGraph, inputs, moduli) -> np.ndarray:
-    """The (k,) output residues of one input vector, each value checked by `evaluate`'s rule."""
-    mods = _moduli(moduli)
-    _require_residue_graph(graph)
-    if len(inputs) != len(graph.inputs):
-        raise InputError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-    cols = [
-        np.array([_check_scalar_input(v, ScalarType.INT16, f"input {pos}")], dtype=np.int64)
-        for pos, v in enumerate(inputs)
-    ]
-    return _residue_walk(graph, cols, mods, 1)[:, 0]
-
-
 def evaluate_mod(graph: DFGraph, inputs, m: int) -> Residue:
     """Evaluate the dataflow in Z_m and return the output residue.
 
     The graph must be all-integer with a single output. Division raises
     NoInverseError when a divisor is not a unit mod m.
     """
-    value = int(_one_vector(graph, inputs, (m,))[0])
+    value = int(_residues(graph, inputs, (m,), lanes=False)[0, 0])
     if value < 0:
         raise NoInverseError(f"a divisor has no inverse mod {m}")
     return Residue(value, m)
@@ -247,7 +233,7 @@ def rcc_check(graph: DFGraph, inputs, claimed: int, modules: ModuleSet | None = 
     modules = modules if modules is not None else ModuleSet()
     claimed = _check_scalar_input(claimed, ScalarType.INT16, "claimed result")
 
-    residues = _one_vector(graph, inputs, modules)
+    residues = _residues(graph, inputs, modules, lanes=False)[:, 0]
     failed = int(failed_rounds(residues[:, None], claimed, modules)[0])
     ran = residues[: failed or len(modules)] >= 0
     skipped = tuple(m for m, r in zip(modules, ran) if not r)

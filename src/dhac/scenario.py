@@ -27,6 +27,7 @@ from .fbc import (
     DEFAULT_STEPS,
     InstrumentedGraph,
     SentinelKind,
+    check_delta,
     instrument_seeded,
     sentinel_distance,
     sentinel_kind,
@@ -171,6 +172,7 @@ class ScenarioConfig:
         check_seed(self.seed)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        check_delta(self.fbc_delta, ConfigError)
 
 
 # each config object's keys, with the kind of each value
@@ -459,8 +461,7 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
     if not deltas:
         raise ConfigError("sweep needs at least one delta")
     for delta in deltas:
-        if not 0.0 < delta:  # the rule every Sentinel keeps; also rejects nan
-            raise ConfigError(f"delta must be positive, got {delta!r}")
+        check_delta(delta, ConfigError)
     builds: dict = {}
     cells = [_fbc_taps(cfg, builds, entry, bits) for _, entry, bits in _fbc_cells(cfg)]
     n_approx = sum(int(served.mask.sum()) for served, _ in cells)

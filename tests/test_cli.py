@@ -468,6 +468,7 @@ class TestBench:
                 {"rcc": {"programs": ["conv2x2"]}, "fbc": {"programs": [{"name": "conv_layer", "size": 10**6}]}},
                 "conv_layer: parameters give 152999420000653 nodes, more than the budget of 1000000",
             ),
+            ({"fbc": {"delta": -1, "programs": []}}, "delta must be positive and finite, got -1.0"),
         ],
     )
     def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):
@@ -501,7 +502,7 @@ class TestSweep:
         assert main(["sweep", "--config", bad_cfg, "--deltas", "abc"]) == 1
         assert capsys.readouterr().err == "error: trials must be >= 1\n"  # the config is read first
 
-    @pytest.mark.parametrize("delta", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan", "inf"])
     def test_delta_must_be_positive(self, tmp_path, capsys, delta):
         cfg = _json_file(tmp_path, "cfg.json", {"trials": 50})
         assert main(["sweep", "--config", cfg, f"--deltas=1e-13,{delta}"]) == 1
@@ -537,6 +538,23 @@ class TestEntryPoint:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {msg}\n")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--program", "--inputs", "--config", "--instrumented", "--trace"])
+    def test_file_not_utf8_names_its_file(self, flag, conv_inputs, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"[1, \xff\xfe]")
+        instrumented = tmp_path / "ins.json"
+        main(["fbc-instrument", "--program", _json_file(tmp_path, "g.json", serialize_program(float_graph())), "--out", str(instrumented)])
+        capsys.readouterr()
+        argv = {
+            "--program": ["run", "--program", str(bad), "--inputs", conv_inputs],
+            "--inputs": ["run", "--program", "conv2x2", "--inputs", str(bad)],
+            "--config": ["bench", "--quick", "3", "--config", str(bad)],
+            "--instrumented": ["fbc-judge", "--instrumented", str(bad), "--trace", conv_inputs],
+            "--trace": ["fbc-judge", "--instrumented", str(instrumented), "--trace", str(bad)],
+        }[flag]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text (bad byte at offset 4)\n")
 
     def test_main_reuses_one_parser(self, conv_inputs, monkeypatch, capsys):
         # each call must behave as it would under a parser of its own

@@ -31,8 +31,7 @@ from dhac import (
     program_to_dict,
 )
 from dhac.fbc import (
-    backward_steps,
-    forward_steps,
+    detour_steps,
     instrumented_from_dict,
     instrumented_to_dict,
     sentinels_from_dict,
@@ -98,7 +97,7 @@ class TestSentinel:
         # add sentinels have no such restriction
         Sentinel(kind=SentinelKind.ADDITION, site="m", n=2, operands=(0.5, bad))
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-13])
+    @pytest.mark.parametrize("delta", [0.0, -1e-13, math.inf, math.nan])
     def test_delta_positive(self, delta):
         with pytest.raises(ValidationError, match="delta"):
             Sentinel(kind=SentinelKind.TAN_ARCTAN, site="m", n=1, operands=(), delta=delta)
@@ -127,20 +126,21 @@ class TestMakeSentinel:
 
 
 class TestSteps:
+    @staticmethod
+    def _steps(s):  # each step's op and operand value
+        return [(op, None if j is None else s.operands[j]) for op, j in detour_steps(s)]
+
     def test_add_structure(self):
         s = Sentinel(kind=SentinelKind.ADDITION, site="m", n=3, operands=(0.5, 0.25, 2.0))
-        assert forward_steps(s) == [(Op.ADD, 0.5), (Op.ADD, 0.25), (Op.ADD, 2.0)]
-        assert backward_steps(s) == [(Op.SUB, 2.0), (Op.SUB, 0.25), (Op.SUB, 0.5)]
+        assert self._steps(s) == [(Op.ADD, 0.5), (Op.ADD, 0.25), (Op.ADD, 2.0), (Op.SUB, 2.0), (Op.SUB, 0.25), (Op.SUB, 0.5)]
 
     def test_mul_structure(self):
         s = Sentinel(kind=SentinelKind.MULTIPLICATION, site="m", n=2, operands=(0.5, 0.75))
-        assert forward_steps(s) == [(Op.MUL, 0.5), (Op.MUL, 0.75)]
-        assert backward_steps(s) == [(Op.DIV, 0.75), (Op.DIV, 0.5)]
+        assert self._steps(s) == [(Op.MUL, 0.5), (Op.MUL, 0.75), (Op.DIV, 0.75), (Op.DIV, 0.5)]
 
     def test_tan_structure(self):
         s = Sentinel(kind=SentinelKind.TAN_ARCTAN, site="m", n=1, operands=())
-        assert forward_steps(s) == [(Op.ARCTAN, None)]
-        assert backward_steps(s) == [(Op.TAN, None)]
+        assert detour_steps(s) == [(Op.ARCTAN, None), (Op.TAN, None)]
 
 
 class TestRoundtrip:

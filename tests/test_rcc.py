@@ -369,7 +369,7 @@ class TestResiduesBatch:
 
     def test_column_count_checked(self):
         g = builtin_spec("fir").graph
-        with pytest.raises(InputError, match="input columns"):
+        with pytest.raises(InputError, match="^expected 11 inputs, got 10$"):
             residues_batch(g, [np.array([1])] * 10, 7)
 
     def test_modulus_validated(self):
@@ -392,22 +392,25 @@ class TestResiduesBatch:
 
     def test_one_vector_is_checked_once(self, monkeypatch):
         # rcc_check checks the graph once and each input once, by the scalar rule alone
+        import dhac.interp as interp
         import dhac.rcc as rcc
 
-        calls = {"graph": 0, "columns": 0}
-        graph_check, columns = rcc._require_residue_graph, rcc._batch_columns
+        calls = {"graph": 0, "scalar": 0, "batch": 0}
 
-        def count(key, fn):
+        def count(module, name, key):
+            fn = getattr(module, name)
+
             def wrapped(*a):
                 calls[key] += 1
                 return fn(*a)
 
-            return wrapped
+            monkeypatch.setattr(module, name, wrapped)
 
-        monkeypatch.setattr(rcc, "_require_residue_graph", count("graph", graph_check))
-        monkeypatch.setattr(rcc, "_batch_columns", count("columns", columns))
+        count(rcc, "_require_residue_graph", "graph")
+        count(interp, "_check_scalar_input", "scalar")
+        count(interp, "_check_batch_input", "batch")
         assert rcc_check(builtin_spec("conv2x2").graph, [2, 3, 4, 5, 6, 7, 8, 9], 110).judgement is Judgement.NEGATIVE
-        assert calls == {"graph": 1, "columns": 0}
+        assert calls == {"graph": 1, "scalar": 8, "batch": 0}
 
     def test_short_column_not_broadcast(self):
         cols = [np.array([1, 2, 3])] * 7 + [np.array([4])]
@@ -490,6 +493,28 @@ class TestResiduesBatch:
         g = DFGraph("constout", ScalarType.INT16, nodes, ["x"], ["out"])
         got = residues_batch(g, [np.array([1, 2, 3])], 3)
         assert got.tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "last, scalar_msg, lane_msg",
+    [
+        (None, "expected 8 inputs, got 7", "expected 8 inputs, got 7"),
+        (1.5, "input 7: expected an integer, got float", "input 7: expected integers"),
+        (40000, "input 7: 40000 outside int16 range", "input 7: values outside int16 range"),
+    ],
+    ids=["short", "float", "out-of-range"],
+)
+def test_every_entry_checks_inputs_by_one_rule(last, scalar_msg, lane_msg):
+    g = builtin_spec("conv2x2").graph
+    xs = [1] * 7 + ([] if last is None else [last])
+    cols = [np.array([x]) for x in xs]
+    scalar = [lambda: evaluate(g, xs, ACC), lambda: rcc_check(g, xs, 0), lambda: evaluate_mod(g, xs, 7)]
+    lanes = [lambda: evaluate_batch(g, cols, ACC), lambda: residues_batch(g, cols, 7)]
+    for entries, msg in ((scalar, scalar_msg), (lanes, lane_msg)):
+        for entry in entries:
+            with pytest.raises(InputError) as e:
+                entry()
+            assert str(e.value) == msg
 
 
 class TestKnownFalsePositives:

@@ -1,5 +1,6 @@
 """Strategic server, campaign configs, trial runners, report serialization."""
 
+import math
 import re
 
 import numpy as np
@@ -269,6 +270,13 @@ class TestConfig:
                 config_from_dict(doc)
             assert str(e.value) == f"bad config value: '{key}' must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, math.inf, math.nan])
+    def test_fbc_delta_follows_the_sentinel_rule(self, delta):
+        with pytest.raises(ConfigError, match=f"^delta must be positive and finite, got {delta!r}$"):
+            ScenarioConfig(fbc_delta=delta)
+        with pytest.raises(ConfigError, match="^delta must be positive and finite"):
+            config_from_dict({"fbc": {"delta": delta, "programs": []}})
+
 
 @pytest.fixture(scope="module")
 def rcc_report():
@@ -442,7 +450,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match="at least one delta"):
             sweep_threshold(small_cfg(), [])
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), math.inf])
     def test_deltas_must_be_positive(self, bad):
         with pytest.raises(ConfigError, match="delta must be positive"):
             sweep_threshold(small_cfg(trials=20, fbc_programs=(SMALL_CONV,)), [1e-13, bad])
