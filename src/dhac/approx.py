@@ -28,6 +28,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -97,8 +98,7 @@ class ArithBackend:
     def __post_init__(self):
         self.adder.check("adder")
         self.multiplier.check("multiplier")
-        if not 0 <= self.fp_bits <= 52:
-            raise ConfigError(f"fp truncation bits must be in [0, 52], got {self.fp_bits}")
+        check_fp_bits(self.fp_bits)
 
     @staticmethod
     def accurate() -> "ArithBackend":
@@ -181,17 +181,33 @@ def _mitchell(a, b):
 # float64 operand truncation
 
 
+def check_fp_bits(bits: int) -> None:
+    """ConfigError unless `bits` is a mantissa truncation width: the rule of every truncation."""
+    if not 0 <= bits <= 52:
+        raise ConfigError(f"fp truncation bits must be in [0, 52], got {bits}")
+
+
+@cache  # one per width: at most 53, as a bad width raises
+def truncator(bits: int):
+    """The truncation of a Python float to `bits` fewer mantissa bits, as a one-argument function."""
+    check_fp_bits(bits)
+    keep = ~((1 << bits) - 1)
+    f64, u64 = struct.Struct("<d"), struct.Struct("<Q")
+    pack_d, unpack_d, pack_q, unpack_q, isfinite = f64.pack, f64.unpack, u64.pack, u64.unpack, math.isfinite
+
+    def trunc(x: float) -> float:  # a nan passes as is: clearing its payload could make it inf
+        return unpack_d(pack_q(unpack_q(pack_d(x))[0] & keep))[0] if isfinite(x) else x
+
+    return trunc
+
+
 def trunc_mantissa(x: float, bits: int) -> float:
     """Clear the low `bits` IEEE-754 mantissa bits of x (non-finite passes through)."""
-    if bits == 0 or not math.isfinite(x):
-        return x
-    (u,) = struct.unpack("<Q", struct.pack("<d", x))
-    u &= ~((1 << bits) - 1)
-    (y,) = struct.unpack("<d", struct.pack("<Q", u))
-    return y
+    return truncator(bits)(x)
 
 
 def trunc_mantissa_batch(x: np.ndarray, bits: int) -> np.ndarray:
+    check_fp_bits(bits)
     x = np.asarray(x, dtype=np.float64)
     if bits == 0:
         return x

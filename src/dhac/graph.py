@@ -52,8 +52,7 @@ WIDEN = 20
 _TYPES = (ScalarType.INT16, ScalarType.FLOAT64)  # by an opcode's low bit
 
 
-@dataclass(frozen=True)
-class DFNode:
+class DFNode(NamedTuple):
     """One scalar operation. `dtype` overrides the graph default when set."""
 
     id: str
@@ -118,10 +117,13 @@ class DFGraph:
     def validate(self) -> None:
         """Check structure and compile the plan; raises ValidationError.
 
-        Checks ids; then arity, operands and values in file order; then inputs, outputs and
-        cycles; then types and consts in topological order, in the pass that emits the plan.
+        Checks the graph type and ids; then ops, arity, operands and values in file order; then inputs,
+        outputs and cycles; then types and consts in topological order, in the pass that emits the plan.
         """
-        nodes = self.nodes
+        nodes, gtype = self.nodes, self.dtype
+        int16, float64 = _TYPES
+        if gtype is not int16 and gtype is not float64:
+            raise ValidationError(f"graph type must be a ScalarType, got {gtype!r}")
         index: dict[str, int] = {}
         for i, n in enumerate(nodes):
             nid = n.id
@@ -131,95 +133,112 @@ class DFGraph:
                 raise ValidationError(f"duplicate node id '{nid}'")
             index[nid] = i
 
-        indeg = [len(n.operands) for n in nodes]
+        size = len(nodes)
+        # per node index, resolved once: op number, operands not yet sorted, operand indices, consumers
+        nums, indeg, first, second = [0] * size, [0] * size, [0] * size, [0] * size
         consumers: list[list[int]] = [[] for _ in nodes]
         input_ids, output_ids = [], []
-        for i, n in enumerate(nodes):
-            num = _OP_NUMBER[n.op._value_]
-            if len(n.operands) != _ARITY[num]:
-                raise ValidationError(
-                    f"node '{n.id}': op {n.op.value} takes {_ARITY[num]} operands, got {len(n.operands)}"
-                )
-            for op_id in n.operands:
-                j = index.get(op_id)
-                if j is None:
-                    raise ValidationError(f"node '{n.id}': unknown operand id '{op_id}'")
-                consumers[j].append(i)
+        for i, (nid, op, operands, value, _) in enumerate(nodes):
+            try:
+                num = nums[i] = _OP_NUMBER[op._value_]
+            except (AttributeError, KeyError):
+                raise ValidationError(f"node '{nid}': op must be an Op, got {op!r}") from None
+            if type(operands) is not tuple:
+                raise ValidationError(f"node '{nid}': operands must be a tuple of ids, got {operands!r}")
+            k = indeg[i] = len(operands)
+            if k != _ARITY[num]:
+                raise ValidationError(f"node '{nid}': op {op.value} takes {_ARITY[num]} operands, got {k}")
+            if k:
+                try:
+                    a = first[i] = index[operands[0]]
+                    b = second[i] = index[operands[-1]]
+                except KeyError as e:
+                    raise ValidationError(f"node '{nid}': unknown operand id '{e.args[0]}'") from None
+                except TypeError:  # an unhashable operand
+                    raise ValidationError(f"node '{nid}': operands must be node ids, got {operands!r}") from None
+                consumers[a].append(i)
+                if k == 2:
+                    consumers[b].append(i)
             if num == 1:  # const
-                if n.value is None:
-                    raise ValidationError(f"const node '{n.id}' has no value")
-            elif n.value is not None:
-                raise ValidationError(f"node '{n.id}': only const nodes carry a value")
+                if value is None:
+                    raise ValidationError(f"const node '{nid}' has no value")
+            elif value is not None:
+                raise ValidationError(f"node '{nid}': only const nodes carry a value")
             elif num == 0:
-                input_ids.append(n.id)
+                input_ids.append(nid)
             elif num == 2:
-                output_ids.append(n.id)
+                output_ids.append(nid)
 
         if not input_ids:
             raise ValidationError("graph has no input nodes")
         if not output_ids:
             raise ValidationError("graph has no output nodes")
-        if sorted(self.inputs) != sorted(input_ids) or len(set(self.inputs)) != len(self.inputs):
-            raise ValidationError("graph 'inputs' must list every input node exactly once")
-        if sorted(self.outputs) != sorted(output_ids) or len(set(self.outputs)) != len(self.outputs):
-            raise ValidationError("graph 'outputs' must list every output node exactly once")
+        for key, listed, found in (("inputs", self.inputs, input_ids), ("outputs", self.outputs, output_ids)):
+            try:
+                if sorted(listed) == sorted(found) and len(set(listed)) == len(listed):
+                    continue
+            except TypeError:  # an entry that cannot be a node id
+                raise ValidationError(f"graph '{key}' must be a list of node ids") from None
+            raise ValidationError(f"graph '{key}' must list every {key[:-1]} node exactly once")
 
         # Kahn topological sort, reading `topo` as a FIFO queue as it grows; leftover nodes sit on a cycle
         topo = [i for i, d in enumerate(indeg) if d == 0]
         for u in topo:
             for c in consumers[u]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
+                d = indeg[c] = indeg[c] - 1
+                if not d:
                     topo.append(c)
-        if len(topo) != len(nodes):
+        if len(topo) != size:
             stuck = next(i for i, d in enumerate(indeg) if d > 0)
             raise ValidationError(f"graph contains a cycle through node '{nodes[stuck].id}'")
 
-        int16, float64 = _TYPES
-        ids = []
-        codes = bytearray(len(nodes))
-        first, second, pos = (array("i", bytes(4 * len(nodes))) for _ in range(3))
-        last = array("i", [-1]) * len(nodes)
+        # per position: node id, type, opcode and operand positions
+        ids, types, codes, pa, pb = [], [], [], [], []
+        pos, last = [0] * size, [-1] * size
         consts: list = []
         slots = {nid: k for k, nid in enumerate(self.inputs)}
         input_types: list = [None] * len(slots)
         for p, i in enumerate(topo):
             pos[i] = p
-            n = nodes[i]
-            num = _OP_NUMBER[n.op._value_]
-            t = n.dtype or self.dtype
+            nid, op, operands, value, dtype = n = nodes[i]
+            num = nums[i]
+            t = gtype if dtype is None else dtype
+            if t is not int16 and t is not float64:
+                raise ValidationError(f"node '{nid}': type must be a ScalarType, got {dtype!r}")
             widen = 0
-            if num == 0:
-                a = b = slots[n.id]
-                input_types[a] = t
-            elif num == 1:
-                _check_const(n, t)
-                a = b = len(consts)
-                consts.append(float(n.value) if t is float64 else n.value)
-            else:
-                a, b = pos[index[n.operands[0]]], pos[index[n.operands[-1]]]
+            if num >= 2:
+                a, b = pos[first[i]], pos[second[i]]
                 last[a] = last[b] = p
-                ta = _TYPES[codes[a] & 1]
+                ta = types[a]
                 if num <= 3:  # output or export: the operand's value and type
-                    if n.dtype is not None and n.dtype is not ta:
-                        raise ValidationError(f"node '{n.id}': declared type {t.value} but operand is {ta.value}")
+                    if dtype is not None and dtype is not ta:
+                        raise ValidationError(f"node '{nid}': declared type {t.value} but operand is {ta.value}")
                     t = ta
                 elif num >= 8 and t is not float64:
-                    raise ValidationError(f"node '{n.id}': {n.op.value} is float64-only")
-                elif ta is not t or (codes[a] ^ codes[b]) & 1:  # an operand of the other type
+                    raise ValidationError(f"node '{nid}': {op.value} is float64-only")
+                elif ta is not t or types[b] is not t:  # an operand of the other type
                     if t is int16:
-                        bad = n.operands[0] if ta is float64 else n.operands[1]
-                        raise ValidationError(f"node '{n.id}': int16 node cannot consume float64 operand '{bad}'")
+                        bad = operands[0] if ta is float64 else operands[1]
+                        raise ValidationError(f"node '{nid}': int16 node cannot consume float64 operand '{bad}'")
                     widen = WIDEN  # the permitted type boundary
-            ids.append(n.id)
-            codes[p] = 2 * num + (t is float64) + widen
-            first[p] = a
-            second[p] = b
+            elif num:
+                _check_const(n, t)
+                a = b = len(consts)
+                consts.append(float(value) if t is float64 else value)
+            else:
+                a = b = slots[nid]
+                input_types[a] = t
+            ids.append(nid)
+            types.append(t)
+            codes.append(2 * num + (t is float64) + widen)
+            pa.append(a)
+            pb.append(b)
 
         outputs = array("i", [pos[index[o]] for o in self.outputs])
         for q in outputs:
             last[q] = -1  # read after the walk
-        self.plan = Plan(tuple(ids), codes, first, second, last, consts, tuple(input_types), outputs)
+        pa, pb, last = (array("i", v) for v in (pa, pb, last))
+        self.plan = Plan(tuple(ids), bytearray(codes), pa, pb, last, consts, tuple(input_types), outputs)
 
 
 def _check_const(n: DFNode, t: ScalarType) -> None:
@@ -257,6 +276,7 @@ def parse_program(text: str) -> DFGraph:
     return parse_program_dict(json_document(text, "program"))
 
 
+_new_node = tuple.__new__  # builds a DFNode as DFNode(...) does, without its Python-level __new__
 _OPS = {op.value: op for op in Op}  # a dict lookup costs less per node than Op(value)
 
 
@@ -286,9 +306,13 @@ def parse_program_dict(doc) -> DFGraph:
             except ValueError:
                 raise ParseError(f"nodes[{i}] ('{nd['id']}'): unknown type {nd['type']!r}") from None
         operands = nd.get("operands", [])
-        if not isinstance(operands, list) or not all(isinstance(x, str) for x in operands):
+        try:
+            "".join(operands)  # a TypeError unless it holds only strings
+        except TypeError:
+            operands = None
+        if not isinstance(operands, list):
             raise ParseError(f"nodes[{i}] ('{nd['id']}'): 'operands' must be a list of ids")
-        nodes.append(DFNode(nd["id"], op, tuple(operands), nd.get("value"), dtype))
+        nodes.append(_new_node(DFNode, (nd["id"], op, tuple(operands), nd.get("value"), dtype)))
     return DFGraph(
         name=typed(doc["name"], str, "program 'name'", ParseError),
         dtype=gtype,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import ArithBackend, add16_batch, mul16_batch, trunc_mantissa, trunc_mantissa_batch, wrap16
+from .approx import ArithBackend, add16_batch, mul16_batch, trunc_mantissa_batch, truncator, wrap16
 from .errors import EvalError, InputError
 from .graph import ADD16, ADD64, ARCTAN64, CONST16, DIV16, DIV64, EXPORT16, MUL16, MUL64, OUTPUT16, SUB16, SUB64, TAN64, WIDEN
 from .graph import INT16_MAX, INT16_MIN, DFGraph, ScalarType, Trace
@@ -33,12 +33,12 @@ def _float_lanes(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
-# (all finite, any true, mantissa truncation, tan, arctan, widen int16 to float64)
-_SCALAR_PRIMITIVES = (math.isfinite, bool, trunc_mantissa, math.tan, math.atan, float)
+# (all finite, any true, the truncator of a width, tan, arctan, widen int16 to float64)
+_SCALAR_PRIMITIVES = (math.isfinite, bool, truncator, math.tan, math.atan, float)
 _LANE_PRIMITIVES = (
     lambda r: np.isfinite(r).all(),
     np.any,
-    trunc_mantissa_batch,
+    lambda bits: partial(trunc_mantissa_batch, bits=bits),
     lambda x: _float_lanes(_tan_lane(x)),
     lambda x: _float_lanes(_atan_lane(x)),
     _float_lanes,
@@ -50,12 +50,14 @@ def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
 
     `ints` is the integer arithmetic as (const, add, sub, mul, div); `div`
     also gets the node id, for its errors. `bits` is the float mantissa
-    truncation. Values are Python scalars, or numpy lanes when `lanes` is
+    truncation of float units' operands; outputs and exports carry values
+    untruncated. Values are Python scalars, or numpy lanes when `lanes` is
     set; a float constant stays a scalar in either form. Integer values are
     whatever `ints` makes them: the residue ring pairs each lane array with
     a bound. Returns (outputs, exports).
     """
-    all_finite, any_true, trunc, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
+    all_finite, any_true, truncator_of, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
+    trunc = truncator_of(bits)
     const, add, sub, mul, div = ints
     ids, codes, first, second, last, consts, _, outputs = graph.plan
     # the unit of each arithmetic opcode but int16 division, which also gets the node id
@@ -64,41 +66,52 @@ def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
         ADD64: operator.add, SUB64: operator.sub, MUL64: operator.mul, DIV64: operator.truediv,
         TAN64: lambda x, _: tan(x), ARCTAN64: lambda x, _: atan(x),
     }
-    vals = []  # one value per position
+    vals = []  # one value per position, as produced: outputs and exports carry these
+    # Scalars truncate each float value once, into `tvals`; lanes truncate at
+    # each read instead, as a second array per live value doubles peak memory.
+    tvals = vals if lanes or not bits else []
+    after_step = lanes or bits  # an exact scalar walk does nothing after a step
     exports = {}
+    # Arithmetic comes last, so that the jump past the other steps stays short
+    # enough for the interpreter to fuse it with its compare.
     for p, (code, a, b) in enumerate(zip(codes, first, second)):
-        if code >= ADD16:
+        if code < ADD16:
+            if code >= OUTPUT16:
+                r = vals[a]
+                if code >= EXPORT16:
+                    exports[ids[p]] = r
+            elif code >= CONST16:
+                r = consts[a] if code & 1 else const(consts[a])
+            else:
+                r, xs[a] = xs[a], None  # taken, so that only `vals` holds it
+        elif not code & 1:
             x, y = vals[a], vals[b]  # y is x for one operand
-            if not code & 1:
-                r = div(x, y, ids[p]) if code == DIV16 else units[code](x, y)
-            else:  # float units truncate their operands, then do exact double math
-                if code >= WIDEN:  # int16 operands widen exactly
-                    code -= WIDEN
-                    x, y = widen(x), widen(y)
-                if bits:
-                    x, y = trunc(x, bits), trunc(y, bits)
-                if code == DIV64 and any_true(y == 0.0):
-                    raise EvalError("div-by-zero", ids[p])
-                r = units[code](x, y)
-                if not all_finite(r):
-                    raise EvalError("non-finite", ids[p])
-        elif code >= OUTPUT16:
-            r = vals[a]
-            if code >= EXPORT16:
-                exports[ids[p]] = r
-        elif code >= CONST16:
-            r = consts[a] if code & 1 else const(consts[a])
-        else:
-            r, xs[a] = xs[a], None  # taken, so that only `vals` holds it
+            r = div(x, y, ids[p]) if code == DIV16 else units[code](x, y)
+        else:  # float units do exact double math on truncated operands
+            x, y = vals[a], vals[b]
+            if code >= WIDEN:  # int16 operands widen exactly, then truncate
+                code -= WIDEN
+                x, y = trunc(widen(x)), trunc(widen(y))
+            elif bits:  # scalars read each float value truncated once; lanes truncate it here
+                x, y = (trunc(x), trunc(y)) if lanes else (tvals[a], tvals[b])
+            if code == DIV64 and any_true(y == 0.0):
+                raise EvalError("div-by-zero", ids[p])
+            r = units[code](x, y)
+            if not all_finite(r):
+                raise EvalError("non-finite", ids[p])
         vals.append(r)
+        if not after_step:
+            continue
+        if not lanes:
+            tvals.append(trunc(r) if code & 1 else r)
         # Lanes are freed after their last use, so peak memory tracks graph
         # width; for scalars the check would cost more than it saves.
-        if lanes and code >= OUTPUT16:
+        elif code >= OUTPUT16:
             if last[a] == p:
                 vals[a] = None
             if last[b] == p:
                 vals[b] = None
-    return [vals[q] for q in outputs], exports
+    return list(map(vals.__getitem__, outputs)), exports  # no comprehension: it would make `vals` a cell
 
 
 def _int16_units(backend: ArithBackend, any_true) -> tuple:

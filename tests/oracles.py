@@ -10,6 +10,7 @@ between the two is then evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 MASK16 = 0xFFFF
@@ -175,6 +176,44 @@ def eval_unbounded(graph, inputs):
                 assert y != 0 and x % y == 0, "oracle only divides exactly"
                 vals[nid] = x // y
     return [vals[o] for o in graph.outputs], vals
+
+
+def eval_truncated(graph, inputs, bits: int):
+    """Evaluate on exact units with each float operand truncated where it is read.
+
+    Truncation is applied per operand, at every read, through the hex
+    route above; int16 nodes wrap and widen exactly before they truncate.
+    Returns (outputs, exports), every value as produced, untruncated.
+    """
+    from dhac import Op, ScalarType
+
+    node = {n.id: n for n in graph.nodes}
+    types: dict = {}  # a pass-through node takes its operand's type
+    vals = dict(zip(graph.inputs, inputs))
+    exports = {}
+    for nid in kahn_order(graph):
+        n = node[nid]
+        passing = n.op in (Op.OUTPUT, Op.EXPORT)
+        types[nid] = types[n.operands[0]] if passing else n.dtype or graph.dtype
+        if n.op is Op.INPUT:
+            continue
+        if n.op is Op.CONST:
+            vals[nid] = float(n.value) if types[nid] is ScalarType.FLOAT64 else n.value
+        elif passing:
+            vals[nid] = vals[n.operands[0]]
+            if n.op is Op.EXPORT:
+                exports[nid] = vals[nid]
+        elif types[nid] is ScalarType.INT16:
+            x, y = (vals[o] for o in n.operands)
+            ops = {Op.ADD: x + y, Op.SUB: x - y, Op.MUL: x * y}
+            assert n.op in ops, "oracle runs no int16 division"
+            vals[nid] = signed16(ops[n.op])
+        else:
+            x, *rest = (ref_trunc_mantissa(float(vals[o]), bits) for o in n.operands)
+            y = rest[0] if rest else x
+            ops = {Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul, Op.DIV: operator.truediv}
+            vals[nid] = math.tan(x) if n.op is Op.TAN else math.atan(x) if n.op is Op.ARCTAN else ops[n.op](x, y)
+    return [vals[o] for o in graph.outputs], exports
 
 
 def kahn_order(graph) -> list[str]:

@@ -16,7 +16,7 @@ import oracles as O
 from dhac import ArithBackend, ConfigError, ErrorStats, EvalError, IntUnitModel, StatsError
 from dhac import DFNode, Op, ScalarType, backend_from_dict, error_stats, evaluate, evaluate_batch
 from dhac import DFGraph, trunc_mantissa
-from dhac.approx import _mitchell, add16_batch, mul16_batch, trunc_mantissa_batch
+from dhac.approx import _mitchell, add16_batch, mul16_batch, trunc_mantissa_batch, truncator
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 s16 = st.integers(min_value=-32768, max_value=32767)
@@ -288,8 +288,9 @@ class TestMantissaTruncation:
                 assert bits_of(trunc_mantissa(x, bits)) == bits_of(O.ref_trunc_mantissa(x, bits))
 
     def test_nonfinite_pass_through(self):
-        assert math.isnan(trunc_mantissa(float("nan"), 10))
-        assert trunc_mantissa(float("inf"), 10) == float("inf")
+        for bits in (10, 52):  # at 52, clearing a nan's payload would make it inf
+            assert math.isnan(trunc_mantissa(float("nan"), bits))
+            assert trunc_mantissa(float("inf"), bits) == float("inf")
 
     def test_zero_bits_is_identity(self):
         assert trunc_mantissa(math.pi, 0) == math.pi
@@ -306,6 +307,22 @@ class TestMantissaTruncation:
             got = trunc_mantissa_batch(arr, bits)
             want = np.array([trunc_mantissa(float(v), bits) for v in arr])
             assert got.tobytes() == want.tobytes()
+
+
+class TestTruncationWidth:
+    """One rule for a truncation width, [0, 52], in the backend and every truncation."""
+
+    @pytest.mark.parametrize("bits", [-1, 53, 60, 65])  # past 52 a mask clears exponent bits, past 64 all
+    def test_bad_width_refused_everywhere(self, bits):
+        msg = rf"^fp truncation bits must be in \[0, 52\], got {bits}$"
+        for call in (
+            lambda: trunc_mantissa(3.0, bits),
+            lambda: trunc_mantissa_batch(np.array([3.0]), bits),
+            lambda: truncator(bits),
+            lambda: ArithBackend(fp_bits=bits),
+        ):
+            with pytest.raises(ConfigError, match=msg):
+                call()
 
 
 def _float_op_graph(op: Op, unary: bool = False):

@@ -22,9 +22,9 @@ from dhac import (
 )
 from dhac.cli import main
 from dhac.fbc import instrument_seeded
-from dhac.graph import parse_program_dict
+from dhac.graph import Plan, parse_program_dict
 from dhac.programs import BUILTIN_NAMES, INTEGER_SHORTHANDS
-from graphs import float_graph, mixed_graph
+from graphs import div_by_const_graph, float_graph, int_div_graph, mixed_graph
 
 
 def n(nid, op, *operands, value=None, dtype=None):
@@ -425,9 +425,112 @@ class TestValidationPrecedence:
                 _faulty(n("x", Op.INPUT), n("out", Op.EXPORT, "x", dtype=ScalarType.FLOAT64), n("o", Op.OUTPUT, "x"), outputs=["o"]),
                 "node 'out': declared type float64 but operand is int16",
             ),
+            # the graph's type is checked first, once per graph
+            (_faulty(n("x", Op.INPUT), n("x", Op.INPUT), dtype="float64"), "graph type must be a ScalarType, got 'float64'"),
+            (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), dtype=None), "graph type must be a ScalarType, got None"),
+            # a node's op and operands are checked where they are looked up, in file order
+            (_faulty(n("x", "input"), n("a", Op.ADD, "x")), "node 'x': op must be an Op, got 'input'"),
+            (
+                _faulty(n("x", Op.INPUT), DFNode(id="out", op=Op.OUTPUT, operands="x"), n("a", Op.ADD, "x")),
+                "node 'out': operands must be a tuple of ids, got 'x'",
+            ),
+            (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, ["x"])), "node 'out': operands must be node ids, got (['x'],)"),
+            # an entry of 'inputs' or 'outputs' that cannot be a node id
+            (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), inputs=["x", 1]), "graph 'inputs' must be a list of node ids"),
+            (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), outputs=["out", 2]), "graph 'outputs' must be a list of node ids"),
+            # a node's own type, when set, in topological order
+            (
+                _faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x", dtype="float64")),
+                "node 'out': type must be a ScalarType, got 'float64'",
+            ),
         ],
     )
     def test_message_and_precedence(self, make, msg):
         with pytest.raises(ValidationError) as e:
             make()
         assert str(e.value) == msg
+
+
+# ---------------------------------------------------------------------------
+# the front end: nodes, parsing and the plan it compiles
+
+FIXTURES = {"intdiv": int_div_graph, "floaty": float_graph, "mixed": mixed_graph, "divconst": lambda: div_by_const_graph(3)}
+
+
+class TestFrontEndRoundTrip:
+    @pytest.mark.parametrize("label", [*sorted(BUILTIN_NAMES), "conv_layer+fbc", "conv_layer-small+fbc", *FIXTURES])
+    def test_parse_gives_the_same_nodes_and_plan(self, label):
+        g = FIXTURES[label]() if label in FIXTURES else named_graph(label)
+        g2 = parse_program_dict(program_to_dict(g))
+        # the file leaves out a node type equal to the graph's
+        want = [DFNode(m.id, m.op, m.operands, m.value, None if m.dtype is g.dtype else m.dtype) for m in g.nodes]
+        assert g2.nodes == want
+        assert all(type(m.operands) is tuple for m in g2.nodes)
+        for field in Plan._fields:
+            assert getattr(g2.plan, field) == getattr(g.plan, field), field
+        assert [type(c) for c in g2.plan.consts] == [type(c) for c in g.plan.consts]
+
+    def test_operands_are_tuples(self):
+        doc = {
+            "name": "g",
+            "type": "int16",
+            "nodes": [
+                {"id": "x", "op": "input"},
+                {"id": "y", "op": "input", "operands": []},
+                {"id": "s", "op": "add", "operands": ["x", "y"]},
+                {"id": "out", "op": "output", "operands": ["s"]},
+            ],
+            "inputs": ["x", "y"],
+            "outputs": ["out"],
+        }
+        g = parse_program_dict(doc)
+        assert [m.operands for m in g.nodes] == [(), (), ("x", "y"), ("s",)]
+        assert all(type(m.operands) is tuple for m in g.nodes)
+
+    @pytest.mark.parametrize(
+        "later, msg",
+        [
+            ({"id": "z", "op": "xor"}, "nodes[6] ('z'): unknown op 'xor'"),
+            ({"id": "z", "op": "input", "type": "int8"}, "nodes[6] ('z'): unknown type 'int8'"),
+            ({"id": "z", "op": "output", "operands": [3]}, "nodes[6] ('z'): 'operands' must be a list of ids"),
+            ({"id": "z", "op": "output", "operands": "s"}, "nodes[6] ('z'): 'operands' must be a list of ids"),
+            ({"id": "z", "op": "output", "operands": None}, "nodes[6] ('z'): 'operands' must be a list of ids"),
+            (["z"], "nodes[6] must be an object with 'id' and 'op'"),
+        ],
+    )
+    def test_parse_error_beats_an_earlier_validation_error(self, later, msg):
+        doc = json.loads(serialize_program(tiny_int_graph()))
+        doc["nodes"][3]["operands"] = ["x", "ghost"]  # a ValidationError at node 3
+        doc["nodes"].append(later)
+        with pytest.raises(ParseError) as e:
+            parse_program_dict(doc)
+        assert str(e.value) == msg
+
+    def test_first_parse_error_in_file_order(self):
+        doc = json.loads(serialize_program(tiny_int_graph()))
+        doc["nodes"][3]["operands"] = ["x", 3]
+        doc["nodes"][4]["op"] = "xor"
+        with pytest.raises(ParseError, match=r"^nodes\[3\] \('m'\): 'operands' must be a list of ids$"):
+            parse_program_dict(doc)
+
+
+class TestNodeContract:
+    def test_keyword_construction_and_defaults(self):
+        node = DFNode(id="x", op=Op.INPUT)
+        assert (node.id, node.op, node.operands, node.value, node.dtype) == ("x", Op.INPUT, (), None, None)
+        assert DFNode("c", Op.CONST, (), 2, ScalarType.INT16) == DFNode(id="c", op=Op.CONST, value=2, dtype=ScalarType.INT16)
+
+    def test_repr(self):
+        node = DFNode(id="a", op=Op.ADD, operands=("x", "y"))
+        assert repr(node) == "DFNode(id='a', op=<Op.ADD: 'add'>, operands=('x', 'y'), value=None, dtype=None)"
+
+    def test_hash_follows_equality(self):
+        a, b = DFNode(id="a", op=Op.ADD, operands=("x", "y")), DFNode("a", Op.ADD, ("x", "y"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != DFNode("a", Op.SUB, ("x", "y"))
+
+    @pytest.mark.parametrize("field", ["id", "op", "operands", "value", "dtype"])
+    def test_fields_cannot_be_assigned(self, field):
+        node = DFNode(id="x", op=Op.INPUT)
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)

@@ -1,5 +1,7 @@
 """Interpreter: scalar/batch parity, wrapping, errors, export taps, value types."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -412,3 +414,97 @@ class TestErrorNamesTopologicallyFirst:
         with pytest.raises(EvalError) as e:
             evaluate_batch(g, [np.array([x, x])], ACC)
         assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d1")
+
+
+# ---------------------------------------------------------------------------
+# float truncation: once per value where float units read it, never in the trace
+
+FP_WIDTHS = [1, 10, 20, 52]
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def shared_value_graph():
+    """m feeds an export, an output and two float ops; the export feeds a float op too."""
+    nodes = [
+        _n("u", Op.INPUT),
+        _n("c", Op.CONST, value=1 / 3),
+        _n("m", Op.ADD, "u", "c"),
+        _n("ex", Op.EXPORT, "m"),
+        _n("s", Op.MUL, "m", "m"),
+        _n("t", Op.TAN, "ex"),
+        _n("o1", Op.OUTPUT, "m"),
+        _n("o2", Op.OUTPUT, "s"),
+        _n("o3", Op.OUTPUT, "t"),
+    ]
+    return DFGraph("shared", ScalarType.FLOAT64, nodes, ["u"], ["o1", "o2", "o3"])
+
+
+def widen_graph():
+    """x (int16) feeds an int16 op and, widened, a float op."""
+    i16 = ScalarType.INT16
+    nodes = [
+        _n("x", Op.INPUT, dtype=i16),
+        _n("q", Op.MUL, "x", "x", dtype=i16),
+        _n("w", Op.CONST, value=1.0),
+        _n("f", Op.MUL, "x", "w"),
+        _n("oq", Op.OUTPUT, "q"),
+        _n("of", Op.OUTPUT, "f"),
+    ]
+    return DFGraph("widen", ScalarType.FLOAT64, nodes, ["x"], ["oq", "of"])
+
+
+def truncation_case(label):
+    """(graph, input columns) for the parity tests."""
+    if label == "mixed":
+        rng = substream(17, "trunc", label)
+        return mixed_graph(), [rng.integers(-50, 50, size=6) for _ in range(4)]
+    if label == "float":
+        rng = substream(17, "trunc", label)
+        return float_graph(), [rng.uniform(-1, 1, size=6), rng.uniform(0.5, 2.0, size=6)]
+    entry = ProgramEntry("conv_layer", "conv_layer", (("channels", 2), ("size", 6)))
+    return build_instrumented(ScenarioConfig(), entry).graph, draw_inputs(entry.spec(), substream(17, "trunc", label), 3)
+
+
+class TestTruncationOncePerValue:
+    @pytest.mark.parametrize("bits", FP_WIDTHS)
+    def test_trace_keeps_untruncated_values(self, bits):
+        g = shared_value_graph()
+        u = 0.7071067811865476
+        t = lambda v: O.ref_trunc_mantissa(v, bits)
+        m = t(u) + t(1 / 3)
+        assert t(m) != m  # the truncation shows in the last bits
+        want = [m, t(m) * t(m), math.tan(t(m))]
+        backend = ArithBackend(fp_bits=bits)
+        tr = evaluate(g, [u], backend)
+        batch = evaluate_batch(g, [np.array([u, u])], backend)
+        assert [_bits(v) for v in tr.outputs] == [_bits(v) for v in want] == [o[1].tobytes() for o in batch.outputs]
+        assert _bits(tr.exports["ex"]) == _bits(m) == batch.exports["ex"][0].tobytes()
+
+    @pytest.mark.parametrize("bits", [40, 52])
+    def test_widened_int16_operands_truncate_after_widening(self, bits):
+        g = widen_graph()
+        want = O.ref_trunc_mantissa(32767.0, bits)
+        assert want in (32764.0, 16384.0)  # float(32767) has 15 significant bits
+        backend = ArithBackend(fp_bits=bits)
+        tr = evaluate(g, [32767], backend)
+        assert tr.outputs == (1, want) and type(tr.outputs[0]) is int
+        batch = evaluate_batch(g, [np.array([32767, -32768])], backend)
+        assert batch.outputs[1].tolist() == [want, O.ref_trunc_mantissa(-32768.0, bits)]
+
+    @pytest.mark.parametrize("bits", FP_WIDTHS)
+    @pytest.mark.parametrize("label", ["mixed", "float", "conv_layer-small+fbc"])
+    def test_scalar_batch_and_reference_agree(self, label, bits):
+        g, cols = truncation_case(label)
+        backend = ArithBackend(fp_bits=bits)
+        batch = evaluate_batch(g, cols, backend)
+        for i in range(len(cols[0])):
+            row = [c[i].item() for c in cols]
+            tr = evaluate(g, row, backend)
+            outputs, exports = O.eval_truncated(g, row, bits)
+            assert [_bits(v) for v in tr.outputs] == [_bits(v) for v in outputs] == [o[i].tobytes() for o in batch.outputs]
+            assert list(tr.exports) == list(exports) == list(batch.exports)
+            for k, v in tr.exports.items():
+                assert _bits(v) == _bits(exports[k]) == batch.exports[k][i].tobytes(), k
