@@ -14,7 +14,7 @@ class ParseError(DhacError):
 
 
 class ValidationError(DhacError):
-    """Structurally invalid graph: cycle, dangling id, arity or type violation."""
+    """Structurally invalid graph: forward reference, dangling id, arity or type violation."""
 
 
 class InputError(DhacError):
@@ -44,7 +44,7 @@ class StatsError(DhacError):
 
 
 class ModulusError(DhacError):
-    """Invalid modulus (non-positive, non-prime where primality is required)."""
+    """Invalid modulus (below 2, duplicate or mismatched), or a residue outside its ring."""
 
 
 class NoInverseError(DhacError):

@@ -91,6 +91,8 @@ class Sentinel:
     exit_export: str | None = None
 
     def __post_init__(self):
+        if type(self.kind) is not SentinelKind:
+            raise ValidationError(f"sentinel kind must be a SentinelKind, got {self.kind!r}")
         if self.kind is SentinelKind.TAN_ARCTAN:
             if self.n != 1 or self.operands:
                 raise ValidationError("tan sentinel has n=1 and no operands")
@@ -114,7 +116,7 @@ def make_sentinel(
     delta: float = DEFAULT_DELTA,
 ) -> Sentinel:
     """Draw sentinel operands from rng; tan sentinels take none."""
-    kind = SentinelKind(kind) if not isinstance(kind, SentinelKind) else kind
+    kind = sentinel_kind(kind, "kind", ValidationError)
     if kind is SentinelKind.TAN_ARCTAN:
         return Sentinel(kind=kind, site=site, n=1, operands=(), delta=delta)
     lo, hi = _MUL_STEP_RANGE if kind is SentinelKind.MULTIPLICATION else _ADD_STEP_RANGE
@@ -234,7 +236,7 @@ def judge(sentinels, trace: Trace) -> FbcVerdict:
 def auto_sites(graph: DFGraph, k: int) -> list[str]:
     """Pick k float64 tap points, preferring completed values over partials.
 
-    Float arithmetic nodes that feed an Output directly come first (in topo
+    Float arithmetic nodes that feed an Output directly come first (in file
     order); if those run out, remaining picks are spread evenly over all
     float arithmetic nodes.
     """

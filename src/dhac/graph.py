@@ -1,9 +1,10 @@
 """Scalar dataflow-graph IR: node/graph types, validation, file format, census.
 
-A program is a DAG of scalar operations. Every node carries one scalar type;
-a graph declares a default type and individual nodes may override it, which
-is how an integer region inside a float program is expressed. The only
-cross-type edge permitted is the widening Int16 -> Float64 edge.
+A program is a DAG of scalar operations, listed so that each node comes
+after its operands. Every node carries one scalar type; a graph declares a
+default type and individual nodes may override it, which is how an integer
+region inside a float program is expressed. The only cross-type edge
+permitted is the widening Int16 -> Float64 edge.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ class Trace:
 class Plan(NamedTuple):
     """A validated graph compiled for `interp._walk`: step p computes the value at position p.
 
-    Positions number the nodes in topological order. A step's operands `a` and `b` are positions
+    A node's position is its index in `nodes`. A step's operands `a` and `b` are positions
     (`b` is `a` for one operand); an input step's `a` is its slot in `inputs`, a const's in `consts`.
     """
 
-    ids: tuple[str, ...]  # node id per position: the topological order
+    ids: tuple[str, ...]  # node id per position: the file order
     codes: bytearray  # opcode per position
     a: array
     b: array
@@ -111,14 +112,15 @@ class DFGraph:
         self.validate()
 
     def node_types(self) -> dict[str, ScalarType]:
-        """Each node's type, in topological order."""
+        """Each node's type, in file order."""
         return {nid: _TYPES[code & 1] for nid, code in zip(self.plan.ids, self.plan.codes)}
 
     def validate(self) -> None:
         """Check structure and compile the plan; raises ValidationError.
 
-        Checks the graph type and ids; then ops, arity, operands and values in file order; then inputs,
-        outputs and cycles; then types and consts in topological order, in the pass that emits the plan.
+        A node's plan position is its place in the file, so each node must come after its operands. Checks the
+        graph type and ids; then, node by node in file order, the op, arity, value, type and operands (each must
+        come earlier), in the pass that emits the node's plan step; then the graph's inputs and outputs.
         """
         nodes, gtype = self.nodes, self.dtype
         int16, float64 = _TYPES
@@ -133,87 +135,45 @@ class DFGraph:
                 raise ValidationError(f"duplicate node id '{nid}'")
             index[nid] = i
 
-        size = len(nodes)
-        # per node index, resolved once: op number, operands not yet sorted, operand indices, consumers
-        nums, indeg, first, second = [0] * size, [0] * size, [0] * size, [0] * size
-        consumers: list[list[int]] = [[] for _ in nodes]
+        # per position (the node's index in the file): type, opcode and operand positions
+        types, codes, pa, pb, last = [], [], [], [], [-1] * len(nodes)
+        consts: list = []
         input_ids, output_ids = [], []
-        for i, (nid, op, operands, value, _) in enumerate(nodes):
+        for p, (nid, op, operands, value, dtype) in enumerate(nodes):
             try:
-                num = nums[i] = _OP_NUMBER[op._value_]
+                num = _OP_NUMBER[op._value_]
             except (AttributeError, KeyError):
                 raise ValidationError(f"node '{nid}': op must be an Op, got {op!r}") from None
             if type(operands) is not tuple:
                 raise ValidationError(f"node '{nid}': operands must be a tuple of ids, got {operands!r}")
-            k = indeg[i] = len(operands)
-            if k != _ARITY[num]:
-                raise ValidationError(f"node '{nid}': op {op.value} takes {_ARITY[num]} operands, got {k}")
-            if k:
-                try:
-                    a = first[i] = index[operands[0]]
-                    b = second[i] = index[operands[-1]]
-                except KeyError as e:
-                    raise ValidationError(f"node '{nid}': unknown operand id '{e.args[0]}'") from None
-                except TypeError:  # an unhashable operand
-                    raise ValidationError(f"node '{nid}': operands must be node ids, got {operands!r}") from None
-                consumers[a].append(i)
-                if k == 2:
-                    consumers[b].append(i)
+            if len(operands) != _ARITY[num]:
+                raise ValidationError(f"node '{nid}': op {op.value} takes {_ARITY[num]} operands, got {len(operands)}")
             if num == 1:  # const
                 if value is None:
                     raise ValidationError(f"const node '{nid}' has no value")
             elif value is not None:
                 raise ValidationError(f"node '{nid}': only const nodes carry a value")
-            elif num == 0:
-                input_ids.append(nid)
-            elif num == 2:
-                output_ids.append(nid)
-
-        if not input_ids:
-            raise ValidationError("graph has no input nodes")
-        if not output_ids:
-            raise ValidationError("graph has no output nodes")
-        for key, listed, found in (("inputs", self.inputs, input_ids), ("outputs", self.outputs, output_ids)):
-            try:
-                if sorted(listed) == sorted(found) and len(set(listed)) == len(listed):
-                    continue
-            except TypeError:  # an entry that cannot be a node id
-                raise ValidationError(f"graph '{key}' must be a list of node ids") from None
-            raise ValidationError(f"graph '{key}' must list every {key[:-1]} node exactly once")
-
-        # Kahn topological sort, reading `topo` as a FIFO queue as it grows; leftover nodes sit on a cycle
-        topo = [i for i, d in enumerate(indeg) if d == 0]
-        for u in topo:
-            for c in consumers[u]:
-                d = indeg[c] = indeg[c] - 1
-                if not d:
-                    topo.append(c)
-        if len(topo) != size:
-            stuck = next(i for i, d in enumerate(indeg) if d > 0)
-            raise ValidationError(f"graph contains a cycle through node '{nodes[stuck].id}'")
-
-        # per position: node id, type, opcode and operand positions
-        ids, types, codes, pa, pb = [], [], [], [], []
-        pos, last = [0] * size, [-1] * size
-        consts: list = []
-        slots = {nid: k for k, nid in enumerate(self.inputs)}
-        input_types: list = [None] * len(slots)
-        for p, i in enumerate(topo):
-            pos[i] = p
-            nid, op, operands, value, dtype = n = nodes[i]
-            num = nums[i]
             t = gtype if dtype is None else dtype
             if t is not int16 and t is not float64:
                 raise ValidationError(f"node '{nid}': type must be a ScalarType, got {dtype!r}")
             widen = 0
             if num >= 2:
-                a, b = pos[first[i]], pos[second[i]]
+                try:
+                    a, b = index[operands[0]], index[operands[-1]]
+                except KeyError as e:
+                    raise ValidationError(f"node '{nid}': unknown operand id '{e.args[0]}'") from None
+                except TypeError:  # an unhashable operand
+                    raise ValidationError(f"node '{nid}': operands must be node ids, got {operands!r}") from None
+                if a >= p or b >= p:  # a forward or self reference; every cycle has one
+                    raise ValidationError(f"node '{nid}': operand '{operands[a < p]}' must come before it in the file")
                 last[a] = last[b] = p
                 ta = types[a]
                 if num <= 3:  # output or export: the operand's value and type
                     if dtype is not None and dtype is not ta:
                         raise ValidationError(f"node '{nid}': declared type {t.value} but operand is {ta.value}")
                     t = ta
+                    if num == 2:
+                        output_ids.append(nid)
                 elif num >= 8 and t is not float64:
                     raise ValidationError(f"node '{nid}': {op.value} is float64-only")
                 elif ta is not t or types[b] is not t:  # an operand of the other type
@@ -222,23 +182,40 @@ class DFGraph:
                         raise ValidationError(f"node '{nid}': int16 node cannot consume float64 operand '{bad}'")
                     widen = WIDEN  # the permitted type boundary
             elif num:
-                _check_const(n, t)
+                _check_const(nodes[p], t)
                 a = b = len(consts)
                 consts.append(float(value) if t is float64 else value)
             else:
-                a = b = slots[nid]
-                input_types[a] = t
-            ids.append(nid)
+                a = b = 0  # its slot in `inputs`, set once `inputs` is checked
+                input_ids.append(nid)
             types.append(t)
             codes.append(2 * num + (t is float64) + widen)
             pa.append(a)
             pb.append(b)
 
-        outputs = array("i", [pos[index[o]] for o in self.outputs])
-        for q in outputs:
-            last[q] = -1  # read after the walk
+        if not input_ids:
+            raise ValidationError("graph has no input nodes")
+        if not output_ids:
+            raise ValidationError("graph has no output nodes")
+        for key, listed, found in (("inputs", self.inputs, input_ids), ("outputs", self.outputs, output_ids)):
+            try:
+                if type(listed) not in (list, tuple):  # a string would list its characters
+                    raise TypeError
+                if sorted(listed) == sorted(found) and len(set(listed)) == len(listed):
+                    continue
+            except TypeError:  # not a list, or an entry that cannot be a node id
+                raise ValidationError(f"graph '{key}' must be a list of node ids") from None
+            raise ValidationError(f"graph '{key}' must list every {key[:-1]} node exactly once")
+
+        inputs = [index[nid] for nid in self.inputs]
+        for k, p in enumerate(inputs):
+            pa[p] = pb[p] = k
+        outputs = array("i", [index[o] for o in self.outputs])
+        for p in outputs:
+            last[p] = -1  # read after the walk
         pa, pb, last = (array("i", v) for v in (pa, pb, last))
-        self.plan = Plan(tuple(ids), bytearray(codes), pa, pb, last, consts, tuple(input_types), outputs)
+        input_types = tuple(types[p] for p in inputs)
+        self.plan = Plan(tuple(index), bytearray(codes), pa, pb, last, consts, input_types, outputs)
 
 
 def _check_const(n: DFNode, t: ScalarType) -> None:

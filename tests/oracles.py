@@ -154,10 +154,9 @@ def eval_unbounded(graph, inputs):
     from dhac import Op
 
     in_vals = dict(zip(graph.inputs, [int(v) for v in inputs]))
-    node = {n.id: n for n in graph.nodes}
     vals: dict[str, int] = {}
-    for nid in kahn_order(graph):
-        n = node[nid]
+    for n in graph.nodes:  # each node comes after its operands
+        nid = n.id
         if n.op is Op.INPUT:
             vals[nid] = in_vals[nid]
         elif n.op is Op.CONST:
@@ -187,12 +186,11 @@ def eval_truncated(graph, inputs, bits: int):
     """
     from dhac import Op, ScalarType
 
-    node = {n.id: n for n in graph.nodes}
     types: dict = {}  # a pass-through node takes its operand's type
     vals = dict(zip(graph.inputs, inputs))
     exports = {}
-    for nid in kahn_order(graph):
-        n = node[nid]
+    for n in graph.nodes:  # each node comes after its operands
+        nid = n.id
         passing = n.op in (Op.OUTPUT, Op.EXPORT)
         types[nid] = types[n.operands[0]] if passing else n.dtype or graph.dtype
         if n.op is Op.INPUT:
@@ -214,31 +212,6 @@ def eval_truncated(graph, inputs, bits: int):
             ops = {Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul, Op.DIV: operator.truediv}
             vals[nid] = math.tan(x) if n.op is Op.TAN else math.atan(x) if n.op is Op.ARCTAN else ops[n.op](x, y)
     return [vals[o] for o in graph.outputs], exports
-
-
-def kahn_order(graph) -> list[str]:
-    """Node ids in Kahn's first-in first-out topological order.
-
-    The ready nodes start in file order, and each node's consumers are
-    visited in file order, once per operand slot that reads it.
-    """
-    from collections import deque
-
-    pending = {n.id: len(n.operands) for n in graph.nodes}
-    consumers: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        for op_id in n.operands:
-            consumers[op_id].append(n.id)
-    ready = deque(nid for nid, k in pending.items() if k == 0)
-    order = []
-    while ready:
-        nid = ready.popleft()
-        order.append(nid)
-        for c in consumers[nid]:
-            pending[c] -= 1
-            if pending[c] == 0:
-                ready.append(c)
-    return order
 
 
 def census(graph) -> dict[str, int]:

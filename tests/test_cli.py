@@ -130,6 +130,22 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err == f"error: {prog}: invalid JSON at line 1 column 25: Expecting value\n"
 
+    @pytest.mark.parametrize(
+        "operands, msg",
+        [(["x", "later"], "node 's': operand 'later' must come before it in the file"), (["x", "s"], "node 's': operand 's' must come before it in the file")],
+        ids=["forward", "self"],
+    )
+    def test_operand_after_its_reader(self, operands, msg, tmp_path, capsys):
+        nodes = [
+            {"id": "x", "op": "input"},
+            {"id": "s", "op": "add", "operands": operands},
+            {"id": "later", "op": "const", "value": 1},
+            {"id": "out", "op": "output", "operands": ["s"]},
+        ]
+        prog = _json_file(tmp_path, "g.json", {"name": "g", "type": "int16", "nodes": nodes, "inputs": ["x"], "outputs": ["out"]})
+        assert main(["run", "--program", prog, "--inputs", _json_file(tmp_path, "i.json", [1])]) == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
     def test_invalid_json_inputs(self, tmp_path, capsys):
         ins = _json_file(tmp_path, "i.json", "[1, 2,\n 3 4]")
         assert main(["run", "--program", "conv2x2", "--inputs", ins]) == 1

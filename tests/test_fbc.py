@@ -97,6 +97,13 @@ class TestSentinel:
         # add sentinels have no such restriction
         Sentinel(kind=SentinelKind.ADDITION, site="m", n=2, operands=(0.5, bad))
 
+    @pytest.mark.parametrize("kind", ["add", "mul", None, 0])
+    def test_kind_must_be_a_sentinel_kind(self, kind):
+        # a kind spelled as a string would build some other detour
+        with pytest.raises(ValidationError) as e:
+            Sentinel(kind=kind, site="m", n=1, operands=(0.5,))
+        assert str(e.value) == f"sentinel kind must be a SentinelKind, got {kind!r}"
+
     @pytest.mark.parametrize("delta", [0.0, -1e-13, math.inf, math.nan])
     def test_delta_positive(self, delta):
         with pytest.raises(ValidationError, match="delta"):
@@ -121,8 +128,14 @@ class TestMakeSentinel:
 
     def test_kind_spelled_out(self):
         assert _sentinel("mul").kind is SentinelKind.MULTIPLICATION
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^kind: unknown sentinel kind 'cos' \\(choose from add, mul, tan\\)$"):
             _sentinel("cos")
+
+    @pytest.mark.parametrize("kind", ["bogus", "ADD", None, ["add"], 1])
+    def test_unknown_kind_is_one_validation_error(self, kind):
+        with pytest.raises(ValidationError) as e:
+            make_sentinel(kind, "m", substream(0, "s"))
+        assert str(e.value) == f"kind: unknown sentinel kind {kind!r} (choose from add, mul, tan)"
 
 
 class TestSteps:

@@ -104,7 +104,7 @@ class TestValidation:
             n("b", Op.ADD, "a", "x"),
             n("out", Op.OUTPUT, "b"),
         ]
-        with pytest.raises(ValidationError, match="cycle"):
+        with pytest.raises(ValidationError, match="^node 'a': operand 'b' must come before it in the file$"):
             DFGraph("g", ScalarType.INT16, nodes, ["x"], ["out"])
 
     def test_tan_is_float_only(self):
@@ -282,19 +282,31 @@ class TestCensus:
 
 
 # ---------------------------------------------------------------------------
-# the topological order is part of the output: it orders export keys and
-# auto_sites, and decides which node an error names
+# the plan follows the file, and that order is part of the output: it orders
+# export keys and auto_sites, and decides which node an error names
 
 
-SMALL_CONV = {"channels": 2, "size": 6}
 GRAPHS = [*INTEGER_SHORTHANDS, "conv_layer", "conv_layer-small", "conv_layer+fbc", "conv_layer-small+fbc"]
+# builtins at the edges of their parameters, by label
+PARAMETER_EDGES = {
+    "conv_layer-small": ("conv_layer", {"channels": 2, "size": 6}),
+    "fir-taps2": ("fir_filter", {"taps": 2}),
+    "fir-taps65": ("fir_filter", {"taps": 65}),
+    # third-order runge_kutta's constants leave int16 past 12 steps
+    **{
+        f"{name}{order}-steps{steps}": (name, {"order": order, "steps": steps})
+        for name, order, most in (("euler", 2, 30), ("euler", 3, 30), ("runge_kutta", 2, 30), ("runge_kutta", 3, 12))
+        for steps in (2, most)
+    },
+}
 
 
 @cache
 def named_graph(label: str):
-    """A builtin by label; '-small' is the 2-channel 6x6 conv_layer, '+fbc' its `fbc-instrument` form."""
+    """A builtin by name or PARAMETER_EDGES label; a '+fbc' suffix gives its `fbc-instrument` form."""
     name, _, fbc = label.partition("+")
-    g = builtin_program("conv_layer", **SMALL_CONV) if name == "conv_layer-small" else builtin_program(name)
+    name, params = PARAMETER_EDGES.get(name, (name, {}))
+    g = builtin_program(name, **params)
     if fbc:
         kinds = [SentinelKind(k) for k in ("add", "mul", "tan")]
         g = instrument_seeded(g, kinds, None, 0, g.name, n=3, delta=1e-13).graph
@@ -317,10 +329,11 @@ class TestCensusReadsThePlan:
 
 
 class TestTopologicalOrder:
-    @pytest.mark.parametrize("label", GRAPHS)
-    def test_topo_order_is_kahns(self, label):
+    @pytest.mark.parametrize("label", [*GRAPHS, *sorted(BUILTIN_NAMES - {*GRAPHS}), *sorted(PARAMETER_EDGES.keys() - {*GRAPHS})])
+    def test_plan_ids_are_file_order(self, label):
         g = named_graph(label)
-        assert list(g.plan.ids) == O.kahn_order(g)
+        g2 = parse_program(serialize_program(g))
+        assert g.plan.ids == tuple(m.id for m in g.nodes) == g2.plan.ids == tuple(m.id for m in g2.nodes)
 
     @pytest.mark.parametrize("label", GRAPHS)
     def test_node_types_iterate_in_topo_order(self, label):
@@ -328,7 +341,8 @@ class TestTopologicalOrder:
         assert list(g.node_types()) == list(g.plan.ids)
 
     def test_kahn_order_is_not_file_order(self):
-        # x's consumers are visited in file order, so t1 is ready before t2
+        # Kahn's first-in first-out order would run t1 before t2, as x's consumers are visited in file
+        # order; the plan keeps the file's order
         nodes = [
             n("x", Op.INPUT),
             n("s", Op.ADD, "x", "x"),
@@ -338,7 +352,7 @@ class TestTopologicalOrder:
             n("o1", Op.OUTPUT, "t1"),
         ]
         g = DFGraph("g", ScalarType.INT16, nodes, ["x"], ["o1", "o2"])
-        assert list(g.plan.ids) == ["x", "s", "t1", "t2", "o1", "o2"] == O.kahn_order(g)
+        assert list(g.plan.ids) == ["x", "s", "t2", "t1", "o2", "o1"]
 
     def test_run_export_keys_follow_topo_order(self, tmp_path, capsys):
         prog = tmp_path / "conv.json"
@@ -349,8 +363,7 @@ class TestTopologicalOrder:
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps([0.25] * len(graph.inputs)))
         assert main(["run", "--program", str(ins), "--inputs", str(inputs), "--out", str(trace)]) == 0
-        node = {n.id: n for n in graph.nodes}
-        exports = [nid for nid in O.kahn_order(graph) if node[nid].op is Op.EXPORT]
+        exports = [m.id for m in graph.nodes if m.op is Op.EXPORT]
         assert len(exports) == 6
         assert list(json.loads(trace.read_text())["exports"]) == exports
 
@@ -368,7 +381,7 @@ class TestValidationPrecedence:
             # ids are checked for every node before anything else
             (_faulty(n("x", Op.INPUT), n("a", Op.ADD, "x"), n("x", Op.INPUT)), "duplicate node id 'x'"),
             (_faulty(n("x", Op.INPUT), n("", Op.INPUT)), "node id must be a non-empty string, got ''"),
-            # then arity, operands and values, node by node in file order
+            # then, node by node in file order, op, arity, value, type and operands
             (
                 _faulty(n("x", Op.INPUT), n("a", Op.ADD, "x", "ghost"), n("b", Op.ADD, "x")),
                 "node 'a': unknown operand id 'ghost'",
@@ -376,23 +389,25 @@ class TestValidationPrecedence:
             (_faulty(n("x", Op.INPUT), n("a", Op.ADD, "ghost")), "node 'a': op add takes 2 operands, got 1"),
             (_faulty(n("x", Op.INPUT), n("c", Op.CONST)), "const node 'c' has no value"),
             (_faulty(n("x", Op.INPUT, value=1), n("c", Op.CONST)), "node 'x': only const nodes carry a value"),
-            # then the graph's inputs and outputs
+            # then the graph's inputs and outputs, once every node is checked
             (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), inputs=["x", "x"]), "graph 'inputs' must list every input node exactly once"),
             (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), outputs=["x"]), "graph 'outputs' must list every output node exactly once"),
-            # then cycles, naming the first stuck node in file order
+            (_faulty(n("x", Op.INPUT), n("t", Op.TAN, "x"), n("out", Op.OUTPUT, "t"), inputs=["x", "x"]), "node 't': tan is float64-only"),
+            # an operand must come before its reader: every cycle has a forward or self reference
             (
                 _faulty(n("x", Op.INPUT), n("b", Op.ADD, "x", "a"), n("a", Op.ADD, "b", "x"), n("out", Op.OUTPUT, "a")),
-                "graph contains a cycle through node 'b'",
+                "node 'b': operand 'a' must come before it in the file",
             ),
-            # then types and consts, in topological order
+            (_faulty(n("x", Op.INPUT), n("a", Op.ADD, "x", "a"), n("out", Op.OUTPUT, "a")), "node 'a': operand 'a' must come before it in the file"),
+            # types and consts, in file order: Kahn's order would reach t2 first
             (
                 _faulty(
                     n("x", Op.INPUT),
                     n("s", Op.ADD, "x", "x"),
-                    n("t2", Op.TAN, "s"),
-                    n("t1", Op.TAN, "x"),
-                    n("out", Op.OUTPUT, "t1"),
-                    n("o2", Op.OUTPUT, "t2"),
+                    n("t1", Op.TAN, "s"),
+                    n("t2", Op.TAN, "x"),
+                    n("out", Op.OUTPUT, "t2"),
+                    n("o2", Op.OUTPUT, "t1"),
                     outputs=["out", "o2"],
                 ),
                 "node 't1': tan is float64-only",
@@ -438,7 +453,7 @@ class TestValidationPrecedence:
             # an entry of 'inputs' or 'outputs' that cannot be a node id
             (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), inputs=["x", 1]), "graph 'inputs' must be a list of node ids"),
             (_faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x"), outputs=["out", 2]), "graph 'outputs' must be a list of node ids"),
-            # a node's own type, when set, in topological order
+            # a node's own type, when set, in file order
             (
                 _faulty(n("x", Op.INPUT), n("out", Op.OUTPUT, "x", dtype="float64")),
                 "node 'out': type must be a ScalarType, got 'float64'",
@@ -449,6 +464,17 @@ class TestValidationPrecedence:
         with pytest.raises(ValidationError) as e:
             make()
         assert str(e.value) == msg
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, key",
+        [("yx", ["p", "o"], "inputs"), (["y", "x"], "po", "outputs"), ({"y": 0, "x": 1}, ["p", "o"], "inputs"), (["y", "x"], {"p", "o"}, "outputs")],
+    )
+    def test_inputs_and_outputs_must_be_lists(self, inputs, outputs, key):
+        # a string, a dict or a set would list its node ids, but not as a list of them
+        nodes = [n("y", Op.INPUT), n("x", Op.INPUT), n("s", Op.ADD, "y", "x"), n("p", Op.OUTPUT, "s"), n("o", Op.OUTPUT, "s")]
+        with pytest.raises(ValidationError) as e:
+            DFGraph("g", ScalarType.INT16, nodes, inputs, outputs)
+        assert str(e.value) == f"graph '{key}' must be a list of node ids"
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dhac import (
     evaluate,
     evaluate_batch,
 )
+from dhac.graph import CONST16, OUTPUT16
 from dhac.rng import substream
 from dhac.scenario import ProgramEntry, ScenarioConfig, build_instrumented, default_combos
 from graphs import float_graph, int_div_graph, mixed_graph
@@ -389,7 +390,7 @@ class TestPlanParity:
 
 
 def two_zero_divisors_graph(dtype):
-    """d2 comes first in the file, but d1 is ready first: x's consumers are visited in file order."""
+    """d2 comes first in the file; Kahn's order would reach d1 first, as x's consumers are visited in file order."""
     nodes = [
         _n("x", Op.INPUT),
         _n("z", Op.CONST, value=0 if dtype is ScalarType.INT16 else 0.0),
@@ -406,14 +407,33 @@ class TestErrorNamesTopologicallyFirst:
     @pytest.mark.parametrize("dtype", [ScalarType.INT16, ScalarType.FLOAT64], ids=lambda t: t.value)
     def test_two_zero_divisors(self, dtype):
         g = two_zero_divisors_graph(dtype)
-        assert g.plan.ids.index("d1") < g.plan.ids.index("d2")
+        assert g.plan.ids.index("d2") < g.plan.ids.index("d1")
         x = 3 if dtype is ScalarType.INT16 else 3.0
         with pytest.raises(EvalError) as e:
             evaluate(g, [x], ACC)
-        assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d1")
+        assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d2")
         with pytest.raises(EvalError) as e:
             evaluate_batch(g, [np.array([x, x])], ACC)
-        assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d1")
+        assert (e.value.reason, e.value.node_id) == ("div-by-zero", "d2")
+
+
+def peak_live_values(plan) -> int:
+    """The most non-constant values the lane walk holds at once, as it frees each after its last read."""
+    is_const = [CONST16 <= code < OUTPUT16 for code in plan.codes]
+    live = peak = 0
+    for p, (code, a, b) in enumerate(zip(plan.codes, plan.a, plan.b)):
+        live += not is_const[p]
+        peak = max(peak, live)
+        if code >= OUTPUT16:  # a step that reads values
+            live -= sum(plan.last[q] == p and not is_const[q] for q in {a, b})
+    return peak
+
+
+class TestLaneMemory:
+    def test_peak_follows_the_file_on_the_instrumented_conv_layer(self):
+        # Kahn's order would run all 14,112 muls before any add, holding each product at once
+        g = build_instrumented(ScenarioConfig(), ProgramEntry("conv_layer", "conv_layer", ())).graph
+        assert peak_live_values(g.plan) <= len(g.inputs) + len(g.outputs) + 16
 
 
 # ---------------------------------------------------------------------------

@@ -195,19 +195,21 @@ class TestEvaluateMod:
 
 
 class TestRccCheck:
-    def test_names_first_float_node_in_kahn_order(self):
-        # file order reaches the float mul 'm' before the float const 'w' it reads; Kahn order reaches 'w' first
+    def test_names_first_float_node_in_file_order(self):
+        # the widening mul 'm' comes before the float const 'w'; Kahn's order, which runs every const
+        # before any mul, would reach 'w' first
         nodes = [
             _n("x", Op.INPUT, dtype=ScalarType.INT16),
-            _n("m", Op.MUL, "x", "w"),
+            _n("m", Op.MUL, "x", "x"),
             _n("w", Op.CONST, value=0.5),
-            _n("out", Op.OUTPUT, "m"),
+            _n("p", Op.MUL, "m", "w"),
+            _n("out", Op.OUTPUT, "p"),
         ]
         late = DFGraph("late", ScalarType.FLOAT64, nodes, ["x"], ["out"])
-        for g in (mixed_graph(), late):
+        for g, want in ((mixed_graph(), "w"), (late, "m")):
             declared = {n.id: n.dtype or g.dtype for n in g.nodes}  # neither graph has an int16 output
-            first = next(nid for nid in O.kahn_order(g) if declared[nid] is ScalarType.FLOAT64)
-            assert first == "w"
+            first = next(n.id for n in g.nodes if declared[n.id] is ScalarType.FLOAT64)
+            assert first == want
             msg = f"^residue evaluation needs an all-integer graph; node '{first}' is float64$"
             with pytest.raises(ValidationError, match=msg):
                 rcc_check(g, [1] * len(g.inputs), 0)
