@@ -188,32 +188,31 @@ def check_fp_bits(bits: int) -> None:
 
 
 @cache  # one per width: at most 53, as a bad width raises
-def truncator(bits: int):
-    """The truncation of a Python float to `bits` fewer mantissa bits, as a one-argument function."""
+def truncator(bits: int) -> tuple:
+    """The truncation of a float to `bits` fewer mantissa bits: (on a Python float, on float64 lanes).
+
+    Both clear the low mantissa bits with one mask and take finite values only: clearing a nan's payload
+    could make it inf. The walk's values are finite by construction; `trunc_mantissa` passes the others.
+    """
     check_fp_bits(bits)
-    keep = ~((1 << bits) - 1)
+    keep = (1 << 64) - (1 << bits)
     f64, u64 = struct.Struct("<d"), struct.Struct("<Q")
-    pack_d, unpack_d, pack_q, unpack_q, isfinite = f64.pack, f64.unpack, u64.pack, u64.unpack, math.isfinite
+    pack_d, unpack_d, pack_q, unpack_q = f64.pack, f64.unpack, u64.pack, u64.unpack
+    lane_keep = np.uint64(keep)
 
-    def trunc(x: float) -> float:  # a nan passes as is: clearing its payload could make it inf
-        return unpack_d(pack_q(unpack_q(pack_d(x))[0] & keep))[0] if isfinite(x) else x
+    def trunc(x: float) -> float:
+        return unpack_d(pack_q(unpack_q(pack_d(x))[0] & keep))[0]
 
-    return trunc
+    def trunc_lanes(x: np.ndarray) -> np.ndarray:
+        return (x.view(np.uint64) & lane_keep).view(np.float64)
+
+    return trunc, trunc_lanes
 
 
 def trunc_mantissa(x: float, bits: int) -> float:
     """Clear the low `bits` IEEE-754 mantissa bits of x (non-finite passes through)."""
-    return truncator(bits)(x)
-
-
-def trunc_mantissa_batch(x: np.ndarray, bits: int) -> np.ndarray:
-    check_fp_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
-    if bits == 0:
-        return x
-    u = x.view(np.uint64) & np.uint64(~((1 << bits) - 1) & 0xFFFFFFFFFFFFFFFF)
-    y = u.view(np.float64)
-    return np.where(np.isfinite(x), y, x)
+    trunc = truncator(bits)[0]
+    return trunc(x) if math.isfinite(x) else x
 
 
 # ---------------------------------------------------------------------------

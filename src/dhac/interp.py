@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import ArithBackend, add16_batch, mul16_batch, trunc_mantissa_batch, truncator, wrap16
+from .approx import ArithBackend, add16_batch, mul16_batch, truncator, wrap16
 from .errors import EvalError, InputError
 from .graph import ADD16, ADD64, ARCTAN64, CONST16, DIV16, DIV64, EXPORT16, MUL16, MUL64, OUTPUT16, SUB16, SUB64, TAN64, WIDEN
 from .graph import INT16_MAX, INT16_MIN, DFGraph, ScalarType, Trace
@@ -33,12 +33,11 @@ def _float_lanes(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
-# (all finite, any true, the truncator of a width, tan, arctan, widen int16 to float64)
-_SCALAR_PRIMITIVES = (math.isfinite, bool, truncator, math.tan, math.atan, float)
+# (all finite, any true, tan, arctan, a float64 value from an int16 or a float one)
+_SCALAR_PRIMITIVES = (math.isfinite, bool, math.tan, math.atan, float)
 _LANE_PRIMITIVES = (
     lambda r: np.isfinite(r).all(),
     np.any,
-    lambda bits: partial(trunc_mantissa_batch, bits=bits),
     lambda x: _float_lanes(_tan_lane(x)),
     lambda x: _float_lanes(_atan_lane(x)),
     _float_lanes,
@@ -52,12 +51,12 @@ def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
     also gets the node id, for its errors. `bits` is the float mantissa
     truncation of float units' operands; outputs and exports carry values
     untruncated. Values are Python scalars, or numpy lanes when `lanes` is
-    set; a float constant stays a scalar in either form. Integer values are
-    whatever `ints` makes them: the residue ring pairs each lane array with
-    a bound. Returns (outputs, exports).
+    set; a float constant is one value in either form (a 0-d array in
+    lanes). Integer values are whatever `ints` makes them: the residue ring
+    pairs each lane array with a bound. Returns (outputs, exports).
     """
-    all_finite, any_true, truncator_of, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
-    trunc = truncator_of(bits)
+    all_finite, any_true, tan, atan, widen = _LANE_PRIMITIVES if lanes else _SCALAR_PRIMITIVES
+    trunc = truncator(bits)[lanes]
     const, add, sub, mul, div = ints
     ids, codes, first, second, last, consts, _, outputs = graph.plan
     # the unit of each arithmetic opcode but int16 division, which also gets the node id
@@ -67,10 +66,7 @@ def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
         TAN64: lambda x, _: tan(x), ARCTAN64: lambda x, _: atan(x),
     }
     vals = []  # one value per position, as produced: outputs and exports carry these
-    # Scalars truncate each float value once, into `tvals`; lanes truncate at
-    # each read instead, as a second array per live value doubles peak memory.
-    tvals = vals if lanes or not bits else []
-    after_step = lanes or bits  # an exact scalar walk does nothing after a step
+    tvals = [] if bits else vals  # each float value truncated once, as produced: float units read these
     exports = {}
     # Arithmetic comes last, so that the jump past the other steps stays short
     # enough for the interpreter to fuse it with its compare.
@@ -81,36 +77,33 @@ def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
                 if code >= EXPORT16:
                     exports[ids[p]] = r
             elif code >= CONST16:
-                r = consts[a] if code & 1 else const(consts[a])
+                r = widen(consts[a]) if code & 1 else const(consts[a])  # lane truncation views a numpy value
             else:
                 r, xs[a] = xs[a], None  # taken, so that only `vals` holds it
         elif not code & 1:
             x, y = vals[a], vals[b]  # y is x for one operand
             r = div(x, y, ids[p]) if code == DIV16 else units[code](x, y)
         else:  # float units do exact double math on truncated operands
-            x, y = vals[a], vals[b]
             if code >= WIDEN:  # int16 operands widen exactly, then truncate
                 code -= WIDEN
-                x, y = trunc(widen(x)), trunc(widen(y))
-            elif bits:  # scalars read each float value truncated once; lanes truncate it here
-                x, y = (trunc(x), trunc(y)) if lanes else (tvals[a], tvals[b])
+                x, y = trunc(widen(vals[a])), trunc(widen(vals[b]))
+            else:
+                x, y = tvals[a], tvals[b]
             if code == DIV64 and any_true(y == 0.0):
                 raise EvalError("div-by-zero", ids[p])
             r = units[code](x, y)
             if not all_finite(r):
                 raise EvalError("non-finite", ids[p])
         vals.append(r)
-        if not after_step:
-            continue
-        if not lanes:
-            tvals.append(trunc(r) if code & 1 else r)
+        if bits:  # a value no step reads, such as an output, is not truncated
+            tvals.append(trunc(r) if code & 1 and last[p] >= 0 else r)
         # Lanes are freed after their last use, so peak memory tracks graph
         # width; for scalars the check would cost more than it saves.
-        elif code >= OUTPUT16:
+        if lanes and code >= OUTPUT16:
             if last[a] == p:
-                vals[a] = None
+                vals[a] = tvals[a] = None
             if last[b] == p:
-                vals[b] = None
+                vals[b] = tvals[b] = None
     return list(map(vals.__getitem__, outputs)), exports  # no comprehension: it would make `vals` a cell
 
 
@@ -156,10 +149,10 @@ def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.n
             raise InputError(f"input {pos}: expected integers")
         if arr.min(initial=0) < INT16_MIN or arr.max(initial=0) > INT16_MAX:
             raise InputError(f"input {pos}: values outside int16 range")
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     if arr.dtype.kind not in "iuf":  # bool, string and object lanes, as `evaluate` rejects them
         raise InputError(f"input {pos}: expected numbers, got {arr.dtype}")
-    out = arr.astype(np.float64)
+    out = arr.astype(np.float64, copy=False)
     if not np.all(np.isfinite(out)):
         raise InputError(f"input {pos}: non-finite values")
     return out
@@ -192,7 +185,10 @@ def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBacken
 
 
 def evaluate_batch(graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithBackend) -> Trace:
-    """Evaluate n trials at once; outputs/exports are length-n arrays."""
+    """Evaluate n trials at once; outputs/exports are length-n arrays.
+
+    Input columns are not copied: an output or export that reads an input directly may be the caller's array.
+    """
     n, xs = _inputs(graph, inputs, lanes=True)
     # lane overflow surfaces as the walk's non-finite EvalError, not a
     # warning; Python floats never warn, so the scalar walk skips this

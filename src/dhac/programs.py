@@ -42,14 +42,10 @@ class BuiltinSpec:
     meta: dict = field(default_factory=dict)
 
 
-# The most nodes a builtin may have. Each builtin counts its nodes from its
-# parameters and refuses a larger graph before building it.
+# The most nodes conv_layer may have: it counts its nodes from its parameters
+# and refuses a larger graph before building it. The other builtins' parameter
+# bounds keep them at 214 nodes or fewer.
 NODE_BUDGET = 1_000_000
-
-
-def _check_budget(name: str, nodes: int) -> None:
-    if nodes > NODE_BUDGET:
-        raise BuiltinError(f"{name}: parameters give {nodes} nodes, more than the budget of {NODE_BUDGET}")
 
 
 def _n(nid, op, *operands, value=None, dtype=None) -> DFNode:
@@ -128,9 +124,9 @@ _H = 16
 def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
     if order not in (2, 3):
         raise BuiltinError("euler: order must be 2 or 3")
-    if steps < 2:
-        raise BuiltinError("euler: steps must be >= 2")
-    _check_budget("euler", 8 + 7 * steps if order == 2 else 6 + 11 * steps)
+    # the input ranges hold for at most 10 steps: at 11 an honest output can leave int16
+    if not 2 <= steps <= 10:
+        raise BuiltinError(f"euler: steps must be in [2, 10], got {steps}")
     ts = [2 * n - (steps - 1) for n in range(steps)]  # centered odd grid
     nodes = [_n("y0", Op.INPUT)]
     inputs = ["y0"]
@@ -199,9 +195,8 @@ def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
 def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
     if order not in (2, 3):
         raise BuiltinError("runge_kutta: order must be 2 or 3")
-    if steps < 2:
-        raise BuiltinError("runge_kutta: steps must be >= 2")
-    _check_budget("runge_kutta", 13 + 10 * steps if order == 2 else 14 + 20 * steps)
+    if not 2 <= steps <= 10:  # as for euler
+        raise BuiltinError(f"runge_kutta: steps must be in [2, 10], got {steps}")
 
     nodes = [_n("y0", Op.INPUT)]
     inputs = ["y0"]
@@ -285,7 +280,9 @@ def _conv_layer(channels: int = 8, kernel: int = 3, size: int = 16, seed: int = 
         raise BuiltinError("conv_layer: need kernel <= size and channels >= 1")
     fan_in = channels * kernel * kernel
     # inputs, weights and bias; then per output pixel, its products, sums, bias add and output
-    _check_budget("conv_layer", channels * size * size + fan_in + 1 + (size - kernel + 1) ** 2 * (2 * fan_in + 1))
+    count = channels * size * size + fan_in + 1 + (size - kernel + 1) ** 2 * (2 * fan_in + 1)
+    if count > NODE_BUDGET:
+        raise BuiltinError(f"conv_layer: parameters give {count} nodes, more than the budget of {NODE_BUDGET}")
     rng = substream(seed, "builtin", "conv_layer", "weights")
     # |sum(w*v)| <= 2 hard; bias keeps sentinel sites in ~[0.8, 4.4] so the
     # tan/arctan sentinel stays far from its libm noise floor

@@ -478,7 +478,7 @@ class TestBench:
             ({"seed": -1}, "seed must be >= 0, got -1"),
             (
                 {"rcc": {"programs": [{"name": "euler", "steps": 10**9}]}},
-                "euler: parameters give 7000000008 nodes, more than the budget of 1000000",
+                "euler: steps must be in [2, 10], got 1000000000",
             ),
             (
                 {"rcc": {"programs": ["conv2x2"]}, "fbc": {"programs": [{"name": "conv_layer", "size": 10**6}]}},

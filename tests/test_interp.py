@@ -21,6 +21,7 @@ from dhac import (
     evaluate_batch,
 )
 from dhac.graph import CONST16, OUTPUT16
+from dhac.rcc import residues_batch
 from dhac.rng import substream
 from dhac.scenario import ProgramEntry, ScenarioConfig, build_instrumented, default_combos
 from graphs import float_graph, int_div_graph, mixed_graph
@@ -528,3 +529,32 @@ class TestTruncationOncePerValue:
             assert list(tr.exports) == list(exports) == list(batch.exports)
             for k, v in tr.exports.items():
                 assert _bits(v) == _bits(exports[k]) == batch.exports[k][i].tobytes(), k
+
+
+# ---------------------------------------------------------------------------
+# input columns of the walk's own dtype are read in place, never copied or written
+
+
+def read_only(cols):
+    out = [np.array(c) for c in cols]
+    for c in out:
+        c.flags.writeable = False
+    return out
+
+
+class TestReadOnlyInputColumns:
+    @pytest.mark.parametrize("bits", [0, 10, 52])
+    @pytest.mark.parametrize("label", ["mixed", "float", "conv_layer-small+fbc"])
+    def test_evaluate_batch_bit_identical(self, label, bits):
+        g, cols = truncation_case(label)
+        backend = ArithBackend(fp_bits=bits)
+        want, got = evaluate_batch(g, cols, backend), evaluate_batch(g, read_only(cols), backend)
+        assert [o.tobytes() for o in got.outputs] == [o.tobytes() for o in want.outputs]
+        assert {k: v.tobytes() for k, v in got.exports.items()} == {k: v.tobytes() for k, v in want.exports.items()}
+
+    @pytest.mark.parametrize("name", ["fir", "euler3", "rk3"])
+    def test_residues_batch_bit_identical(self, name):
+        spec = builtin_spec(name)
+        cols = draw_inputs(spec, substream(23, "read-only", name), 50)
+        want = residues_batch(spec.graph, cols, [3, 5, 7])
+        assert residues_batch(spec.graph, read_only(cols), [3, 5, 7]).tobytes() == want.tobytes()

@@ -66,10 +66,10 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "name, params",
         [
-            ("euler", {"order": 2, "steps": 5}),
-            ("euler", {"order": 3, "steps": 4}),
-            ("runge_kutta", {"order": 2, "steps": 6}),
-            ("runge_kutta", {"order": 3, "steps": 3}),
+            ("conv_layer", {"channels": 1, "kernel": 1, "size": 1}),
+            ("conv_layer", {"channels": 3, "kernel": 4, "size": 4}),  # one output pixel
+            ("conv_layer", {"channels": 1, "kernel": 2, "size": 7}),
+            ("conv_layer", {"channels": 4, "kernel": 1, "size": 3}),
             ("conv_layer", {"channels": 2, "kernel": 2, "size": 5}),
         ],
     )
@@ -90,7 +90,9 @@ class TestRegistry:
         "name, params", [("conv_layer", {"size": 10**30}), ("euler", {"steps": 10**30}), ("rk3", {"steps": 10**6})]
     )
     def test_oversized_graph_is_refused_before_it_is_built(self, name, params):
-        with pytest.raises(BuiltinError, match="more than the budget of 1000000$"):
+        # conv_layer counts its nodes against the budget; the integrators' steps stay in [2, 10]
+        msg = "more than the budget of 1000000$" if name == "conv_layer" else r"steps must be in \[2, 10\]"
+        with pytest.raises(BuiltinError, match=msg):
             builtin_spec(name, **params)
 
     def test_spec_determinism(self):
@@ -143,10 +145,10 @@ class TestClosedForms:
     CLOSED = {
         "fir": lambda spec, ins: O.fir_closed(spec.meta["coeffs"], ins),
         "conv2x2": lambda spec, ins: O.conv2x2_closed(ins[:4], ins[4:]),
-        "euler2": lambda spec, ins: O.euler_closed(*ins),
-        "euler3": lambda spec, ins: O.euler_closed(*ins),
-        "rk2": lambda spec, ins: O.rk2_closed(*ins),
-        "rk3": lambda spec, ins: O.rk3_closed(*ins),
+        "euler2": lambda spec, ins: O.euler_closed(*ins, steps=spec.meta["steps"]),
+        "euler3": lambda spec, ins: O.euler_closed(*ins, steps=spec.meta["steps"]),
+        "rk2": lambda spec, ins: O.rk2_closed(*ins, steps=spec.meta["steps"]),
+        "rk3": lambda spec, ins: O.rk3_closed(*ins, steps=spec.meta["steps"]),
     }
 
     @pytest.mark.parametrize("name", INTEGER_NAMES)
@@ -180,6 +182,24 @@ class TestClosedForms:
             lo = v if lo is None else min(lo, v)
             hi = v if hi is None else max(hi, v)
         assert -32768 <= lo and hi <= 32767, (name, lo, hi)
+
+    @pytest.mark.parametrize(
+        "name, param, lo, hi",
+        [("fir", "taps", 2, 65), ("euler2", "steps", 2, 10), ("euler3", "steps", 2, 10), ("rk2", "steps", 2, 10), ("rk3", "steps", 2, 10)],
+    )
+    def test_every_accepted_parameter_is_sound(self, name, param, lo, hi):
+        # a parameter past its edges is refused; at each edge, the exact output at every corner of the
+        # input box fits int16, so no honest job wraps and none is flagged
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(BuiltinError, match=rf": {param} must be in \[{lo}, {hi}\], got {bad}$"):
+                builtin_spec(name, **{param: bad})
+        for edge in (lo, hi):
+            spec = builtin_spec(name, **{param: edge})
+            ends = [(int(r.lo), int(r.hi)) for r in spec.input_ranges]
+            # fir's output grows with every input, so its all-low and all-high corners stand for all 2^taps
+            corners = zip(*ends) if name == "fir" else itertools.product(*ends)
+            outs = [self.CLOSED[name](spec, list(c)) for c in corners]
+            assert -32768 <= min(outs) and max(outs) <= 32767, (name, edge, min(outs), max(outs))
 
 
 class TestDrawInputs:
