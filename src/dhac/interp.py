@@ -95,8 +95,8 @@ def _walk(graph: DFGraph, xs: list, ints: tuple, bits: int, lanes: bool):
             if not all_finite(r):
                 raise EvalError("non-finite", ids[p])
         vals.append(r)
-        if bits:  # a value no step reads, such as an output, is not truncated
-            tvals.append(trunc(r) if code & 1 and last[p] >= 0 else r)
+        if bits:
+            tvals.append(trunc(r) if code & 1 else r)
         # Lanes are freed after their last use, so peak memory tracks graph
         # width; for scalars the check would cost more than it saves.
         if lanes and code >= OUTPUT16:

@@ -531,6 +531,25 @@ class TestTruncationOncePerValue:
                 assert _bits(v) == _bits(exports[k]) == batch.exports[k][i].tobytes(), k
 
 
+class TestOutputReadByAStep:
+    """An output node is a value like any other: a float unit that reads it reads it truncated."""
+
+    @pytest.mark.parametrize("bits", FP_WIDTHS)
+    def test_float_unit_reads_a_truncated_output(self, bits):
+        nodes = [_n("x", Op.INPUT), _n("o", Op.OUTPUT, "x"), _n("m", Op.MUL, "o", "o"), _n("om", Op.OUTPUT, "m")]
+        g = DFGraph("read-output", ScalarType.FLOAT64, nodes, ["x"], ["o", "om"])
+        x = 1.5 + 2.0**-52
+        t = lambda v: O.ref_trunc_mantissa(v, bits)
+        assert t(x) != x
+        want = [x, t(x) * t(x)]
+        backend = ArithBackend(fp_bits=bits)
+        tr = evaluate(g, [x], backend)
+        batch = evaluate_batch(g, [np.array([x, x])], backend)
+        outputs, _ = O.eval_truncated(g, [x], bits)
+        assert [_bits(v) for v in tr.outputs] == [_bits(v) for v in want] == [_bits(v) for v in outputs]
+        assert [o[1].tobytes() for o in batch.outputs] == [_bits(v) for v in want]
+
+
 # ---------------------------------------------------------------------------
 # input columns of the walk's own dtype are read in place, never copied or written
 
