@@ -56,7 +56,7 @@ class IntUnitModel:
     def check(self, role: str) -> None:
         kinds = ADDER_KINDS if role == "adder" else MUL_KINDS
         if self.kind not in kinds:
-            raise ConfigError(f"unknown {role} kind '{self.kind}' (choose from {kinds})")
+            raise ConfigError(f"unknown {role} kind {self.kind!r} (choose from {kinds})")
         if self.kind in ("loa", "trunc_add", "trunc_mul", "broken_array"):
             if not 0 <= self.param < 16:
                 raise ConfigError(f"{self.kind}: parameter must be in [0, 16), got {self.param}")

@@ -12,6 +12,7 @@ written by fbc-instrument) is accepted wherever a program is.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -261,13 +262,20 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    # A command's documents and graphs are acyclic, so reference counting frees
+    # them; the cyclic collector would only re-scan them while they are built.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (DhacError, OSError, ValueError) as e:  # ValueError: a bad value no check above turned into a DhacError
         # one line, even where the message quotes a document's own text
         print("error: " + str(e).replace("\n", "\\n"), file=sys.stderr)
         return _EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

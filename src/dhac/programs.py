@@ -373,7 +373,7 @@ INTEGER_SHORTHANDS = ("fir", "conv2x2", "euler2", "euler3", "rk2", "rk3")
 def builtin_spec(name: str, **params) -> BuiltinSpec:
     """Builtin graph plus input bounds; accepts canonical or shorthand names."""
     if name not in BUILTIN_NAMES:
-        raise BuiltinError(f"unknown builtin '{name}' (known: {sorted(BUILTIN_NAMES)})")
+        raise BuiltinError(f"unknown builtin {name!r} (known: {sorted(BUILTIN_NAMES)})")
     base, defaults = SHORTHAND.get(name, (name, {}))
     try:
         return _BUILTINS[base](**{**defaults, **params})

@@ -208,6 +208,8 @@ class TestModels:
             IntUnitModel("loa2", 4).check("adder")
         with pytest.raises(ConfigError, match="unknown multiplier kind"):
             IntUnitModel("loa", 4).check("multiplier")
+        with pytest.raises(ConfigError, match=r"^unknown multiplier kind '\\n' \(choose from"):  # one line
+            IntUnitModel("\n").check("multiplier")
 
     def test_parameter_ranges(self):
         with pytest.raises(ConfigError):

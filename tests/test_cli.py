@@ -1,5 +1,6 @@
 """End-to-end command line flows, in process via cli.main(argv)."""
 
+import gc
 import json
 import os
 import shutil
@@ -14,6 +15,7 @@ import dhac
 from dhac import (
     ArithBackend,
     IntUnitModel,
+    builtin_program,
     builtin_spec,
     draw_inputs,
     evaluate,
@@ -620,3 +622,84 @@ class TestEntryPoint:
         proc = _run_positive_rcc([shutil.which("dhac")], tmp_path)
         assert proc.returncode == 2
         assert proc.stdout == "positive (round 1)\n"
+
+
+def _inside_main() -> bool:
+    f = sys._getframe(1)
+    while f is not None and f.f_code is not main.__code__:
+        f = f.f_back
+    return f is not None
+
+
+class TestCollectorPause:
+    """main runs each command with the cyclic collector paused, and leaves the caller's setting as it found it."""
+
+    RCC = {  # exit code -> (program, inputs, claimed, moduli); None is a graph that divides by 105
+        0: ("conv2x2", CONV_INS, "110", "3,5,7"),
+        1: ("conv2x2", CONV_INS, "110", "3,3"),
+        2: ("conv2x2", CONV_INS, "111", "3,5,7"),
+        3: (None, [44], "44", "3,5,7"),
+    }
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_restored_after_each_exit_code(self, code, caller, tmp_path, capsys):
+        program, inputs, claimed, moduli = self.RCC[code]
+        program = program or _json_file(tmp_path, "g.json", serialize_program(div_by_const_graph(105)))
+        argv = ["rcc", "--program", program, "--inputs", _json_file(tmp_path, "i.json", inputs), "--claimed", claimed, "--moduli", moduli]
+        assert main(argv) == code
+        assert gc.isenabled() is caller
+
+    def test_restored_after_usage_error(self, caller, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["rcc", "--program", "conv2x2"])
+        assert e.value.code == 1
+        assert gc.isenabled() is caller
+
+    def test_restored_when_an_exception_escapes(self, caller, conv_inputs, monkeypatch):
+        seen = []
+
+        def boom(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_parser", None)  # the next parser binds the patched command
+        monkeypatch.setattr(cli, "_cmd_run", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "--program", "conv2x2", "--inputs", conv_inputs])
+        assert seen == [False]
+        assert gc.isenabled() is caller
+
+    def test_no_collection_inside_a_float_job(self, tmp_path, capsys):
+        # the smallest conv_layer whose run + fbc-judge the collector interrupts when it is not paused
+        g = builtin_program("conv_layer", channels=2, size=4)
+        instrumented = str(tmp_path / "ins.json")
+        assert main(["fbc-instrument", "--program", _json_file(tmp_path, "g.json", serialize_program(g)), "--out", instrumented]) == 0
+        trace = str(tmp_path / "trace.json")
+        jobs = [
+            ["run", "--program", instrumented, "--inputs", _json_file(tmp_path, "x.json", [0.5] * len(g.inputs)), "--out", trace],
+            ["fbc-judge", "--instrumented", instrumented, "--trace", trace],
+        ]
+        inside = []
+
+        def hook(phase, info):
+            if phase == "start" and _inside_main():
+                inside.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()  # an empty young generation, so what follows collects the same way each time
+        gc.callbacks.append(hook)
+        try:
+            codes = [main(argv) for argv in jobs]
+        finally:
+            gc.callbacks.remove(hook)
+            (gc.enable if was else gc.disable)()
+        assert codes == [0, 0]
+        assert inside == []

@@ -38,6 +38,8 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(BuiltinError, match="unknown builtin"):
             builtin_spec("fir9000")
+        with pytest.raises(BuiltinError, match=r"^unknown builtin 'a\\nb' \(known:"):  # one line
+            builtin_spec("a\nb")
 
     def test_bad_params(self):
         with pytest.raises(BuiltinError):
