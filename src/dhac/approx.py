@@ -46,8 +46,8 @@ MUL_KINDS = ("exact", "trunc_mul", "broken_array", "log_approx")
 class IntUnitModel:
     """One integer unit: kind plus its width parameter.
 
-    param is the k (bit) or s (segment width) parameter; 0 is the degenerate
-    exact configuration for the k-parameterized kinds (s=16 for seg_carry).
+    param is the k (bit) or s (segment width) parameter. A k of 0 (an s of
+    16 for seg_carry) computes exactly, through the kind's own formula.
     """
 
     kind: str
@@ -65,16 +65,6 @@ class IntUnitModel:
                 raise ConfigError(f"seg_carry: segment width must be in (1, 16], got {self.param}")
         elif self.param != 0:
             raise ConfigError(f"{self.kind} takes no parameter")
-
-    @property
-    def is_exact(self) -> bool:
-        if self.kind == "exact":
-            return True
-        if self.kind == "seg_carry":
-            return self.param == 16
-        if self.kind == "log_approx":
-            return False
-        return self.param == 0
 
     def label(self) -> str:
         return self.kind if self.kind in ("exact", "log_approx") else f"{self.kind}({self.param})"
@@ -126,12 +116,12 @@ def add16_batch(model: IntUnitModel, a, b):
 
     a and b are Python ints or int64 lanes; the result has the same form.
     """
-    k = model.param
-    if model.is_exact:
+    kind, k = model.kind, model.param
+    if kind == "exact":
         u = a + b
-    elif model.kind == "loa":  # high parts added with carry-in 0, low bits ORed
+    elif kind == "loa":  # high parts added with carry-in 0, low bits ORed
         u = (((a >> k) + (b >> k)) << k) | ((a | b) & ((1 << k) - 1))
-    elif model.kind == "trunc_add":
+    elif kind == "trunc_add":
         mask = ~((1 << k) - 1)
         u = (a & mask) + (b & mask)
     else:  # seg_carry: the carry out of each segment is masked off
@@ -147,15 +137,15 @@ def mul16_batch(model: IntUnitModel, a, b):
 
     a and b are Python ints or int64 lanes; the result has the same form.
     """
-    k = model.param
-    if model.kind == "log_approx":  # the one unit that reads whole 16-bit patterns
-        u = _mitchell(a & _MASK16, b & _MASK16)
-    elif model.is_exact:
+    kind, k = model.kind, model.param
+    if kind == "exact":
         u = a * b
-    elif model.kind == "trunc_mul":
+    elif kind == "trunc_mul":
         u = a * (b & ~((1 << k) - 1))
-    else:  # broken_array
+    elif kind == "broken_array":
         u = a * b & ~((1 << k) - 1)
+    else:  # log_approx, the one unit that reads whole 16-bit patterns
+        u = _mitchell(a & _MASK16, b & _MASK16)
     return wrap16(u)
 
 

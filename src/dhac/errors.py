@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all dhac modules, and the typing rule for JSON fields."""
+"""Exception hierarchy shared by all dhac modules, the typing rule for JSON fields and the rule against repeats."""
 
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ class StatsError(DhacError):
 
 
 class ModulusError(DhacError):
-    """Invalid modulus (below 2, duplicate or mismatched), or a residue outside its ring."""
+    """Invalid modulus (not an int >= 2, duplicate or mismatched), or a residue outside its ring."""
 
 
 class NoInverseError(DhacError):
@@ -91,3 +91,11 @@ def known_keys(doc: dict, known, name: str, error: type[DhacError]) -> dict:
     if unknown:
         raise error(f"unknown {name} keys: {sorted(unknown)}")
     return doc
+
+
+def unique(items: list, name: str, error: type[DhacError]) -> list:
+    """items, or `error` naming the first item equal to an earlier one: the one rule against repeats."""
+    for i, x in enumerate(items):
+        if x in items[:i]:
+            raise error(f"duplicate {name} {x!r}")
+    return items

@@ -119,27 +119,24 @@ class DFGraph:
         """Check structure and compile the plan; raises ValidationError.
 
         A node's plan position is its place in the file, so each node must come after its operands. Checks the
-        graph type and ids; then, node by node in file order, the op, arity, value, type and operands (each must
-        come earlier), in the pass that emits the node's plan step; then the graph's inputs and outputs.
+        graph type; then, node by node in file order, the id, op, arity, value, type and operands, in the pass
+        that emits the node's plan step, so the first faulty node is the one reported; then the graph's inputs
+        and outputs.
         """
         nodes, gtype = self.nodes, self.dtype
         int16, float64 = _TYPES
         if gtype is not int16 and gtype is not float64:
             raise ValidationError(f"graph type must be a ScalarType, got {gtype!r}")
-        index: dict[str, int] = {}
-        for i, n in enumerate(nodes):
-            nid = n.id
-            if not nid or not isinstance(nid, str):
-                raise ValidationError(f"node id must be a non-empty string, got {nid!r}")
-            if nid in index:
-                raise ValidationError(f"duplicate node id '{nid}'")
-            index[nid] = i
-
+        index: dict[str, int] = {}  # the position of each node before the one being checked
         # per position (the node's index in the file): type, opcode and operand positions
         types, codes, pa, pb, last = [], [], [], [], [-1] * len(nodes)
         consts: list = []
         input_ids, output_ids = [], []
         for p, (nid, op, operands, value, dtype) in enumerate(nodes):
+            if not nid or not isinstance(nid, str):
+                raise ValidationError(f"node id must be a non-empty string, got {nid!r}")
+            if nid in index:
+                raise ValidationError(f"duplicate node id '{nid}'")
             try:
                 num = _OP_NUMBER[op._value_]
             except (AttributeError, KeyError):
@@ -160,12 +157,13 @@ class DFGraph:
             if num >= 2:
                 try:
                     a, b = index[operands[0]], index[operands[-1]]
-                except KeyError as e:
-                    raise ValidationError(f"node '{nid}': unknown operand id '{e.args[0]}'") from None
+                except KeyError as e:  # a forward or self reference (every cycle has one), or an unknown id
+                    ref = e.args[0]
+                    if any(m.id == ref for m in nodes[p:]):
+                        raise ValidationError(f"node '{nid}': operand '{ref}' must come before it in the file") from None
+                    raise ValidationError(f"node '{nid}': unknown operand id '{ref}'") from None
                 except TypeError:  # an unhashable operand
                     raise ValidationError(f"node '{nid}': operands must be node ids, got {operands!r}") from None
-                if a >= p or b >= p:  # a forward or self reference; every cycle has one
-                    raise ValidationError(f"node '{nid}': operand '{operands[a < p]}' must come before it in the file")
                 last[a] = last[b] = p
                 ta = types[a]
                 if num <= 3:  # output or export: the operand's value and type
@@ -192,6 +190,7 @@ class DFGraph:
             codes.append(2 * num + (t is float64) + widen)
             pa.append(a)
             pb.append(b)
+            index[nid] = p
 
         if not input_ids:
             raise ValidationError("graph has no input nodes")

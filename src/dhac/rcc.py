@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusError, NoInverseError, ValidationError
+from .errors import ModulusError, NoInverseError, ValidationError, unique
 from .graph import DFGraph, Judgement, ScalarType
 from .interp import _check_scalar_input, _inputs, _walk
 
@@ -32,16 +32,13 @@ class Residue:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ModulusError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ModulusError(f"residue {self.value} out of range for modulus {self.modulus}")
+        m, v = _modulus(self.modulus), self.value
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < m:
+            raise ModulusError(f"residue {v!r} out of range for modulus {m}: must be an integer in [0, {m})")
 
 
 def to_residue(x: int, m: int) -> Residue:
-    if m < 2:
-        raise ModulusError(f"modulus must be >= 2, got {m}")
-    return Residue(int(x) % m, m)
+    return Residue(int(x) % _modulus(m), m)
 
 
 def _same_modulus(a: Residue, b: Residue) -> int:
@@ -86,18 +83,18 @@ def ring_div(a: Residue, b: Residue) -> Residue:
     return ring_mul(a, ring_inv(b))
 
 
-def _moduli(moduli) -> list[int]:
-    """moduli as Python ints: at least one, each an integer >= 2, no two equal (ModulusError).
+def _modulus(m) -> int:
+    """m as a Python int by the one modulus rule, for residues and moduli alike: an int, not a bool, >= 2."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ModulusError(f"modulus must be an int >= 2, got {m!r}")
+    if m < 2:
+        raise ModulusError(f"modulus must be >= 2, got {int(m)}")
+    return int(m)
 
-    The one modulus rule, for ModuleSet and residues_batch alike.
-    """
-    mods: list[int] = []
-    for m in moduli:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
-            raise ModulusError(f"modulus must be an int >= 2, got {m!r}")
-        if m in mods:
-            raise ModulusError(f"duplicate modulus {m}")
-        mods.append(int(m))
+
+def _moduli(moduli) -> list[int]:
+    """moduli as Python ints: at least one, each by the modulus rule, no two equal (ModulusError)."""
+    mods = unique([_modulus(m) for m in moduli], "modulus", ModulusError)
     if not mods:
         raise ModulusError("at least one modulus required")
     return mods

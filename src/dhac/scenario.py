@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel, error_stats
-from .errors import ConfigError, known_keys, typed
+from .errors import ConfigError, known_keys, typed, unique
 from .fbc import (
     DEFAULT_DELTA,
     DEFAULT_STEPS,
@@ -173,6 +173,11 @@ class ScenarioConfig:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         check_delta(self.fbc_delta, ConfigError)
+        # a cell's rows are keyed by its labels, so no two cells may share them
+        unique([e.label for e in self.rcc_programs], "rcc program label", ConfigError)
+        unique([e.label for e in self.fbc_programs], "fbc program label", ConfigError)
+        unique([b.label() for b in self.combos], "combo label", ConfigError)
+        unique(self.fp_bits, "fp_bits width", ConfigError)
 
 
 # each config object's keys, with the kind of each value
@@ -374,15 +379,15 @@ def _rcc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, backend: A
 
 
 def _fbc_taps(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
-    """One (program, fp-bits) cell served, with the sentinel export lanes the client receives."""
+    """One (program, fp-bits) cell served, kept as (mask, detectable, sentinels, client taps): its traces free on return."""
     served = _serve(cfg, builds, "fbc", entry, f"fp{bits}", ArithBackend(fp_bits=bits))
-    exports = [k for s in served.program.sentinels for k in (s.entry_export, s.exit_export)]
-    return served, {k: _received(served, lambda tr: tr.exports[k]) for k in exports}
+    sentinels = served.program.sentinels
+    taps = {k: _received(served, lambda tr: tr.exports[k]) for s in sentinels for k in (s.entry_export, s.exit_export)}
+    return served.mask, served.detectable, sentinels, taps
 
 
 def _fbc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
-    served, taps = _fbc_taps(cfg, builds, entry, bits)
-    mask, detectable = served.mask, served.detectable
+    mask, detectable, sentinels, taps = _fbc_taps(cfg, builds, entry, bits)
     n_approx = int(mask.sum())
     n_det = int(detectable.sum())
     combo = f"fp_trunc({bits})"
@@ -392,7 +397,6 @@ def _fbc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int)
         fp, fn = int((flag & ~mask).sum()), int((detectable & ~flag).sum())
         return _row(entry.label, combo, check, _rate(hits, n_approx), _rate(caught, n_det), fp, fn)
 
-    sentinels = served.program.sentinels
     flags = [sentinel_distance(s, taps)[1] for s in sentinels]
     rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
     rows += [flag_row(f"sentinel-{s.kind.value}", flag) for s, flag in zip(sentinels, flags)]
@@ -464,14 +468,14 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
         check_delta(delta, ConfigError)
     builds: dict = {}
     cells = [_fbc_taps(cfg, builds, entry, bits) for _, entry, bits in _fbc_cells(cfg)]
-    n_approx = sum(int(served.mask.sum()) for served, _ in cells)
+    n_approx = sum(int(mask.sum()) for mask, *_ in cells)
     n_accurate = cfg.trials * len(cells) - n_approx
     report = DetectionReport("sweep", _config_echo(cfg), SWEEP_COLUMNS, [])
     for delta in deltas:
         fp = miss = 0
-        for served, taps in cells:
-            flag = np.logical_or.reduce([sentinel_distance(s, taps, delta)[1] for s in served.program.sentinels])
-            fp += int((flag & ~served.mask).sum())
-            miss += int((~flag & served.mask).sum())
+        for mask, _, sentinels, taps in cells:
+            flag = np.logical_or.reduce([sentinel_distance(s, taps, delta)[1] for s in sentinels])
+            fp += int((flag & ~mask).sum())
+            miss += int((~flag & mask).sum())
         report.rows.append({"delta": delta, "fp_rate": _rate(fp, n_accurate), "fn_rate": _rate(miss, n_approx)})
     return report

@@ -1,0 +1,82 @@
+"""Hypothesis strategies for random programs.
+
+A drawn graph is in file order: each node draws its operands from the nodes
+before it, outputs and exports included, so a value may feed several
+readers and an output may feed a later step. Graphs are int16, float64 or
+mixed; a node whose type differs from the graph's carries it, and no other
+node does, as `serialize_program` writes them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from dhac import DFGraph, DFNode, Op, ScalarType
+
+I16, F64 = ScalarType.INT16, ScalarType.FLOAT64
+ARITHMETIC = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
+FLOAT_ONLY = (Op.TAN, Op.ARCTAN)
+
+int16_values = st.one_of(st.integers(-4, 4), st.integers(-32768, 32767))
+float64_values = st.one_of(
+    st.floats(-4, 4, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0, 0.5])
+)
+
+
+@st.composite
+def programs(draw) -> DFGraph:
+    """A valid graph: its inputs, then constants, then steps that each read nodes before them."""
+    kind = draw(st.sampled_from(["int16", "float64", "mixed"]))
+    gtype = draw(st.sampled_from([I16, F64])) if kind == "mixed" else ScalarType(kind)
+    node_type = (lambda: draw(st.sampled_from([I16, F64]))) if kind == "mixed" else (lambda: gtype)
+    nodes: list[DFNode] = []
+    types: dict[str, ScalarType] = {}  # each node's type, by id
+    input_ids, output_ids = [], []
+
+    def add(op, t, operands=(), value=None, pass_through=False):
+        nid = f"n{len(nodes)}"
+        dtype = None if pass_through or t is gtype else t
+        nodes.append(DFNode(nid, op, tuple(operands), value, dtype))
+        types[nid] = t
+        return nid
+
+    for _ in range(draw(st.integers(1, 3))):
+        input_ids.append(add(Op.INPUT, node_type()))
+    for _ in range(draw(st.integers(0, 2))):
+        t = node_type()
+        add(Op.CONST, t, value=draw(int16_values if t is I16 else float64_values))
+    for _ in range(draw(st.integers(1, 10))):
+        t = node_type()
+        readable = [nid for nid in types if types[nid] is I16] if t is I16 else list(types)
+        if not readable:  # an int16 step with no int16 value before it
+            t, readable = F64, list(types)
+        step = draw(st.sampled_from(["arithmetic", "arithmetic", "arithmetic", "export", "output"]))
+        if step != "arithmetic":
+            x = draw(st.sampled_from(list(types)))
+            nid = add(Op.EXPORT if step == "export" else Op.OUTPUT, types[x], (x,), pass_through=True)
+            if step == "output":
+                output_ids.append(nid)
+            continue
+        op = draw(st.sampled_from(ARITHMETIC + FLOAT_ONLY if t is F64 else ARITHMETIC))
+        arity = 1 if op in FLOAT_ONLY else 2
+        add(op, t, draw(st.lists(st.sampled_from(readable), min_size=arity, max_size=arity)))
+    if not output_ids or draw(st.booleans()):  # an output of the last node, always when no output was drawn
+        last = nodes[-1]
+        if last.op is not Op.OUTPUT:
+            output_ids.append(add(Op.OUTPUT, types[last.id], (last.id,), pass_through=True))
+    inputs = draw(st.permutations(input_ids))  # the graph's input order need not be the file's
+    outputs = draw(st.permutations(output_ids))
+    return DFGraph(f"random-{kind}", gtype, nodes, list(inputs), list(outputs))
+
+
+@st.composite
+def jobs(draw) -> tuple[DFGraph, list[np.ndarray]]:
+    """A drawn program with one input column per graph input, of 1 to 4 lanes."""
+    g = draw(programs())
+    n = draw(st.integers(1, 4))
+    cols = []
+    for t in g.plan.inputs:
+        values = draw(st.lists(int16_values if t is I16 else float64_values, min_size=n, max_size=n))
+        cols.append(np.array(values, dtype=np.int64 if t is I16 else np.float64))
+    return g, cols

@@ -64,12 +64,12 @@ class TestAdders:
         assert add16_batch(IntUnitModel("exact"), 0x00FF, 0x0001) == 0x0100
 
     def test_param_zero_is_exact(self):
-        for kind in ("loa", "trunc_add"):
-            m = IntUnitModel(kind, 0)
-            assert m.is_exact
-            for a, b in [(123, 456), (-7, 7), (32767, 1)]:
-                assert add16_batch(m, a, b) == add16_batch(IntUnitModel("exact"), a, b)
-        assert IntUnitModel("seg_carry", 16).is_exact
+        # each degenerate parameter computes exactly through its kind's own formula, on ints and lanes
+        a, b = np.array([123, -7, 32767, -32768, 0x5555]), np.array([456, 7, 1, -1, 0x2AAB])
+        want = [O.ref_exact_add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        for m in (IntUnitModel("loa", 0), IntUnitModel("trunc_add", 0), IntUnitModel("seg_carry", 16)):
+            assert [add16_batch(m, x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+            assert add16_batch(m, a, b).tolist() == want
 
     def test_neg16(self):
         # a - b feeds the adder -b, whose 16-bit pattern is b's two's complement
@@ -127,11 +127,14 @@ class TestMultipliers:
                 assert mul16_batch(m, a, b) == ((a * b + 2**15) % 2**16) - 2**15
 
     def test_param_zero_is_exact(self):
-        for kind in ("trunc_mul", "broken_array"):
-            m = IntUnitModel(kind, 0)
-            assert m.is_exact
-            assert mul16_batch(m, 251, 131) == mul16_batch(IntUnitModel("exact"), 251, 131)
-        assert not IntUnitModel("log_approx").is_exact
+        # each degenerate parameter computes exactly through its kind's own formula, on ints and lanes
+        a, b = np.array([251, -7, 32767, -32768, 0x5555]), np.array([131, 7, 3, -1, 0x2AAB])
+        want = [O.signed16(x * y) for x, y in zip(a.tolist(), b.tolist())]
+        for m in (IntUnitModel("trunc_mul", 0), IntUnitModel("broken_array", 0)):
+            assert [mul16_batch(m, x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+            assert mul16_batch(m, a, b).tolist() == want
+        # log_approx has no parameter and is never exact: 5 * 10 gives 48
+        assert mul16_batch(IntUnitModel("log_approx"), 5, 10) == 48
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,10 @@ class TestBench:
                 "conv_layer: parameters give 152999420000653 nodes, more than the budget of 1000000",
             ),
             ({"fbc": {"delta": -1, "programs": []}}, "delta must be positive and finite, got -1.0"),
+            (
+                {"rcc": {"programs": [{"name": "euler2", "label": "a"}, {"name": "rk3", "label": "a"}]}},
+                "duplicate rcc program label 'a'",
+            ),
         ],
     )
     def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):

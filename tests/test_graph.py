@@ -377,10 +377,11 @@ class TestValidationPrecedence:
     @pytest.mark.parametrize(
         "make, msg",
         [
-            # ids are checked for every node before anything else
-            (_faulty(n("x", Op.INPUT), n("a", Op.ADD, "x"), n("x", Op.INPUT)), "duplicate node id 'x'"),
+            # node by node in file order, the first faulty node is reported: its id, then op, arity, value,
+            # type and operands
+            (_faulty(n("x", Op.INPUT), n("x", Op.INPUT), n("a", Op.ADD, "x")), "duplicate node id 'x'"),
+            (_faulty(n("x", Op.INPUT), n("b", Op.ADD, "x"), n("x", Op.INPUT)), "node 'b': op add takes 2 operands, got 1"),
             (_faulty(n("x", Op.INPUT), n("", Op.INPUT)), "node id must be a non-empty string, got ''"),
-            # then, node by node in file order, op, arity, value, type and operands
             (
                 _faulty(n("x", Op.INPUT), n("a", Op.ADD, "x", "ghost"), n("b", Op.ADD, "x")),
                 "node 'a': unknown operand id 'ghost'",

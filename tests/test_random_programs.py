@@ -1,0 +1,126 @@
+"""Random programs as the oracle: properties every drawn graph must have.
+
+(a) `evaluate` and `evaluate_batch` agree lane by lane under every backend
+    campaigns and degenerate units use, and both agree with
+    `oracles.eval_truncated` wherever it applies; where a lane fails, the
+    batch fails at the first failing node in file order.
+(c) A drawn graph survives its file format, and an operand pointed at a
+    later node is refused.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles as O
+import strategies as S
+from dhac import ArithBackend, DFGraph, DFNode, EvalError, IntUnitModel, Op, ValidationError
+from dhac import default_combos, evaluate, evaluate_batch, parse_program, serialize_program
+
+EXACT = ArithBackend()
+DEGENERATE = [
+    ArithBackend(adder=IntUnitModel("loa", 0)),
+    ArithBackend(adder=IntUnitModel("trunc_add", 0)),
+    ArithBackend(adder=IntUnitModel("seg_carry", 16)),
+    ArithBackend(multiplier=IntUnitModel("trunc_mul", 0)),
+    ArithBackend(multiplier=IntUnitModel("broken_array", 0)),
+]
+TRUNCATING = [ArithBackend(fp_bits=10), ArithBackend(fp_bits=20)]
+# the backends whose integer units compute exactly: `eval_truncated` is their reference
+EXACT_UNITS = [EXACT, *DEGENERATE, *TRUNCATING]
+BACKENDS = EXACT_UNITS + default_combos()
+
+
+def _scalar(v) -> tuple:
+    """A Python value as (type, bytes), so that 0.0 and -0.0 differ and an int never equals a float."""
+    return (float, struct.pack("<d", v)) if type(v) is float else (type(v), v)
+
+
+def _lane(lanes: np.ndarray, i: int) -> tuple:
+    return _scalar(lanes[i].item()) if lanes.dtype in (np.int64, np.float64) else ("dtype", lanes.dtype)
+
+
+def _run(f):
+    try:
+        return f(), None
+    except EvalError as e:
+        return None, e
+
+
+def _int16_div(g: DFGraph) -> bool:
+    types = g.node_types()
+    return any(m.op is Op.DIV and types[m.id] is S.I16 for m in g.nodes)
+
+
+def check_walks_agree(g: DFGraph, cols: list, backend: ArithBackend) -> None:
+    n = len(cols[0])
+    lanes = [_run(lambda: evaluate(g, [c[i].item() for c in cols], backend)) for i in range(n)]
+    batch, error = _run(lambda: evaluate_batch(g, cols, backend))
+    failed = [e for _, e in lanes if e is not None]
+    if failed:
+        pos = {nid: p for p, nid in enumerate(g.plan.ids)}
+        first = min(pos[e.node_id] for e in failed)
+        assert error is not None, backend.label()
+        assert error.node_id == g.plan.ids[first]
+        assert error.reason in {e.reason for e in failed if pos[e.node_id] == first}
+        return
+    assert error is None, (backend.label(), error)
+    oracle = backend in EXACT_UNITS and not _int16_div(g)
+    for i, (tr, _) in enumerate(lanes):
+        assert [_scalar(v) for v in tr.outputs] == [_lane(o, i) for o in batch.outputs]
+        assert list(tr.exports) == list(batch.exports)
+        assert [_scalar(v) for v in tr.exports.values()] == [_lane(v, i) for v in batch.exports.values()]
+        if oracle:
+            outputs, exports = O.eval_truncated(g, [c[i].item() for c in cols], backend.fp_bits)
+            assert [_scalar(v) for v in tr.outputs] == [_scalar(v) for v in outputs]
+            assert {k: _scalar(v) for k, v in tr.exports.items()} == {k: _scalar(v) for k, v in exports.items()}
+
+
+class TestScalarAndBatchWalks:
+    """Property (a)."""
+
+    @settings(max_examples=60)
+    @given(S.jobs())
+    def test_every_backend(self, job):
+        g, cols = job
+        for backend in BACKENDS:
+            check_walks_agree(g, cols, backend)
+
+    def test_a_failing_lane_fails_the_batch_at_its_node(self):
+        # lane 0 divides by zero at 'd'; lane 1 is inexact earlier, at 'q'
+        n = lambda nid, op, *xs: DFNode(nid, op, xs)
+        nodes = [n("x", Op.INPUT), n("y", Op.INPUT), n("q", Op.DIV, "x", "y"), n("d", Op.DIV, "x", "q"), n("o", Op.OUTPUT, "d")]
+        g = DFGraph("g", S.I16, nodes, ["x", "y"], ["o"])
+        cols = [np.array([0, 3]), np.array([1, 2])]
+        assert [str(_run(lambda: evaluate(g, [x, y], EXACT))[1]) for x, y in zip(*cols)] == [
+            "div-by-zero at node 'd'",
+            "inexact-div at node 'q'",
+        ]
+        assert str(_run(lambda: evaluate_batch(g, cols, EXACT))[1]) == "inexact-div at node 'q'"
+        check_walks_agree(g, cols, EXACT)
+
+
+class TestFileFormat:
+    """Property (c)."""
+
+    @given(S.programs())
+    def test_round_trip(self, g):
+        g2 = parse_program(serialize_program(g))
+        assert (g2.name, g2.dtype, g2.nodes, g2.inputs, g2.outputs) == (g.name, g.dtype, g.nodes, g.inputs, g.outputs)
+        assert g2.plan == g.plan
+
+    @given(S.programs(), st.data())
+    def test_forward_operand_refused(self, g, data):
+        readers = [p for p, m in enumerate(g.nodes) if m.operands]
+        p = data.draw(st.sampled_from(readers))
+        later = g.nodes[data.draw(st.integers(p, len(g.nodes) - 1))].id  # p itself is a self-reference
+        node = g.nodes[p]
+        k = data.draw(st.integers(0, len(node.operands) - 1))
+        operands = node.operands[:k] + (later,) + node.operands[k + 1 :]
+        nodes = g.nodes[:p] + [node._replace(operands=operands)] + g.nodes[p + 1 :]
+        with pytest.raises(ValidationError) as e:
+            DFGraph(g.name, g.dtype, nodes, g.inputs, g.outputs)
+        assert str(e.value) == f"node '{node.id}': operand '{later}' must come before it in the file"

@@ -66,6 +66,28 @@ class TestResidue:
         with pytest.raises(ModulusError, match="out of range"):
             Residue(-1, 5)
 
+    @pytest.mark.parametrize(
+        "make, msg",
+        [
+            (lambda: Residue(2, 3.0), "modulus must be an int >= 2, got 3.0"),
+            (lambda: Residue(1, True), "modulus must be an int >= 2, got True"),
+            (lambda: to_residue(5, 3.0), "modulus must be an int >= 2, got 3.0"),
+            (lambda: Residue(1.5, 3), "residue 1.5 out of range for modulus 3: must be an integer in [0, 3)"),
+            (lambda: Residue(True, 3), "residue True out of range for modulus 3: must be an integer in [0, 3)"),
+            (lambda: ring_add(Residue(1.5, 3), Residue(1, 3)), "residue 1.5 out of range for modulus 3: must be an integer in [0, 3)"),
+            (lambda: ring_inv(Residue(2, 3.0)), "modulus must be an int >= 2, got 3.0"),
+        ],
+    )
+    def test_modulus_rule_of_the_module_set(self, make, msg):
+        # a residue's modulus follows ModuleSet's rule, and its value is an integer of the ring
+        with pytest.raises(ModulusError) as e:
+            make()
+        assert str(e.value) == msg
+
+    def test_numpy_integers_accepted(self):
+        assert Residue(np.int64(2), 3) == Residue(2, 3)
+        assert to_residue(7, np.int64(5)) == Residue(2, 5)
+
     def test_frozen(self):
         r = Residue(2, 7)
         with pytest.raises(dataclasses.FrozenInstanceError):

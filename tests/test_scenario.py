@@ -31,6 +31,7 @@ from dhac import (
     server_state,
     sweep_threshold,
 )
+from dhac.approx import EXACT_UNIT, add16_batch, mul16_batch
 from dhac.programs import INTEGER_SHORTHANDS
 from dhac.rng import substream
 from dhac import scenario
@@ -159,7 +160,11 @@ class TestDefaultCombos:
         assert len(combos) == 9
         labels = [b.label() for b in combos]
         assert len(set(labels)) == 9
-        assert all(not (b.adder.is_exact and b.multiplier.is_exact) for b in combos)
+        # approximate by behaviour: each combo's adder and multiplier differ from exact on some operand pair
+        a, b = np.random.default_rng(3).integers(-32768, 32768, size=(2, 256))
+        for combo in combos:
+            assert (add16_batch(combo.adder, a, b) != add16_batch(EXACT_UNIT, a, b)).any()
+            assert (mul16_batch(combo.multiplier, a, b) != mul16_batch(EXACT_UNIT, a, b)).any()
         assert all(b.fp_bits == 0 for b in combos)
         assert "loa(4)+log_approx" in labels
         assert "seg_carry(4)+broken_array(4)" in labels
@@ -219,6 +224,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"'taps' must be an integer, got {value!r}")) as e:
             config_from_dict({"rcc": {"programs": [{"name": "fir_filter", "taps": value}]}})
         assert "\n" not in str(e.value)
+
+    @pytest.mark.parametrize(
+        "doc, msg",
+        [
+            ({"rcc": {"programs": [{"name": "euler2", "label": "a"}, {"name": "rk3", "label": "a"}]}}, "rcc program label 'a'"),
+            ({"rcc": {"programs": ["fir", "fir"]}}, "rcc program label 'fir'"),
+            ({"fbc": {"programs": ["conv_layer", {"name": "fir", "label": "conv_layer"}]}}, "fbc program label 'conv_layer'"),
+            ({"rcc": {"combos": [{"adder": {"kind": "loa", "k": 2}}, {}, {"adder": {"kind": "loa", "k": 2}}]}}, "combo label 'loa(2)+exact'"),
+            ({"fbc": {"fp_bits": [10, 20, 10]}}, "fp_bits width 10"),
+        ],
+    )
+    def test_duplicate_cells_rejected(self, doc, msg):
+        # two cells with the same labels would print rows no reader can tell apart
+        with pytest.raises(ConfigError) as e:
+            config_from_dict(doc)
+        assert str(e.value) == f"duplicate {msg}"
+
+    def test_same_label_in_rcc_and_fbc_allowed(self):
+        # an rcc and an fbc cell never share rows: their combos and checks differ
+        cfg = config_from_dict({"rcc": {"programs": ["conv2x2"]}, "fbc": {"programs": [{"name": "conv_layer", "label": "conv2x2"}]}})
+        assert cfg.rcc_programs[0].label == cfg.fbc_programs[0].label == "conv2x2"
 
     def test_default_markers(self):
         cfg = config_from_dict({"rcc": {"combos": "default"}, "fbc": {"sites": "auto"}})
@@ -445,6 +471,15 @@ class TestSweep:
         assert fns == sorted(fns, reverse=True)  # tighter threshold never misses more
         assert report.row(delta=1e-13)["fp_rate"] == 0.0
         assert report.row(delta=1e-17)["fp_rate"] > 0.0  # below rounding noise
+
+    def test_misses_match_the_campaign_at_its_delta(self):
+        # every trial is approximate, so each trial the overall row does not flag is one the sweep misses
+        cfg = small_cfg(trials=60, strategy=ServerStrategy(0, 0, 1.0), fbc_programs=(SMALL_CONV,), fp_bits=(6, 20))
+        overall = [r for r in run_fbc_trials(cfg).rows if r["check"] == "overall"]
+        misses = sum(cfg.trials - round(r["raw_rate"] * cfg.trials) for r in overall)
+        (row,) = sweep_threshold(cfg, [cfg.fbc_delta]).rows
+        assert row["fp_rate"] is None  # no accurate trial
+        assert 0 < misses == round(row["fn_rate"] * len(overall) * cfg.trials)
 
     def test_empty_deltas_rejected(self):
         with pytest.raises(ConfigError, match="at least one delta"):
