@@ -12,7 +12,10 @@ written by fbc-instrument) is accepted wherever a program is.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import hashlib
+import io
 import json
 import os
 import sys
@@ -47,22 +50,70 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_ERROR, f"error: {message}\n")
 
 
-def _load_json(path: str):
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _text(path: str, data: bytes) -> str:
+    """A file's bytes as text mode reads them: UTF-8, with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json_document(f.read(), path)
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as e:  # one read decodes the whole file, so e.start is a file offset
         raise ParseError(f"{path}: not UTF-8 text (bad byte at offset {e.start})") from None
 
 
+def _load_json(path: str):
+    return json_document(_text(path, _read(path)), path)
+
+
+class _LastFile:
+    """A file reader that decodes a file's JSON document with `decode` and keeps the last result.
+
+    Each call reads the file. The kept result is returned only for bytes with the same sha256 as
+    the file it came from; other bytes are decoded anew. A failed decode keeps nothing, so a bad
+    file fails the same way on every call.
+    """
+
+    def __init__(self, decode):
+        self.decode = decode
+        self.digest = self.result = None
+
+    def __call__(self, path: str):
+        data = _read(path)
+        digest = hashlib.sha256(data).digest()
+        if digest != self.digest:
+            # each stage frees its input before the next one builds, as _load_json does
+            text = _text(path, data)
+            del data
+            doc = json_document(text, path)
+            del text
+            self.result = self.decode(doc)
+            self.digest = digest
+        return self.result
+
+
+def _program_from_dict(doc) -> DFGraph:
+    if isinstance(doc, dict) and "sentinels" in doc:
+        return instrumented_from_dict(doc).graph
+    return parse_program_dict(doc)
+
+
+# a process decodes each program once: the last program file and key file by their bytes, builtins by name
+_program_file = _LastFile(_program_from_dict)
+_key_file = _LastFile(sentinels_from_dict)
+
+
+@functools.cache
+def _builtin(name: str) -> DFGraph:
+    return builtin_program(name)
+
+
 def _load_program(value: str) -> DFGraph:
     if os.path.exists(value):
-        doc = _load_json(value)
-        if isinstance(doc, dict) and "sentinels" in doc:
-            return instrumented_from_dict(doc).graph
-        return parse_program_dict(doc)
+        return _program_file(value)
     if value in BUILTIN_NAMES:
-        return builtin_program(value)
+        return _builtin(value)
     raise InputError(f"'{value}' is neither a file nor a builtin name")
 
 
@@ -155,7 +206,7 @@ def _cmd_fbc_instrument(args) -> int:
 
 
 def _cmd_fbc_judge(args) -> int:
-    verdict = judge(sentinels_from_dict(_load_json(args.instrumented)), _trace_from_dict(_load_json(args.trace)))
+    verdict = judge(_key_file(args.instrumented), _trace_from_dict(_load_json(args.trace)))
     doc = {
         "judgement": verdict.judgement.value,
         "sentinels": [
@@ -264,6 +315,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     # A command's documents and graphs are acyclic, so reference counting frees
     # them; the cyclic collector would only re-scan them while they are built.
+    # A graph kept for later commands (_load_program) outlives its command: the
+    # first young collection after it traverses that graph once, as it ages.
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -33,12 +33,20 @@ class Residue:
 
     def __post_init__(self):
         m, v = _modulus(self.modulus), self.value
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < m:
+        if not _integer(v) or not 0 <= v < m:
             raise ModulusError(f"residue {v!r} out of range for modulus {m}: must be an integer in [0, {m})")
 
 
+def _integer(v) -> bool:
+    """The value rule of residues: an int or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def to_residue(x: int, m: int) -> Residue:
-    return Residue(int(x) % _modulus(m), m)
+    mod = _modulus(m)
+    if not _integer(x):
+        raise ModulusError(f"cannot reduce {x!r} mod {mod}: must be an integer")
+    return Residue(int(x) % mod, m)
 
 
 def _same_modulus(a: Residue, b: Residue) -> int:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .approx import EXACT_UNIT, ArithBackend, IntUnitModel, error_stats
+from .approx import EXACT_UNIT, ArithBackend, IntUnitModel, check_fp_bits, error_stats
 from .errors import ConfigError, known_keys, typed, unique
 from .fbc import (
     DEFAULT_DELTA,
@@ -173,6 +173,8 @@ class ScenarioConfig:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         check_delta(self.fbc_delta, ConfigError)
+        for bits in self.fp_bits:
+            check_fp_bits(bits)
         # a cell's rows are keyed by its labels, so no two cells may share them
         unique([e.label for e in self.rcc_programs], "rcc program label", ConfigError)
         unique([e.label for e in self.fbc_programs], "fbc program label", ConfigError)

@@ -491,6 +491,7 @@ class TestBench:
                 {"rcc": {"programs": [{"name": "euler2", "label": "a"}, {"name": "rk3", "label": "a"}]}},
                 "duplicate rcc program label 'a'",
             ),
+            ({"fbc": {"fp_bits": [60]}}, "fp truncation bits must be in [0, 52], got 60"),
         ],
     )
     def test_rejected_config_is_one_line(self, doc, msg, tmp_path, capsys):
@@ -707,3 +708,104 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
         assert codes == [0, 0]
         assert inside == []
+
+
+class TestDecodeOnce:
+    """A process decodes each program once: later commands reuse a builtin by its name and a file by its bytes."""
+
+    X = [0.5, 1.25]
+
+    @staticmethod
+    def _rewrite(path, text):
+        """Write `text` over the file at `path`, keeping its size and mtime, so only its bytes change."""
+        st = os.stat(path)
+        Path(path).write_text(text)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(path).st_size == st.st_size
+
+    def test_rewritten_files_are_decoded_anew(self, tmp_path, capsys):
+        ins = _json_file(tmp_path, "i.json", self.X)
+        prog, instrumented, trace = (str(tmp_path / n) for n in ("g.json", "fbc.json", "trace.json"))
+        plain = serialize_program(float_graph())
+        host = json.dumps(instrumented_to_dict(instrument(float_graph(), [make_sentinel("add", "a", substream(0, "x"))])))
+        # the second versions move the graph's constant and lift the sentinel's threshold past any distance
+        versions = [(plain, host)]
+        versions.append(tuple(t.replace('"value": 0.75', '"value": 0.25').replace('"delta": 1e-13', '"delta": 1e+99') for t in versions[0]))
+        seen = []
+        for i, (plain_text, host_text) in enumerate(versions):
+            for path, text in ((prog, plain_text), (instrumented, host_text)):
+                if i == 0:
+                    Path(path).write_text(text)
+                else:
+                    self._rewrite(path, text)
+            assert main(["run", "--program", prog, "--inputs", ins]) == 0
+            run = capsys.readouterr().out
+            assert run == f"out {evaluate(graph.parse_program(plain_text), self.X, ACC).outputs[0]}\n"
+            assert main(["run", "--program", instrumented, "--inputs", ins, "--fp-bits", "20", "--out", trace]) == 0
+            capsys.readouterr()
+            verdict = main(["fbc-judge", "--instrumented", instrumented, "--trace", trace]), capsys.readouterr().out
+            assert verdict == TestFbcJudge._library_verdict(json.loads(host_text), trace)[:2]
+            seen.append((run, verdict))
+        assert seen[0][0] != seen[1][0]
+        assert seen[0][1][0] == 2 and seen[1][1][0] == 0
+
+    @pytest.mark.parametrize("flag", ["--program", "--instrumented"])
+    @pytest.mark.parametrize("bad", ['{"graph": {', '{"graph": {}, "sentinels": [{"kind": "cos"}]}'], ids=["json", "sentinel"])
+    def test_bad_file_fails_alike_until_mended(self, flag, bad, tmp_path, capsys):
+        good = _json_file(tmp_path, "good.json", instrumented_to_dict(instrument(float_graph(), [make_sentinel("mul", "m", substream(1, "x"))])))
+        ins, trace = _json_file(tmp_path, "i.json", self.X), str(tmp_path / "trace.json")
+        assert main(["run", "--program", good, "--inputs", ins, "--fp-bits", "10", "--out", trace]) == 0
+        capsys.readouterr()
+
+        def call(path):
+            argv = ["run", "--program", path, "--inputs", ins] if flag == "--program" else ["fbc-judge", "--instrumented", path, "--trace", trace]
+            return main(argv), capsys.readouterr()
+
+        want = call(good)  # the good bytes are now the ones kept
+        path = _json_file(tmp_path, "bad.json", bad)
+        first = call(path)
+        assert first[0] == 1 and first[1].out == "" and first[1].err.startswith("error: ") and first[1].err.count("\n") == 1
+        assert call(path) == first
+        Path(path).write_text(Path(good).read_text())
+        assert call(path) == want
+
+    @pytest.mark.parametrize("name", ["rk3", "conv_layer"])
+    def test_builtin_graph_left_as_built(self, name, tmp_path, capsys):
+        spec = builtin_spec(name)
+        ins = _json_file(tmp_path, "i.json", draw_inputs(spec, substream(4, "cli", name)))
+        # on the graph of the other type, fbc-instrument and rcc are refused after reading it
+        for argv in (
+            ["fbc-instrument", "--program", name, "--out", str(tmp_path / "fbc.json")],
+            ["run", "--program", name, "--inputs", ins],
+            ["run", "--program", name, "--inputs", ins, "--adder", "loa:4", "--multiplier", "log_approx", "--fp-bits", "10"],
+            ["rcc", "--program", name, "--inputs", ins, "--claimed", "0"],
+        ):
+            main(argv)
+        kept = cli._load_program(name)
+        assert kept is cli._load_program(name)
+        assert kept == spec.graph and kept.plan == spec.graph.plan
+
+    def test_repeated_float_job_is_byte_identical(self, tmp_path, capsys, monkeypatch):
+        g = builtin_program("conv_layer", channels=2, size=4)
+        instrumented = str(tmp_path / "fbc.json")
+        # a seed no other test instruments with, so the first call decodes the file
+        argv = ["fbc-instrument", "--program", _json_file(tmp_path, "g.json", serialize_program(g)), "--seed", "17", "--out", instrumented]
+        assert main(argv) == 0
+        capsys.readouterr()
+        inputs = _json_file(tmp_path, "x.json", draw_inputs(builtin_spec("conv_layer", channels=2, size=4), substream(6, "cli", "memo")))
+        trace, verdict = tmp_path / "trace.json", tmp_path / "verdict.json"
+        decodes = []
+        for reader in (cli._program_file, cli._key_file):
+            monkeypatch.setattr(reader, "decode", lambda doc, r=reader, d=reader.decode: decodes.append(r) or d(doc))
+        rounds = []
+        for _ in range(3):
+            codes = (
+                main(["run", "--program", instrumented, "--inputs", inputs, "--fp-bits", "10", "--out", str(trace)]),
+                main(["fbc-judge", "--instrumented", instrumented, "--trace", str(trace), "--out", str(verdict)]),
+            )
+            rounds.append((codes, capsys.readouterr(), trace.read_bytes(), verdict.read_bytes()))
+            trace.unlink()
+            verdict.unlink()
+        assert rounds[0][0] == (0, 2)
+        assert rounds[1:] == rounds[:1] * 2
+        assert decodes == [cli._program_file, cli._key_file]

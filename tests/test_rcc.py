@@ -87,6 +87,15 @@ class TestResidue:
     def test_numpy_integers_accepted(self):
         assert Residue(np.int64(2), 3) == Residue(2, 3)
         assert to_residue(7, np.int64(5)) == Residue(2, 5)
+        assert to_residue(np.int16(-7), 5) == Residue(3, 5)
+        assert to_residue(np.int64(2**40 + 1), 7) == to_residue(2**40 + 1, 7) == Residue((2**40 + 1) % 7, 7)
+
+    @pytest.mark.parametrize("x", [5.7, 5.0, math.nan, math.inf, True, np.bool_(True), np.float64(2.0), "5", None])
+    def test_to_residue_takes_integers_only(self, x):
+        # by Residue's value rule: any integer is reduced, anything else is refused in one line
+        with pytest.raises(ModulusError) as e:
+            to_residue(x, 3)
+        assert str(e.value) == f"cannot reduce {x!r} mod 3: must be an integer"
 
     def test_frozen(self):
         r = Residue(2, 7)

@@ -264,6 +264,9 @@ class TestConfig:
             config_from_dict({"fbc": {"kinds": ["cos"]}})
         with pytest.raises(ConfigError, match="trials"):
             config_from_dict({"trials": 0})
+        for bits in (60, 53, -1):
+            with pytest.raises(ConfigError, match=rf"^fp truncation bits must be in \[0, 52\], got {bits}$"):
+                config_from_dict({"fbc": {"fp_bits": [10, bits]}})
         with pytest.raises(ConfigError, match="program entry"):
             config_from_dict({"rcc": {"programs": [7]}})
         with pytest.raises(ConfigError, match="'rcc' must be an object"):
