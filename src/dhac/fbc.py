@@ -142,45 +142,38 @@ class InstrumentedGraph:
 def instrument(graph: DFGraph, sentinels) -> InstrumentedGraph:
     """Graft sentinels onto a graph; host nodes and outputs are untouched.
 
-    Sites must be distinct float64 nodes. The returned sentinels carry the
-    export ids the judge reads.
+    Sites must be distinct float64 nodes of the host graph. The returned
+    sentinels carry the export ids the judge reads.
     """
-    types = graph.node_types()
-    existing = {n.id for n in graph.nodes}
+    types = graph.node_types()  # the host's nodes only: a site is never an earlier detour's node
+    used = set(types)
     nodes = list(graph.nodes)
     placed = []
-    seen_sites = set()
+    f64 = ScalarType.FLOAT64
+    dtype = None if graph.dtype is f64 else f64  # as a parsed file gives: a type only where it is not the graph's
     for i, s in enumerate(sentinels):
-        if s.site not in existing:
+        if s.site not in types:
             raise SiteError(f"site '{s.site}' not in graph '{graph.name}'")
-        if types[s.site] is not ScalarType.FLOAT64:
+        if types[s.site] is not f64:
             raise SiteError(f"site '{s.site}' is {types[s.site].value}; sentinels need a float64 site")
-        if s.site in seen_sites:
+        if any(p.site == s.site for p in placed):
             raise SiteError(f"duplicate sentinel site '{s.site}'")
-        seen_sites.add(s.site)
 
+        # the detour's operands (its const r_j at index j), then its entry export, steps and exit export
         pre = f"{s.site}__fbc{i}"
-        entry, exit_ = f"{pre}_in", f"{pre}_out"
-        new_ids = [entry, exit_]
-        steps = detour_steps(s)
-        step_ids = [f"{pre}_s{j}" for j in range(len(steps))]
-        const_ids = [f"{pre}_r{j}" for j in range(len(s.operands))]
-        new_ids += step_ids + const_ids
-        clash = [nid for nid in new_ids if nid in existing]
-        if clash:
-            raise SiteError(f"instrumentation id collision: {clash[0]}")
-        existing.update(new_ids)
-
-        for j, r in enumerate(s.operands):
-            nodes.append(DFNode(id=const_ids[j], op=Op.CONST, operands=(), value=float(r), dtype=ScalarType.FLOAT64))
-        nodes.append(DFNode(id=entry, op=Op.EXPORT, operands=(s.site,), dtype=ScalarType.FLOAT64))
-        prev = entry
-        for j, (op, r) in enumerate(steps):
-            operands = (prev,) if r is None else (prev, const_ids[r])
-            nodes.append(DFNode(id=step_ids[j], op=op, operands=operands, dtype=ScalarType.FLOAT64))
-            prev = step_ids[j]
-        nodes.append(DFNode(id=exit_, op=Op.EXPORT, operands=(prev,), dtype=ScalarType.FLOAT64))
-        placed.append(replace(s, entry_export=entry, exit_export=exit_))
+        detour = [DFNode(f"{pre}_r{j}", Op.CONST, (), float(r), dtype) for j, r in enumerate(s.operands)]
+        entry = DFNode(f"{pre}_in", Op.EXPORT, (s.site,), None, dtype)
+        detour.append(entry)
+        for j, (op, r) in enumerate(detour_steps(s)):
+            prev = detour[-1].id
+            detour.append(DFNode(f"{pre}_s{j}", op, (prev,) if r is None else (prev, detour[r].id), None, dtype))
+        detour.append(DFNode(f"{pre}_out", Op.EXPORT, (detour[-1].id,), None, dtype))
+        for n in detour:
+            if n.id in used:
+                raise SiteError(f"instrumentation id collision: {n.id}")
+            used.add(n.id)
+        nodes += detour
+        placed.append(replace(s, entry_export=entry.id, exit_export=detour[-1].id))
 
     g = DFGraph(f"{graph.name}+fbc", graph.dtype, nodes, list(graph.inputs), list(graph.outputs))
     return InstrumentedGraph(graph=g, sentinels=tuple(placed))

@@ -235,11 +235,15 @@ def _check_const(n: DFNode, t: ScalarType) -> None:
 
 
 def json_document(text: str, source: str):
-    """The JSON value in `text`, or ParseError naming `source` (its file) with the line and column."""
+    """The JSON value in `text`, or ParseError naming `source` (its file), with the line and column of a syntax error."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{source}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: invalid JSON: nested too deeply") from None
+    except ValueError:  # the only other one: an integer longer than int() reads
+        raise ParseError(f"{source}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_program(text: str) -> DFGraph:

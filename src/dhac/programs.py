@@ -52,6 +52,12 @@ def _n(nid, op, *operands, value=None, dtype=None) -> DFNode:
     return DFNode(id=nid, op=op, operands=tuple(operands), value=value, dtype=dtype)
 
 
+def _graph(name: str, dtype: ScalarType, nodes: list[DFNode]) -> DFGraph:
+    """A builtin's graph: its inputs and outputs are its input and output nodes, in file order."""
+    input_, output = Op.INPUT, Op.OUTPUT  # locals and index access: a scan of conv_layer then costs what appends did
+    return DFGraph(name, dtype, nodes, [n[0] for n in nodes if n[1] is input_], [n[0] for n in nodes if n[1] is output])
+
+
 # ---------------------------------------------------------------------------
 # fir_filter: lowpass with positive seeded coefficients, positive signal
 
@@ -65,10 +71,8 @@ def _fir(taps: int = 11, seed: int = 0) -> BuiltinSpec:
     # sum(c*x) <= taps * max(c) * x_hi must stay under 32767
     x_hi = 32767 // (taps * 5)
     nodes = []
-    inputs = []
     for i in range(taps):
         nodes.append(_n(f"x{i}", Op.INPUT))
-        inputs.append(f"x{i}")
         nodes.append(_n(f"c{i}", Op.CONST, value=coeffs[i]))
         nodes.append(_n(f"m{i}", Op.MUL, f"c{i}", f"x{i}"))
     acc = "m0"
@@ -76,9 +80,8 @@ def _fir(taps: int = 11, seed: int = 0) -> BuiltinSpec:
         nodes.append(_n(f"s{i}", Op.ADD, acc, f"m{i}"))
         acc = f"s{i}"
     nodes.append(_n("out", Op.OUTPUT, acc))
-    g = DFGraph(f"fir{taps}" if taps != 11 else "fir", ScalarType.INT16, nodes, inputs, ["out"])
     return BuiltinSpec(
-        graph=g,
+        graph=_graph(f"fir{taps}" if taps != 11 else "fir", ScalarType.INT16, nodes),
         input_ranges=[InputRange(100, x_hi)] * taps,
         meta={"taps": taps, "coeffs": coeffs, "x_hi": x_hi},
     )
@@ -89,24 +92,16 @@ def _fir(taps: int = 11, seed: int = 0) -> BuiltinSpec:
 
 
 def _conv2x2() -> BuiltinSpec:
-    nodes = []
-    inputs = []
-    for i in range(4):
-        nodes.append(_n(f"a{i}", Op.INPUT))
-        inputs.append(f"a{i}")
-    for i in range(4):
-        nodes.append(_n(f"b{i}", Op.INPUT))
-        inputs.append(f"b{i}")
+    nodes = [_n(f"a{i}", Op.INPUT) for i in range(4)] + [_n(f"b{i}", Op.INPUT) for i in range(4)]
     for i in range(4):
         nodes.append(_n(f"m{i}", Op.MUL, f"b{i}", f"a{i}"))
     nodes.append(_n("s1", Op.ADD, "m0", "m1"))
     nodes.append(_n("s2", Op.ADD, "s1", "m2"))
     nodes.append(_n("s3", Op.ADD, "s2", "m3"))
     nodes.append(_n("out", Op.OUTPUT, "s3"))
-    g = DFGraph("conv2x2", ScalarType.INT16, nodes, inputs, ["out"])
     # 4 * 300 * 27 = 32400 < 32767: wrap-free
     ranges = [InputRange(50, 300)] * 4 + [InputRange(10, 27)] * 4
-    return BuiltinSpec(graph=g, input_ranges=ranges)
+    return BuiltinSpec(graph=_graph("conv2x2", ScalarType.INT16, nodes), input_ranges=ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +123,7 @@ def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
     if not 2 <= steps <= 10:
         raise BuiltinError(f"euler: steps must be in [2, 10], got {steps}")
     ts = [2 * n - (steps - 1) for n in range(steps)]  # centered odd grid
-    nodes = [_n("y0", Op.INPUT)]
-    inputs = ["y0"]
-    for k in range(order, -1, -1):
-        nodes.append(_n(f"c{k}", Op.INPUT))
-        inputs.append(f"c{k}")
+    nodes = [_n("y0", Op.INPUT)] + [_n(f"c{k}", Op.INPUT) for k in range(order, -1, -1)]
 
     if order == 2:
         # prescale q_k = c_k * 16 once (data-first, exact under every
@@ -171,7 +162,6 @@ def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
             acc = f"y_{s}"
 
     nodes.append(_n("out", Op.OUTPUT, acc))
-    g = DFGraph(f"euler{order}", ScalarType.INT16, nodes, inputs, ["out"])
     # exact output: y0 + 16*330*c2 + 10*c0, well inside int16
     if order == 2:
         ranges = [
@@ -189,7 +179,7 @@ def _euler(order: int = 2, steps: int = 10) -> BuiltinSpec:
             InputRange(1, 9),              # c0
         ]
     meta = {"order": order, "steps": steps, "h": _H, "grid": ts}
-    return BuiltinSpec(graph=g, input_ranges=ranges, meta=meta)
+    return BuiltinSpec(graph=_graph(f"euler{order}", ScalarType.INT16, nodes), input_ranges=ranges, meta=meta)
 
 
 def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
@@ -199,7 +189,6 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
         raise BuiltinError(f"runge_kutta: steps must be in [2, 10], got {steps}")
 
     nodes = [_n("y0", Op.INPUT)]
-    inputs = ["y0"]
 
     if order == 2:
         # Heun: grid evaluations shared between neighbouring steps (11
@@ -207,9 +196,7 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
         # constant-term weight sits just off the power-of-two lattice
         # (17/19) so the low nibble of every stage stays live.
         ts = [n - steps // 2 for n in range(steps + 1)]
-        for name in ("c2", "c1", "c0"):
-            nodes.append(_n(name, Op.INPUT))
-            inputs.append(name)
+        nodes += [_n(name, Op.INPUT) for name in ("c2", "c1", "c0")]
         for j, t in enumerate(ts):
             nodes.append(_n(f"V2_{j}", Op.CONST, value=_H * t * t))
             nodes.append(_n(f"V1_{j}", Op.CONST, value=_H * t))
@@ -238,9 +225,7 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
         # contributions cancel pairwise over the symmetric grid, so the
         # output window is unchanged); the square term stays raw.
         ts = list(range(-steps, steps + 1))  # 21 points, shared endpoints
-        for name in ("c3", "c2", "c1"):
-            nodes.append(_n(name, Op.INPUT))
-            inputs.append(name)
+        nodes += [_n(name, Op.INPUT) for name in ("c3", "c2", "c1")]
         nodes.append(_n("four", Op.CONST, value=4))
         for j, t in enumerate(ts):
             nodes.append(_n(f"V3_{j}", Op.CONST, value=_H * t * t * t))
@@ -267,8 +252,7 @@ def _runge_kutta(order: int = 2, steps: int = 10) -> BuiltinSpec:
         meta = {"order": order, "steps": steps, "h": 2, "grid": ts}
 
     nodes.append(_n("out", Op.OUTPUT, acc))
-    g = DFGraph(f"rk{order}", ScalarType.INT16, nodes, inputs, ["out"])
-    return BuiltinSpec(graph=g, input_ranges=ranges, meta=meta)
+    return BuiltinSpec(graph=_graph(f"rk{order}", ScalarType.INT16, nodes), input_ranges=ranges, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +274,7 @@ def _conv_layer(channels: int = 8, kernel: int = 3, size: int = 16, seed: int = 
     weights = rng.uniform(-w_amp, w_amp, size=(channels, kernel, kernel))
     bias = float(rng.uniform(1.0, 2.4)) * (1.0 if rng.uniform() < 0.5 else -1.0)
 
-    nodes = []
-    inputs = []
-    for c in range(channels):
-        for y in range(size):
-            for x in range(size):
-                nid = f"i{c}_{y}_{x}"
-                nodes.append(_n(nid, Op.INPUT))
-                inputs.append(nid)
+    nodes = [_n(f"i{c}_{y}_{x}", Op.INPUT) for c in range(channels) for y in range(size) for x in range(size)]
     for c in range(channels):
         for i in range(kernel):
             for j in range(kernel):
@@ -305,7 +282,6 @@ def _conv_layer(channels: int = 8, kernel: int = 3, size: int = 16, seed: int = 
     nodes.append(_n("bias", Op.CONST, value=bias))
 
     out_size = size - kernel + 1
-    outputs = []
     for y in range(out_size):
         for x in range(out_size):
             acc = None
@@ -324,12 +300,10 @@ def _conv_layer(channels: int = 8, kernel: int = 3, size: int = 16, seed: int = 
                         k += 1
             nodes.append(_n(f"acc{y}_{x}", Op.ADD, acc, "bias"))
             nodes.append(_n(f"o{y}_{x}", Op.OUTPUT, f"acc{y}_{x}"))
-            outputs.append(f"o{y}_{x}")
 
-    g = DFGraph("conv_layer", ScalarType.FLOAT64, nodes, inputs, outputs)
     return BuiltinSpec(
-        graph=g,
-        input_ranges=[InputRange(-1.0, 1.0)] * len(inputs),
+        graph=_graph("conv_layer", ScalarType.FLOAT64, nodes),
+        input_ranges=[InputRange(-1.0, 1.0)] * (channels * size * size),
         meta={
             "channels": channels,
             "kernel": kernel,

@@ -243,7 +243,6 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 @dataclass
 class DetectionReport:
-    kind: str
     config: dict
     columns: tuple[str, ...]
     rows: list[dict]
@@ -419,14 +418,14 @@ def _run_cell(cfg: ScenarioConfig, builds: dict, cell):
     return fn(cfg, builds, entry, arg)
 
 
-def _campaign(kind: str, cfg: ScenarioConfig, cells: list, jobs: int = 1) -> DetectionReport:
+def _campaign(cfg: ScenarioConfig, cells: list, jobs: int = 1) -> DetectionReport:
     """Run (cell function, entry, backend | bits) cells into one report, in order.
 
     Every cell derives its own random streams from the config seed, so the
     report is identical for any jobs value. A serial run builds each program
     once; in a pool each task unpickles its own empty build dict.
     """
-    report = DetectionReport(kind, _config_echo(cfg), DETECTION_COLUMNS, [])
+    report = DetectionReport(_config_echo(cfg), DETECTION_COLUMNS, [])
     run = partial(_run_cell, cfg, {})
     workers = min(jobs, len(cells))  # the pool would start all `jobs` workers at once
     if workers > 1:
@@ -442,19 +441,19 @@ def _campaign(kind: str, cfg: ScenarioConfig, cells: list, jobs: int = 1) -> Det
 
 def run_rcc_trials(cfg: ScenarioConfig) -> DetectionReport:
     """Residue-check campaign over every (program, combo) cell."""
-    return _campaign("rcc", cfg, _rcc_cells(cfg))
+    return _campaign(cfg, _rcc_cells(cfg))
 
 
 def run_fbc_trials(cfg: ScenarioConfig) -> DetectionReport:
     """Sentinel campaign over every (program, fp-bits) cell."""
-    return _campaign("fbc", cfg, _fbc_cells(cfg))
+    return _campaign(cfg, _fbc_cells(cfg))
 
 
 def run_bench(cfg: ScenarioConfig, jobs: int = 1) -> DetectionReport:
     """Residue and sentinel campaigns together; cells may run in parallel."""
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    return _campaign("bench", cfg, _rcc_cells(cfg) + _fbc_cells(cfg), jobs)
+    return _campaign(cfg, _rcc_cells(cfg) + _fbc_cells(cfg), jobs)
 
 
 def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
@@ -472,7 +471,7 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
     cells = [_fbc_taps(cfg, builds, entry, bits) for _, entry, bits in _fbc_cells(cfg)]
     n_approx = sum(int(mask.sum()) for mask, *_ in cells)
     n_accurate = cfg.trials * len(cells) - n_approx
-    report = DetectionReport("sweep", _config_echo(cfg), SWEEP_COLUMNS, [])
+    report = DetectionReport(_config_echo(cfg), SWEEP_COLUMNS, [])
     for delta in deltas:
         fp = miss = 0
         for mask, _, sentinels, taps in cells:

@@ -269,6 +269,13 @@ class TestFbcInstrument:
         want = instrumented_to_dict(build_instrumented(ScenarioConfig(seed=4), entry))
         assert out.read_text() == json.dumps(want, indent=2) + "\n"
 
+    def test_site_in_an_earlier_detour_is_one_line(self, tmp_path, capsys):
+        prog = _json_file(tmp_path, "g.json", serialize_program(float_graph()))
+        argv = ["fbc-instrument", "--program", prog, "--sites", "a,a__fbc0_s0", "--kinds", "add,mul", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: site 'a__fbc0_s0' not in graph 'floaty'\n")
+        assert not (tmp_path / "o").exists()
+
     def test_integer_program_has_no_sites(self, tmp_path, capsys):
         argv = ["fbc-instrument", "--program", "fir", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -562,10 +569,11 @@ class TestEntryPoint:
         assert capsys.readouterr() == ("", f"error: {msg}\n")
         assert not (tmp_path / "o.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--program", "--inputs", "--config", "--instrumented", "--trace"])
-    def test_file_not_utf8_names_its_file(self, flag, conv_inputs, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(b"[1, \xff\xfe]")
+    FILE_FLAGS = ["--program", "--inputs", "--config", "--instrumented", "--trace"]
+
+    @staticmethod
+    def _read_by(flag, bad, conv_inputs, tmp_path, capsys):
+        """The exit code and output of a command that reads the file `bad` for `flag`."""
         instrumented = tmp_path / "ins.json"
         main(["fbc-instrument", "--program", _json_file(tmp_path, "g.json", serialize_program(float_graph())), "--out", str(instrumented)])
         capsys.readouterr()
@@ -576,8 +584,25 @@ class TestEntryPoint:
             "--instrumented": ["fbc-judge", "--instrumented", str(bad), "--trace", conv_inputs],
             "--trace": ["fbc-judge", "--instrumented", str(instrumented), "--trace", str(bad)],
         }[flag]
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text (bad byte at offset 4)\n")
+        return main(argv), capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_file_not_utf8_names_its_file(self, flag, conv_inputs, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"[1, \xff\xfe]")
+        assert self._read_by(flag, bad, conv_inputs, tmp_path, capsys) == (1, ("", f"error: {bad}: not UTF-8 text (bad byte at offset 4)\n"))
+
+    @pytest.mark.parametrize(
+        "text, msg",
+        [("[" * 200_000, "nested too deeply"), ("[" + "9" * 5000 + "]", "an integer has more than 4300 digits")],
+        ids=["deep", "huge-integer"],
+    )
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_deep_or_huge_json_names_its_file(self, flag, text, msg, conv_inputs, tmp_path, capsys):
+        # 4300 is Python's default limit on the digits int() reads
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert self._read_by(flag, bad, conv_inputs, tmp_path, capsys) == (1, ("", f"error: {bad}: invalid JSON: {msg}\n"))
 
     def test_main_reuses_one_parser(self, conv_inputs, monkeypatch, capsys):
         # each call must behave as it would under a parser of its own

@@ -246,6 +246,11 @@ class TestInstrument:
         with pytest.raises(SiteError, match="duplicate"):
             instrument(g, [_sentinel("add", site="a"), _sentinel("mul", site="a")])
 
+    def test_site_in_an_earlier_detour(self):
+        # a site must be a host node: an id the first detour placed is not one
+        with pytest.raises(SiteError, match="site 'a__fbc0_s0' not in graph 'floaty'"):
+            instrument(float_graph(), [_sentinel("add", site="a"), _sentinel("mul", site="a__fbc0_s0")])
+
     def test_id_collision(self):
         nodes = [
             DFNode(id="u", op=Op.INPUT, operands=()),
@@ -255,6 +260,19 @@ class TestInstrument:
         ]
         g = DFGraph("clash", ScalarType.FLOAT64, nodes, ["u"], ["out"])
         with pytest.raises(SiteError, match="collision"):
+            instrument(g, [_sentinel("add", site="a")])
+
+    def test_first_collision_in_node_order_is_named(self):
+        # the detour is its consts, entry export, steps and exit export, in that order
+        nodes = [
+            DFNode(id="u", op=Op.INPUT, operands=()),
+            DFNode(id="a", op=Op.ADD, operands=("u", "u")),
+            DFNode(id="a__fbc0_out", op=Op.EXPORT, operands=("a",)),
+            DFNode(id="a__fbc0_r1", op=Op.EXPORT, operands=("a",)),
+            DFNode(id="out", op=Op.OUTPUT, operands=("a",)),
+        ]
+        g = DFGraph("clash", ScalarType.FLOAT64, nodes, ["u"], ["out"])
+        with pytest.raises(SiteError, match="^instrumentation id collision: a__fbc0_r1$"):
             instrument(g, [_sentinel("add", site="a")])
 
     @pytest.mark.parametrize("backend", [ACC, ArithBackend(fp_bits=10)])

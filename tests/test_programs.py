@@ -1,5 +1,6 @@
-"""Builtin programs: shapes, closed forms, input bounds, determinism."""
+"""Builtin programs: shapes, closed forms, input bounds, determinism, pinned bytes."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,11 +18,16 @@ from dhac import (
     op_census,
     serialize_program,
 )
-from dhac import programs
+from dhac import cli, programs
+from dhac.programs import BUILTIN_NAMES
 from dhac.rng import substream
 
 ACC = ArithBackend.accurate()
 INTEGER_NAMES = ["fir", "conv2x2", "euler2", "euler3", "rk2", "rk3"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestRegistry:
@@ -101,6 +107,39 @@ class TestRegistry:
         # seeded constants must not drift between constructions
         for name in INTEGER_NAMES + ["conv_layer"]:
             assert serialize_program(builtin_program(name)) == serialize_program(builtin_program(name))
+
+
+# The bytes every builtin serializes to at default parameters, and those of
+# `dhac fbc-instrument --program conv_layer --seed 1`. The seeded constants
+# (fir's coefficients, conv_layer's weights and bias, the sentinel operands)
+# follow numpy's seeded streams, so a numpy that changes a stream changes a
+# digest here as well as a changed node order, id or constant does.
+PINNED_SHA256 = {
+    "conv2x2": "394f4097c145ba6e43bf9706491e9366b66c7de409b68109459bd60e1e6b8923",
+    "conv_layer": "ac14fd4c84b907d070efb75df90cd40bbc132b7422317a5afbdd6f52ed21e376",
+    "euler": "0f9e55d94510bd5cd7a703cecdda06ac4ed8bdcfeab58460ea28163376b33b32",
+    "euler2": "0f9e55d94510bd5cd7a703cecdda06ac4ed8bdcfeab58460ea28163376b33b32",
+    "euler3": "87ce47c111a68d36bf12b6a45a6a5cea249d30b63b148adb4bded34883a9af04",
+    "fir": "f7005bf4d6b2ea7dfddb1695ee203a1696279e507a6ad6a58efc8636cee1791b",
+    "fir_filter": "f7005bf4d6b2ea7dfddb1695ee203a1696279e507a6ad6a58efc8636cee1791b",
+    "rk2": "d2aea1c3baf1c26cedc6742f08084b3c77b155289910dc7afe376b32815f287d",
+    "rk3": "35cc0cb6a7719b0602daa1ed8818afd58d5286d146a77ac22b9d4015faecdba6",
+    "runge_kutta": "d2aea1c3baf1c26cedc6742f08084b3c77b155289910dc7afe376b32815f287d",
+    "runge_kutta2": "d2aea1c3baf1c26cedc6742f08084b3c77b155289910dc7afe376b32815f287d",
+    "runge_kutta3": "35cc0cb6a7719b0602daa1ed8818afd58d5286d146a77ac22b9d4015faecdba6",
+}
+INSTRUMENTED_CONV_LAYER_SEED1_SHA256 = "95a2b6e72e7e5c93edaacbeb98644ed89dbdb3405cb61c8c87e05d3fd1bab4aa"
+
+
+class TestPinnedBytes:
+    def test_every_builtin(self):
+        digests = {name: _sha256(serialize_program(builtin_program(name)).encode()) for name in sorted(BUILTIN_NAMES)}
+        assert digests == PINNED_SHA256
+
+    def test_instrumented_conv_layer(self, tmp_path, capsys):
+        out = tmp_path / "ins.json"
+        assert cli.main(["fbc-instrument", "--program", "conv_layer", "--seed", "1", "--out", str(out)]) == 0
+        assert _sha256(out.read_bytes()) == INSTRUMENTED_CONV_LAYER_SEED1_SHA256
 
 
 class TestShapes:

@@ -6,19 +6,23 @@
     batch fails at the first failing node in file order.
 (c) A drawn graph survives its file format, and an operand pointed at a
     later node is refused.
+(d) Instrumenting a drawn graph at `auto_sites` leaves every host output and
+    export bit-identical, and every host failure the same, in both walks;
+    the instrumented graph survives its file format.
 """
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
 import strategies as S
 from dhac import ArithBackend, DFGraph, DFNode, EvalError, IntUnitModel, Op, ValidationError
 from dhac import default_combos, evaluate, evaluate_batch, parse_program, serialize_program
+from dhac.fbc import SentinelKind, instrument_seeded
 
 EXACT = ArithBackend()
 DEGENERATE = [
@@ -124,3 +128,41 @@ class TestFileFormat:
         with pytest.raises(ValidationError) as e:
             DFGraph(g.name, g.dtype, nodes, g.inputs, g.outputs)
         assert str(e.value) == f"node '{node.id}': operand '{later}' must come before it in the file"
+
+
+def _bits(v) -> tuple:
+    """A scalar or lanes as (dtype, shape, bytes): equal only when bit-identical."""
+    a = np.asarray(v)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def check_host_untouched(g: DFGraph, instrumented: DFGraph, walk) -> None:
+    """`walk` of the instrumented graph gives the host's outputs and exports, or fails where the host does."""
+    host, error = _run(lambda: walk(g))
+    rich, rich_error = _run(lambda: walk(instrumented))
+    if error is not None:
+        assert rich_error is not None and (rich_error.reason, rich_error.node_id) == (error.reason, error.node_id)
+        return
+    assert rich_error is None, rich_error
+    assert [_bits(v) for v in rich.outputs] == [_bits(v) for v in host.outputs]
+    assert list(rich.exports)[: len(host.exports)] == list(host.exports)
+    assert [_bits(rich.exports[k]) for k in host.exports] == [_bits(v) for v in host.exports.values()]
+
+
+class TestInstrumenting:
+    """Property (d)."""
+
+    @settings(max_examples=80)
+    @given(S.jobs(), st.integers(0, 2**16))
+    def test_host_is_untouched(self, job, seed):
+        g, cols = job
+        types = g.node_types()
+        sites = sum(m.op in S.ARITHMETIC and types[m.id] is S.F64 for m in g.nodes)
+        assume(sites)
+        kinds = list(SentinelKind)[: min(sites, 3)]
+        ins = instrument_seeded(g, kinds, None, seed, g.name, n=3, delta=1e-13)
+        for backend in (EXACT, TRUNCATING[0]):
+            for i in range(len(cols[0])):
+                check_host_untouched(g, ins.graph, lambda h: evaluate(h, [c[i].item() for c in cols], backend))
+            check_host_untouched(g, ins.graph, lambda h: evaluate_batch(h, cols, backend))
+        assert parse_program(serialize_program(ins.graph)) == ins.graph
