@@ -23,8 +23,16 @@ from dataclasses import replace
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
 from .errors import ConfigError, DhacError, InputError, ParseError, typed
-from .fbc import DEFAULT_DELTA, DEFAULT_STEPS, instrument_seeded, instrumented_from_dict, instrumented_to_dict, judge
-from .fbc import sentinel_kind, sentinels_from_dict
+from .fbc import (
+    DEFAULT_DELTA,
+    DEFAULT_STEPS,
+    instrument_seeded,
+    instrumented_from_dict,
+    instrumented_to_dict,
+    judge,
+    sentinel_kind,
+    sentinels_from_dict,
+)
 from .graph import DFGraph, Judgement, Trace, json_document, parse_program_dict
 from .interp import evaluate
 from .programs import BUILTIN_NAMES, builtin_program
@@ -157,6 +165,10 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
+def _write_json(path: str | None, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
 def _cmd_run(args) -> int:
     g = _load_program(args.program)
     inputs = _load_inputs(args.inputs)
@@ -165,7 +177,7 @@ def _cmd_run(args) -> int:
     if args.out:
         # evaluate's trace holds Python ints and floats only
         doc = {"outputs": list(trace.outputs), "exports": trace.exports}
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_json(args.out, doc)
     for nid, v in zip(g.outputs, trace.outputs):
         print(f"{nid} {v}")
     return _EXIT_OK
@@ -183,7 +195,7 @@ def _cmd_rcc(args) -> int:
         "skipped": list(verdict.skipped),
     }
     if args.out:
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_json(args.out, doc)
     if verdict.judgement is Judgement.POSITIVE:
         print(f"positive (round {verdict.failed_round})")
         return _EXIT_POSITIVE
@@ -199,7 +211,7 @@ def _cmd_fbc_instrument(args) -> int:
     kinds = [sentinel_kind(k, "--kinds", ConfigError) for k in args.kinds.split(",")]
     sites = None if args.sites == "auto" else args.sites.split(",")
     ins = instrument_seeded(g, kinds, sites, args.seed, g.name, n=args.n, delta=args.delta)
-    _write_text(args.out, json.dumps(instrumented_to_dict(ins), indent=2) + "\n")
+    _write_json(args.out, instrumented_to_dict(ins))
     if args.out:
         print(f"instrumented {g.name}: {len(ins.sentinels)} sentinels -> {args.out}")
     return _EXIT_OK
@@ -215,7 +227,7 @@ def _cmd_fbc_judge(args) -> int:
         ],
     }
     if args.out:
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_json(args.out, doc)
     for r in verdict.results:
         print(f"{r.site} {r.kind.value} distance={r.distance:.3e} {'POSITIVE' if r.positive else 'negative'}")
     print(verdict.judgement.value)

@@ -17,6 +17,7 @@ skipped the verdict is Inconclusive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,24 +170,25 @@ def _residues(graph: DFGraph, inputs, moduli, lanes: bool) -> np.ndarray:
     # reduced mod m only where its bound passes the lanes' limit, so two
     # kept values never overflow the lanes when added or multiplied.
     # Object lanes (limit 0) reduce after every op.
-    def add(a, b):
-        bound = a[1] + b[1]
-        return ((a[0] + b[0]) % m, top) if bound > limit else (a[0] + b[0], bound)
+    def lazy(op, combine):
+        def apply(a, b):
+            bound = combine(a[1], b[1])
+            return (op(a[0], b[0]) % m, top) if bound > limit else (op(a[0], b[0]), bound)
 
-    def sub(a, b):
-        bound = a[1] + b[1]
-        return ((a[0] - b[0]) % m, top) if bound > limit else (a[0] - b[0], bound)
-
-    def mul(a, b):
-        bound = a[1] * b[1]
-        return (a[0] * b[0] % m, top) if bound > limit else (a[0] * b[0], bound)
+        return apply
 
     def div(a, b, nid):  # the inverse needs a reduced divisor; a * inv fits the lanes
         inv = _inverse(b[0] % m, m).astype(dtype)
         no_inverse[...] |= inv < 0
         return a[0] * inv % m, top
 
-    ring = (lambda v: (int(v) % m, top), add, sub, mul, div)
+    ring = (
+        lambda v: (int(v) % m, top),
+        lazy(operator.add, operator.add),
+        lazy(operator.sub, operator.add),
+        lazy(operator.mul, operator.mul),
+        div,
+    )
     # each input, an int or an int64 column, becomes one (1, n) row
     xs = [((np.reshape(x, (1, -1)) % m).astype(dtype), top) for x in xs]
     ((out, _),), _ = _walk(graph, xs, ring, 0, lanes=True)

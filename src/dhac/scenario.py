@@ -13,7 +13,6 @@ versioned CSV whose bytes depend only on the configuration and seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -180,6 +179,7 @@ class ScenarioConfig:
         unique([e.label for e in self.fbc_programs], "fbc program label", ConfigError)
         unique([b.label() for b in self.combos], "combo label", ConfigError)
         unique(self.fp_bits, "fp_bits width", ConfigError)
+        unique([k.value for k in self.fbc_kinds], "sentinel kind", ConfigError)
 
 
 # each config object's keys, with the kind of each value
@@ -429,6 +429,8 @@ def _campaign(cfg: ScenarioConfig, cells: list, jobs: int = 1) -> DetectionRepor
     run = partial(_run_cell, cfg, {})
     workers = min(jobs, len(cells))  # the pool would start all `jobs` workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that starts workers
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run, cells))
     else:

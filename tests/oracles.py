@@ -177,6 +177,32 @@ def eval_unbounded(graph, inputs):
     return [vals[o] for o in graph.outputs], vals
 
 
+def residue_rational(graph, inputs, m: int) -> int:
+    """The single output's exact rational value mapped into Z_m, or -1 where a divisor is no unit mod m.
+
+    Every value is a Fraction in lowest terms, so no quotient is rounded. A
+    value p/q maps to p * q^-1 mod m: q stays a unit mod m while every
+    divisor's numerator is one, and the map then respects +, -, * and
+    division.
+    """
+    from dhac import Op
+
+    ops = {Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul, Op.DIV: operator.truediv}
+    vals = dict(zip(graph.inputs, (Fraction(int(v)) for v in inputs)))
+    for n in graph.nodes:  # each node comes after its operands
+        if n.op is Op.CONST:
+            vals[n.id] = Fraction(int(n.value))
+        elif n.op in (Op.OUTPUT, Op.EXPORT):
+            vals[n.id] = vals[n.operands[0]]
+        elif n.op is not Op.INPUT:
+            x, y = (vals[o] for o in n.operands)
+            if n.op is Op.DIV and math.gcd(y.numerator, m) != 1:
+                return -1
+            vals[n.id] = ops[n.op](x, y)
+    (out,) = (vals[o] for o in graph.outputs)
+    return out.numerator * pow(out.denominator, -1, m) % m
+
+
 def eval_truncated(graph, inputs, bits: int):
     """Evaluate on exact units with each float operand truncated where it is read.
 

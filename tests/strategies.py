@@ -25,9 +25,13 @@ float64_values = st.one_of(
 
 
 @st.composite
-def programs(draw) -> DFGraph:
-    """A valid graph: its inputs, then constants, then steps that each read nodes before them."""
-    kind = draw(st.sampled_from(["int16", "float64", "mixed"]))
+def programs(draw, kinds=("int16", "float64", "mixed"), one_output=False) -> DFGraph:
+    """A valid graph: its inputs, then constants, then steps that each read nodes before them.
+
+    `kinds` are the graph kinds to draw from; a `one_output` graph has
+    exactly one output, of its last node.
+    """
+    kind = draw(st.sampled_from(kinds))
     gtype = draw(st.sampled_from([I16, F64])) if kind == "mixed" else ScalarType(kind)
     node_type = (lambda: draw(st.sampled_from([I16, F64]))) if kind == "mixed" else (lambda: gtype)
     nodes: list[DFNode] = []
@@ -46,12 +50,13 @@ def programs(draw) -> DFGraph:
     for _ in range(draw(st.integers(0, 2))):
         t = node_type()
         add(Op.CONST, t, value=draw(int16_values if t is I16 else float64_values))
+    steps = ["arithmetic", "arithmetic", "arithmetic", "export"] + ([] if one_output else ["output"])
     for _ in range(draw(st.integers(1, 10))):
         t = node_type()
         readable = [nid for nid in types if types[nid] is I16] if t is I16 else list(types)
         if not readable:  # an int16 step with no int16 value before it
             t, readable = F64, list(types)
-        step = draw(st.sampled_from(["arithmetic", "arithmetic", "arithmetic", "export", "output"]))
+        step = draw(st.sampled_from(steps))
         if step != "arithmetic":
             x = draw(st.sampled_from(list(types)))
             nid = add(Op.EXPORT if step == "export" else Op.OUTPUT, types[x], (x,), pass_through=True)
@@ -71,9 +76,9 @@ def programs(draw) -> DFGraph:
 
 
 @st.composite
-def jobs(draw) -> tuple[DFGraph, list[np.ndarray]]:
-    """A drawn program with one input column per graph input, of 1 to 4 lanes."""
-    g = draw(programs())
+def jobs(draw, **program_kw) -> tuple[DFGraph, list[np.ndarray]]:
+    """A drawn program (`programs(**program_kw)`) with one input column per graph input, of 1 to 4 lanes."""
+    g = draw(programs(**program_kw))
     n = draw(st.integers(1, 4))
     cols = []
     for t in g.plan.inputs:

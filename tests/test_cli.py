@@ -506,6 +506,12 @@ class TestBench:
         assert main(["bench", "--quick", "25", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {msg}\n"
 
+    def test_repeated_sentinel_kind_is_one_line(self, tmp_path, capsys):
+        cfg = _json_file(tmp_path, "cfg.json", {"fbc": {"kinds": ["add", "add"]}})
+        assert main(["bench", "--quick", "50", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate sentinel kind 'add'\n" and captured.out == ""
+
 
 class TestSweep:
     def test_sweep_csv(self, tmp_path, capsys):

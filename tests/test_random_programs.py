@@ -4,6 +4,10 @@
     campaigns and degenerate units use, and both agree with
     `oracles.eval_truncated` wherever it applies; where a lane fails, the
     batch fails at the first failing node in file order.
+(b) On a drawn int16 single-output graph, `residues_batch` gives the exact
+    rational output's image in Z_m, or -1 where a divisor is no unit, at
+    each lane dtype's edge moduli; without division it also gives the int16
+    result mod 2^k.
 (c) A drawn graph survives its file format, and an operand pointed at a
     later node is refused.
 (d) Instrumenting a drawn graph at `auto_sites` leaves every host output and
@@ -23,6 +27,7 @@ import strategies as S
 from dhac import ArithBackend, DFGraph, DFNode, EvalError, IntUnitModel, Op, ValidationError
 from dhac import default_combos, evaluate, evaluate_batch, parse_program, serialize_program
 from dhac.fbc import SentinelKind, instrument_seeded
+from dhac.rcc import residues_batch
 
 EXACT = ArithBackend()
 DEGENERATE = [
@@ -105,6 +110,27 @@ class TestScalarAndBatchWalks:
         ]
         assert str(_run(lambda: evaluate_batch(g, cols, EXACT))[1]) == "inexact-div at node 'q'"
         check_walks_agree(g, cols, EXACT)
+
+
+# the last modulus each lane dtype holds, with its neighbours: int16 to 182, int32 to 46341, int64 to 3037000500
+LANE_EDGES = (181, 182, 183, 46340, 46341, 46342, 3037000499, 3037000500, 3037000501)
+
+
+class TestResidues:
+    """Property (b)."""
+
+    @settings(max_examples=150)
+    @given(S.jobs(kinds=("int16",), one_output=True))
+    def test_exact_value_at_lane_edges_and_int16_result_mod_2k(self, job):
+        g, cols = job
+        lanes = [[c[i].item() for c in cols] for i in range(len(cols[0]))]
+        for m in LANE_EDGES:
+            assert residues_batch(g, cols, m).tolist() == [O.residue_rational(g, x, m) for x in lanes], m
+        if not _int16_div(g):  # int16 results then wrap the exact ones mod 2^16
+            (out,) = evaluate_batch(g, cols, EXACT).outputs
+            exact = [O.eval_unbounded(g, x)[0][0] for x in lanes]
+            for m in (2, 16, 256, 4096, 65536):
+                assert residues_batch(g, cols, m).tolist() == (out % m).tolist() == [v % m for v in exact], m
 
 
 class TestFileFormat:

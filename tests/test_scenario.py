@@ -1,5 +1,6 @@
 """Strategic server, campaign configs, trial runners, report serialization."""
 
+import concurrent.futures
 import math
 import re
 
@@ -524,7 +525,7 @@ class TestBench:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(scenario, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = small_cfg(trials=20)
         report = run_bench(cfg, jobs=500)
         assert started == [2 * 2 + 1]  # (fir, conv2x2) x 2 combos, plus one fp width
