@@ -43,6 +43,9 @@ from .rng import substream
 
 DEFAULT_DELTA = 1e-13
 DEFAULT_STEPS = 3
+# 1,000 factors of at least 0.5 keep a tap with |x| >= 2**-22 a normal double; past
+# that a mul detour underflows and its divisions cannot restore an honest tap.
+MAX_STEPS = 1000
 
 # Operand draw ranges, chosen for judge-margin reasons rather than taste.
 #
@@ -80,6 +83,12 @@ def check_delta(delta: float, error: type[DhacError]) -> None:
         raise error(f"delta must be positive and finite, got {delta!r}")
 
 
+def check_steps(n: int, error: type[DhacError]) -> None:
+    """The one step-count rule: `error` unless a sentinel's step count n is in [1, MAX_STEPS]."""
+    if not 1 <= n <= MAX_STEPS:
+        raise error(f"sentinel needs n >= 1 steps and at most {MAX_STEPS}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Sentinel:
     kind: SentinelKind
@@ -97,8 +106,7 @@ class Sentinel:
             if self.n != 1 or self.operands:
                 raise ValidationError("tan sentinel has n=1 and no operands")
         else:
-            if self.n < 1:
-                raise ValidationError("sentinel needs n >= 1 steps")
+            check_steps(self.n, ValidationError)
             if len(self.operands) != self.n:
                 raise ValidationError(f"expected {self.n} operands, got {len(self.operands)}")
             if self.kind is SentinelKind.MULTIPLICATION and any(
@@ -117,6 +125,7 @@ def make_sentinel(
 ) -> Sentinel:
     """Draw sentinel operands from rng; tan sentinels take none."""
     kind = sentinel_kind(kind, "kind", ValidationError)
+    check_steps(n, ValidationError)
     if kind is SentinelKind.TAN_ARCTAN:
         return Sentinel(kind=kind, site=site, n=1, operands=(), delta=delta)
     lo, hi = _MUL_STEP_RANGE if kind is SentinelKind.MULTIPLICATION else _ADD_STEP_RANGE

@@ -27,6 +27,7 @@ from .fbc import (
     InstrumentedGraph,
     SentinelKind,
     check_delta,
+    check_steps,
     instrument_seeded,
     sentinel_distance,
     sentinel_kind,
@@ -172,6 +173,7 @@ class ScenarioConfig:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         check_delta(self.fbc_delta, ConfigError)
+        check_steps(self.fbc_n, ConfigError)
         for bits in self.fp_bits:
             check_fp_bits(bits)
         # a cell's rows are keyed by its labels, so no two cells may share them
@@ -277,13 +279,20 @@ def _rate(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
-def _row(program, combo, check, raw_rate, per_detectable_rate, fp, fn) -> dict:
-    return dict(zip(DETECTION_COLUMNS, (program, combo, check, raw_rate, per_detectable_rate, fp, fn)))
+def _rows(program: str, combo: str, mask: np.ndarray, detectable: np.ndarray, checks) -> list[dict]:
+    """A cell's rows by one count rule: the check "detectable", then each (check, flag) pair.
 
-
-def _detectable_row(program: str, combo: str, n_det: int, n_approx: int) -> dict:
-    """The row each cell opens with: the share of approximate trials that changed the output."""
-    return _row(program, combo, "detectable", _rate(n_det, n_approx), None if n_det == 0 else 1.0, 0, 0)
+    `mask` marks the approximate trials and `detectable` (its own flag) those that changed an output;
+    a flag's two rates are its shares of each, fp its accurate trials and fn the changed ones it misses.
+    """
+    n_approx, n_det = int(mask.sum()), int(detectable.sum())
+    rows = []
+    for check, flag in [("detectable", detectable), *checks]:
+        hits, caught = int((flag & mask).sum()), int((flag & detectable).sum())
+        fp, fn = int((flag & ~mask).sum()), int((detectable & ~flag).sum())
+        values = (program, combo, check, _rate(hits, n_approx), _rate(caught, n_det), fp, fn)
+        rows.append(dict(zip(DETECTION_COLUMNS, values)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +367,13 @@ def _received(served: _Served, lanes_of) -> np.ndarray:
 def _rcc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, backend: ArithBackend):
     combo = backend.label()
     served = _serve(cfg, builds, "rcc", entry, combo, backend)
-    mask, detectable = served.mask, served.detectable
-    claimed = _received(served, lambda tr: tr.outputs[0])
+    mask, claimed = served.mask, _received(served, lambda tr: tr.outputs[0])
     first_fail = failed_rounds(residues_batch(served.program.graph, served.inputs, cfg.moduli), claimed, cfg.moduli)
-
-    n_approx = int(mask.sum())
-    n_det = int(detectable.sum())
-    fp = int(((~mask) & (first_fail > 0)).sum())
-
-    rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
-    for j in range(len(cfg.moduli)):
-        det_j = int((mask & (first_fail > 0) & (first_fail <= j + 1)).sum())
-        rows.append(
-            _row(entry.label, combo, f"round{j + 1}", _rate(det_j, n_approx), _rate(det_j, n_det), fp, n_det - det_j)
-        )
-
+    rounds = [(f"round{j}", (first_fail > 0) & (first_fail <= j)) for j in range(1, len(cfg.moduli) + 1)]
     stats = {}
-    if n_approx:
+    if mask.any():
         stats[(entry.label, combo)] = error_stats(served.exact.outputs[0][mask], claimed[mask], ScalarType.INT16)
-    return rows, stats
+    return _rows(entry.label, combo, mask, served.detectable, rounds), stats
 
 
 def _fbc_taps(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
@@ -389,20 +386,9 @@ def _fbc_taps(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int)
 
 def _fbc_cell(cfg: ScenarioConfig, builds: dict, entry: ProgramEntry, bits: int):
     mask, detectable, sentinels, taps = _fbc_taps(cfg, builds, entry, bits)
-    n_approx = int(mask.sum())
-    n_det = int(detectable.sum())
-    combo = f"fp_trunc({bits})"
-
-    def flag_row(check: str, flag: np.ndarray) -> dict:
-        hits, caught = int((flag & mask).sum()), int((flag & detectable).sum())
-        fp, fn = int((flag & ~mask).sum()), int((detectable & ~flag).sum())
-        return _row(entry.label, combo, check, _rate(hits, n_approx), _rate(caught, n_det), fp, fn)
-
-    flags = [sentinel_distance(s, taps)[1] for s in sentinels]
-    rows = [_detectable_row(entry.label, combo, n_det, n_approx)]
-    rows += [flag_row(f"sentinel-{s.kind.value}", flag) for s, flag in zip(sentinels, flags)]
-    rows.append(flag_row("overall", np.logical_or.reduce(flags)))
-    return rows, {}
+    checks = [(f"sentinel-{s.kind.value}", sentinel_distance(s, taps)[1]) for s in sentinels]
+    checks.append(("overall", np.logical_or.reduce([flag for _, flag in checks])))
+    return _rows(entry.label, f"fp_trunc({bits})", mask, detectable, checks), {}
 
 
 def _rcc_cells(cfg: ScenarioConfig) -> list:

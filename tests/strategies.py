@@ -23,6 +23,20 @@ float64_values = st.one_of(
     st.floats(-4, 4, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0, 0.5])
 )
 
+# the fixed choices, built once: a strategy built anew at every step costs more than its draw
+scalar_types = st.sampled_from([I16, F64])
+int16_ops = st.sampled_from(ARITHMETIC)
+float64_ops = st.sampled_from(ARITHMETIC + FLOAT_ONLY)
+step_kinds = {  # by one_output
+    False: st.sampled_from(["arithmetic", "arithmetic", "arithmetic", "export", "output"]),
+    True: st.sampled_from(["arithmetic", "arithmetic", "arithmetic", "export"]),
+}
+
+
+def _pick(draw, ids: list):
+    """One of `ids`, drawn by its index."""
+    return ids[draw(st.integers(0, len(ids) - 1))]
+
 
 @st.composite
 def programs(draw, kinds=("int16", "float64", "mixed"), one_output=False) -> DFGraph:
@@ -32,8 +46,8 @@ def programs(draw, kinds=("int16", "float64", "mixed"), one_output=False) -> DFG
     exactly one output, of its last node.
     """
     kind = draw(st.sampled_from(kinds))
-    gtype = draw(st.sampled_from([I16, F64])) if kind == "mixed" else ScalarType(kind)
-    node_type = (lambda: draw(st.sampled_from([I16, F64]))) if kind == "mixed" else (lambda: gtype)
+    gtype = draw(scalar_types) if kind == "mixed" else ScalarType(kind)
+    node_type = (lambda: draw(scalar_types)) if kind == "mixed" else (lambda: gtype)
     nodes: list[DFNode] = []
     types: dict[str, ScalarType] = {}  # each node's type, by id
     input_ids, output_ids = [], []
@@ -50,22 +64,20 @@ def programs(draw, kinds=("int16", "float64", "mixed"), one_output=False) -> DFG
     for _ in range(draw(st.integers(0, 2))):
         t = node_type()
         add(Op.CONST, t, value=draw(int16_values if t is I16 else float64_values))
-    steps = ["arithmetic", "arithmetic", "arithmetic", "export"] + ([] if one_output else ["output"])
     for _ in range(draw(st.integers(1, 10))):
         t = node_type()
         readable = [nid for nid in types if types[nid] is I16] if t is I16 else list(types)
         if not readable:  # an int16 step with no int16 value before it
             t, readable = F64, list(types)
-        step = draw(st.sampled_from(steps))
+        step = draw(step_kinds[one_output])
         if step != "arithmetic":
-            x = draw(st.sampled_from(list(types)))
+            x = _pick(draw, list(types))
             nid = add(Op.EXPORT if step == "export" else Op.OUTPUT, types[x], (x,), pass_through=True)
             if step == "output":
                 output_ids.append(nid)
             continue
-        op = draw(st.sampled_from(ARITHMETIC + FLOAT_ONLY if t is F64 else ARITHMETIC))
-        arity = 1 if op in FLOAT_ONLY else 2
-        add(op, t, draw(st.lists(st.sampled_from(readable), min_size=arity, max_size=arity)))
+        op = draw(float64_ops if t is F64 else int16_ops)
+        add(op, t, [_pick(draw, readable) for _ in range(1 if op in FLOAT_ONLY else 2)])
     if not output_ids or draw(st.booleans()):  # an output of the last node, always when no output was drawn
         last = nodes[-1]
         if last.op is not Op.OUTPUT:

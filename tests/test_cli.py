@@ -23,7 +23,7 @@ from dhac import (
     make_sentinel,
     serialize_program,
 )
-from dhac import cli, fbc, graph
+from dhac import cli, fbc, graph, scenario
 from dhac.cli import main
 from dhac.fbc import instrumented_from_dict, instrumented_to_dict, judge
 from dhac.graph import DFGraph, Trace
@@ -286,6 +286,17 @@ class TestFbcInstrument:
         argv = ["fbc-instrument", "--program", prog, "--kinds", "cos", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
 
+    def test_step_count_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        class NoDraws:
+            def uniform(self, lo, hi):
+                raise AssertionError("an operand was drawn")
+
+        monkeypatch.setattr(fbc, "substream", lambda *key: NoDraws())
+        argv = ["fbc-instrument", "--program", "conv_layer", "--n", "1001", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: sentinel needs n >= 1 steps and at most 1000, got 1001\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestFbcJudge:
     @pytest.fixture
@@ -505,6 +516,14 @@ class TestBench:
         cfg = _json_file(tmp_path, "cfg.json", doc)
         assert main(["bench", "--quick", "25", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {msg}\n"
+
+    def test_sentinel_step_count_refused_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        cells = []
+        monkeypatch.setattr(scenario, "_run_cell", lambda cfg, builds, cell: cells.append(cell))
+        cfg = _json_file(tmp_path, "cfg.json", {"fbc": {"n": 1001}})
+        assert main(["bench", "--quick", "25", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr() == ("", "error: sentinel needs n >= 1 steps and at most 1000, got 1001\n")
+        assert cells == [] and not (tmp_path / "r.csv").exists()
 
     def test_repeated_sentinel_kind_is_one_line(self, tmp_path, capsys):
         cfg = _json_file(tmp_path, "cfg.json", {"fbc": {"kinds": ["add", "add"]}})

@@ -25,15 +25,18 @@ from dhac import (
     builtin_spec,
     draw_inputs,
     evaluate,
+    evaluate_batch,
     instrument,
     judge,
     make_sentinel,
     program_to_dict,
 )
 from dhac.fbc import (
+    MAX_STEPS,
     detour_steps,
     instrumented_from_dict,
     instrumented_to_dict,
+    sentinel_distance,
     sentinels_from_dict,
 )
 from dhac.rng import substream
@@ -136,6 +139,39 @@ class TestMakeSentinel:
         with pytest.raises(ValidationError) as e:
             make_sentinel(kind, "m", substream(0, "s"))
         assert str(e.value) == f"kind: unknown sentinel kind {kind!r} (choose from add, mul, tan)"
+
+
+class TestStepBound:
+    """A sentinel takes 1 to MAX_STEPS steps: longer mul detours underflow honest taps."""
+
+    class NoDraws:
+        def uniform(self, lo, hi):
+            raise AssertionError("an operand was drawn")
+
+    @pytest.mark.parametrize("n", [0, MAX_STEPS + 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_make_sentinel_refuses_before_drawing(self, kind, n):
+        with pytest.raises(ValidationError) as e:
+            make_sentinel(kind, "m", self.NoDraws(), n=n)
+        assert str(e.value) == f"sentinel needs n >= 1 steps and at most 1000, got {n}"
+
+    def test_file_sentinel_refused(self):
+        s = _sentinel("add", site="a", n=MAX_STEPS)
+        doc = instrumented_to_dict(instrument(float_graph(), [s]))
+        doc["sentinels"][0].update(n=MAX_STEPS + 1, operands=[*s.operands, 1e-6])
+        with pytest.raises(ValidationError, match="^sentinel needs n >= 1 steps and at most 1000, got 1001$"):
+            sentinels_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", [SentinelKind.ADDITION, SentinelKind.MULTIPLICATION])
+    def test_longest_detour_flags_no_honest_run(self, kind):
+        # a one-mul float job whose 2,000 honest lanes tap values in about +-1.5
+        nodes = [DFNode("x", Op.INPUT), DFNode("y", Op.INPUT), DFNode("m", Op.MUL, ("x", "y")), DFNode("out", Op.OUTPUT, ("m",))]
+        g = DFGraph("one_mul", ScalarType.FLOAT64, nodes, ["x", "y"], ["out"])
+        ins = instrument(g, [_sentinel(kind, n=MAX_STEPS)])
+        rng = substream(11, "t-fbc", "longest")
+        cols = [rng.uniform(-1.5, 1.5, 2000), rng.uniform(-1.0, 1.0, 2000)]
+        _, flag = sentinel_distance(ins.sentinels[0], evaluate_batch(ins.graph, cols, ACC).exports)
+        assert not flag.any()
 
 
 class TestSteps:

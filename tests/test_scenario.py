@@ -12,7 +12,6 @@ from dhac import (
     ConfigError,
     ErrorStats,
     IntUnitModel,
-    Judgement,
     ModuleSet,
     ScenarioConfig,
     ServerStrategy,
@@ -307,6 +306,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^delta must be positive and finite"):
             config_from_dict({"fbc": {"delta": delta, "programs": []}})
 
+    @pytest.mark.parametrize("n", [0, -3, 1001])
+    def test_fbc_n_follows_the_sentinel_rule(self, n):
+        # refused with the config, before any cell runs, for any sentinel kinds
+        with pytest.raises(ConfigError, match=f"^sentinel needs n >= 1 steps and at most 1000, got {n}$"):
+            ScenarioConfig(fbc_n=n)
+        with pytest.raises(ConfigError, match=f"^sentinel needs n >= 1 steps and at most 1000, got {n}$"):
+            config_from_dict({"fbc": {"n": n, "kinds": ["tan"]}})
+        assert config_from_dict({"fbc": {"n": 1000}}).fbc_n == 1000
+
 
 @pytest.fixture(scope="module")
 def rcc_report():
@@ -382,7 +390,7 @@ class TestRccTrials:
                 combo = backend.label()
                 cols = draw_inputs(spec, substream(cfg.seed, "rcc", entry.label, combo, "inputs"), cfg.trials)
                 draws = substream(cfg.seed, "rcc", entry.label, combo, "dishonest").uniform(size=cfg.trials)
-                fp = 0
+                honest = []  # failed round or None per accurate trial
                 cheated = []  # (detectable, failed round or None) per approximate trial
                 for i in range(cfg.trials):
                     ins = [int(c[i]) for c in cols]
@@ -392,7 +400,7 @@ class TestRccTrials:
                     if cheats:
                         cheated.append((claim != evaluate(spec.graph, ins, ACC).outputs[0], verdict.failed_round))
                     else:
-                        fp += verdict.judgement is Judgement.POSITIVE
+                        honest.append(verdict.failed_round)
                 n_approx, n_det = len(cheated), sum(d for d, _ in cheated)
                 assert 0 < n_det <= n_approx
                 row = report.row(program=entry.label, combo=combo, check="detectable")
@@ -404,6 +412,7 @@ class TestRccTrials:
                 )
                 for j in range(1, len(cfg.moduli) + 1):
                     caught = [d for d, r in cheated if r is not None and r <= j]
+                    fp = sum(r is not None and r <= j for r in honest)  # roundN means rounds 1..N
                     row = report.row(program=entry.label, combo=combo, check=f"round{j}")
                     assert (row["raw_rate"], row["per_detectable_rate"], row["fp"], row["fn"]) == (
                         len(caught) / n_approx,
@@ -411,6 +420,34 @@ class TestRccTrials:
                         fp,
                         n_det - sum(caught),
                     )
+
+    def test_rows_follow_the_flag_rule(self, monkeypatch):
+        # A judge result no builtin produces: an honest trial first flagged in
+        # round 2 and an approximate trial whose output did not change flagged
+        # in round 1. roundN counts the trials flagged in rounds 1..N.
+        served = []
+        real_serve, real_rounds = scenario._serve, scenario.failed_rounds
+
+        def serve(*args):
+            served.append(real_serve(*args))
+            return served[-1]
+
+        def crafted(residues, claimed, moduli):
+            first = real_rounds(residues, claimed, moduli)
+            mask, detectable = served[-1].mask, served[-1].detectable
+            first[np.flatnonzero(~mask)[0]] = 2
+            first[np.flatnonzero(mask & ~detectable)[0]] = 1
+            return first
+
+        monkeypatch.setattr(scenario, "_serve", serve)
+        monkeypatch.setattr(scenario, "failed_rounds", crafted)
+        combo = {"adder": {"kind": "trunc_add", "k": 1}}  # leaves some approximate outputs unchanged
+        cfg = config_from_dict({"trials": 40, "strategy": {"dishonest_prob": 0.5}, "rcc": {"programs": ["rk3"], "combos": [combo]}})
+        rows = [run_rcc_trials(cfg).row(check=f"round{j}") for j in (1, 2, 3)]
+        mask, detectable = served[0].mask, served[0].detectable
+        assert 0 < detectable.sum() < mask.sum()
+        assert [r["fp"] for r in rows] == [0, 1, 1]
+        assert all(r["fn"] >= 0 and r["per_detectable_rate"] <= 1.0 for r in rows)
 
     def test_modulus_above_int32_flags_no_honest_trial(self):
         cfg = config_from_dict(
