@@ -1,8 +1,10 @@
 """Behavioral models of approximate 16-bit arithmetic units and FP truncation.
 
 Integer units operate on 16-bit two's-complement patterns and return signed
-values, on Python ints and int64 numpy lanes alike; every unit wraps at 16
-bits, the approximate ones additionally lose information:
+values, on Python ints and int16 numpy lanes alike; every unit wraps at 16
+bits, the approximate ones additionally lose information. Lanes wrap by their
+dtype, so every constant a unit applies to a lane fits int16 (seg_carry's top
+segment mask 0xF000 is -4096); a Python int wraps by `wrap16`'s formula:
 
   adders       loa(k)          low k result bits are OR of the operand low bits,
                                high bits are the exact sum of the high parts with
@@ -102,19 +104,26 @@ class ArithBackend:
 
 
 # ---------------------------------------------------------------------------
-# 16-bit integer units: one definition for Python ints and int64 lanes. A
-# result's low 16 bits depend only on its operands' low 16 bits: wrap16 masks.
+# 16-bit integer units: one definition for Python ints and int16 lanes. A
+# result's low 16 bits depend only on its operands' low 16 bits, and int16
+# lanes keep only those: numpy's int16 arithmetic wraps, a Python int is
+# wrapped by wrap16's formula.
 
 
 def wrap16(x):
-    """x reduced to a signed int16 (two's-complement wrap)."""
-    return ((x & _MASK16) ^ 0x8000) - 0x8000
+    """x reduced to a signed int16: a Python int by two's complement, lanes by a cast to int16 (none when int16)."""
+    return ((x & _MASK16) ^ 0x8000) - 0x8000 if isinstance(x, int) else x.astype(np.int16, copy=False)
+
+
+def _pattern16(x):
+    """x's 16-bit pattern in [0, 2^16): a Python int, or int64 lanes for lanes."""
+    return (x if isinstance(x, int) else x.astype(np.int64)) & _MASK16
 
 
 def add16_batch(model: IntUnitModel, a, b):
     """16-bit add under the given adder model; signed int16 result.
 
-    a and b are Python ints or int64 lanes; the result has the same form.
+    a and b are Python ints or int16 lanes; the result is an int if both are, else int16 lanes.
     """
     kind, k = model.kind, model.param
     if kind == "exact":
@@ -127,7 +136,7 @@ def add16_batch(model: IntUnitModel, a, b):
     else:  # seg_carry: the carry out of each segment is masked off
         u = 0
         for lo in range(0, 16, k):
-            seg = ((1 << min(k, 16 - lo)) - 1) << lo
+            seg = wrap16(((1 << min(k, 16 - lo)) - 1) << lo)  # signed, so that it fits int16 lanes
             u = u | (((a & seg) + (b & seg)) & seg)
     return wrap16(u)
 
@@ -135,7 +144,7 @@ def add16_batch(model: IntUnitModel, a, b):
 def mul16_batch(model: IntUnitModel, a, b):
     """16-bit multiply under the given multiplier model; signed int16 result.
 
-    a and b are Python ints or int64 lanes; the result has the same form.
+    a and b are Python ints or int16 lanes; the result is an int if both are, else int16 lanes.
     """
     kind, k = model.kind, model.param
     if kind == "exact":
@@ -144,8 +153,8 @@ def mul16_batch(model: IntUnitModel, a, b):
         u = a * (b & ~((1 << k) - 1))
     elif kind == "broken_array":
         u = a * b & ~((1 << k) - 1)
-    else:  # log_approx, the one unit that reads whole 16-bit patterns
-        u = _mitchell(a & _MASK16, b & _MASK16)
+    else:  # log_approx, the one unit that reads whole 16-bit patterns: on int64 lanes, as its products need 33 bits
+        u = _mitchell(_pattern16(a), _pattern16(b))
     return wrap16(u)
 
 

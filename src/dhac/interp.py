@@ -4,7 +4,9 @@
 n vectors at once on numpy lanes. Both are the same topological walk over
 the same unit definitions; only a handful of primitives differ by form.
 `rcc._residues` runs that walk too, with Z_m in place of the int16 units.
-Every walk's inputs are checked by `_inputs`.
+Every walk's inputs are checked by `_inputs`; int16 columns enter the lane
+walk as int16 lanes, which wrap by their dtype, and `evaluate_batch` widens
+its int16 outputs and exports to int64.
 Tan/Arctan lanes go through math.tan / math.atan elementwise on purpose:
 numpy's vectorized transcendentals may differ from libm in the last ulp, so
 the two forms stay bit-identical.
@@ -119,11 +121,12 @@ def _int16_units(backend: ArithBackend, any_true) -> tuple:
             raise EvalError("div-by-zero", nid)
         if any_true(a % b != 0):
             raise EvalError("inexact-div", nid)
-        return wrap16(a // b)
+        return wrap16(a // b)  # -32768 // -1: 32768 wraps on ints, int16 lanes wrap by themselves
 
     add = partial(add16_batch, backend.adder)
-    # subtraction routes through the adder on the negated operand
-    return int, add, lambda a, b: add(a, -b), partial(mul16_batch, backend.multiplier), div
+    # subtraction routes through the adder on the negated operand, wrapped: a constant's
+    # -(-32768) is a Python int no int16 lane can meet, and wraps to -32768 as a lane's does
+    return int, add, lambda a, b: add(a, wrap16(-b)), partial(mul16_batch, backend.multiplier), div
 
 
 def _check_scalar_input(x, t: ScalarType, where: str):
@@ -149,7 +152,7 @@ def _check_batch_input(arr: np.ndarray, t: ScalarType, pos: int, n: int) -> np.n
             raise InputError(f"input {pos}: expected integers")
         if arr.min(initial=0) < INT16_MIN or arr.max(initial=0) > INT16_MAX:
             raise InputError(f"input {pos}: values outside int16 range")
-        return arr.astype(np.int64, copy=False)
+        return arr.astype(np.int16, copy=False)
     if arr.dtype.kind not in "iuf":  # bool, string and object lanes, as `evaluate` rejects them
         raise InputError(f"input {pos}: expected numbers, got {arr.dtype}")
     out = arr.astype(np.float64, copy=False)
@@ -185,9 +188,9 @@ def evaluate(graph: DFGraph, inputs: Sequence[int | float], backend: ArithBacken
 
 
 def evaluate_batch(graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithBackend) -> Trace:
-    """Evaluate n trials at once; outputs/exports are length-n arrays.
+    """Evaluate n trials at once; outputs/exports are length-n arrays, int64 or float64.
 
-    Input columns are not copied: an output or export that reads an input directly may be the caller's array.
+    Float input columns are not copied: a float output or export that reads an input directly may be the caller's array.
     """
     n, xs = _inputs(graph, inputs, lanes=True)
     # lane overflow surfaces as the walk's non-finite EvalError, not a
@@ -195,7 +198,7 @@ def evaluate_batch(graph: DFGraph, inputs: Sequence[np.ndarray], backend: ArithB
     with np.errstate(over="ignore", invalid="ignore"):
         outputs, exports = _walk(graph, xs, _int16_units(backend, np.any), backend.fp_bits, lanes=True)
 
-    def widen(v) -> np.ndarray:  # a constant's value fills every lane
-        return np.asarray(v) if np.ndim(v) else np.full(n, v)
+    def widen(v) -> np.ndarray:  # int16 lanes widen to int64; a constant's value fills every lane
+        return np.asarray(v, np.result_type(v, np.int64)) if np.ndim(v) else np.full(n, v)
 
     return Trace(outputs=tuple(map(widen, outputs)), exports={k: widen(v) for k, v in exports.items()})

@@ -1,7 +1,8 @@
 """Arithmetic unit models against independent bit-level references.
 
-Each unit has one definition that takes Python ints and int64 lanes alike;
-the tests call it both ways.
+Each unit has one definition that takes Python ints and int16 lanes alike;
+the tests call it both ways. Lanes wrap by their dtype and ints by `wrap16`'s
+formula, so the two forms must agree at the int16 edges too.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import oracles as O
 from dhac import ArithBackend, ConfigError, ErrorStats, EvalError, IntUnitModel, StatsError
 from dhac import DFNode, Op, ScalarType, backend_from_dict, error_stats, evaluate, evaluate_batch
-from dhac import DFGraph, trunc_mantissa
+from dhac import DFGraph, default_combos, trunc_mantissa
 from dhac.approx import _mitchell, add16_batch, mul16_batch, truncator
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -138,7 +139,7 @@ class TestMultipliers:
 
 
 # ---------------------------------------------------------------------------
-# the same definitions on 4096 int64 lanes and on Python ints
+# the same definitions on 4096 int16 lanes and on Python ints
 
 
 class TestBatchParity:
@@ -147,8 +148,9 @@ class TestBatchParity:
 
     @staticmethod
     def check(unit, model, a, b, ref):
-        lanes = unit(model, a, b)
-        assert lanes.dtype == np.int64
+        # the lanes hold the same 16-bit patterns, read as signed int16
+        lanes = unit(model, a.astype(np.uint16).view(np.int16), b.astype(np.uint16).view(np.int16))
+        assert lanes.dtype == np.int16
         for x, y, got in zip(a.tolist(), b.tolist(), lanes.tolist()):
             assert got == ref(x, y)
         for x, y in zip(a[:256].tolist(), b[:256].tolist()):
@@ -199,6 +201,35 @@ class TestBatchParity:
         a[0] = 0  # zero operands zero the mitchell product
         b[1] = 0
         self.check(mul16_batch, model, a, b, ref)
+
+    def test_lane_edges(self):
+        # every pair of int16 edge values, on every unit kind campaigns run: int16 lanes wrap as the ints do
+        edges = (-32768, -32767, -1, 0, 1, 32767)
+        x, y = (np.array(v, dtype=np.int16) for v in zip(*[(p, q) for p in edges for q in edges]))
+        pairs = list(zip(x.tolist(), y.tolist()))
+        combos = [ArithBackend(), *default_combos()]
+        for adder in {c.adder for c in combos}:
+            assert add16_batch(adder, x, y).tolist() == [add16_batch(adder, p, q) for p, q in pairs], adder
+            assert add16_batch(adder, x, -y).tolist() == [add16_batch(adder, p, -q) for p, q in pairs], adder
+        for mul in {c.multiplier for c in combos}:
+            assert mul16_batch(mul, x, y).tolist() == [mul16_batch(mul, p, q) for p, q in pairs], mul
+        # both walks: sub negates -32768 to itself, a lane's or a constant's, and -32768 / -1 wraps to -32768
+        n = lambda nid, op, *xs: DFNode(nid, op, xs)
+        ops = [n("s", Op.ADD, "x", "y"), n("d", Op.SUB, "x", "y"), n("p", Op.MUL, "x", "y"), n("e", Op.SUB, "x", "c")]
+        outs = [n(f"o{m.id}", Op.OUTPUT, m.id) for m in ops]
+        nodes = [n("x", Op.INPUT), n("y", Op.INPUT), DFNode("c", Op.CONST, value=-32768), *ops, *outs]
+        g = DFGraph("edges", ScalarType.INT16, nodes, ["x", "y"], [o.id for o in outs])
+        for backend in combos:
+            lanes = evaluate_batch(g, [x, y], backend).outputs
+            assert [o.dtype for o in lanes] == [np.int64] * 4
+            want = [list(evaluate(g, p, backend).outputs) for p in pairs]
+            assert [list(t) for t in zip(*(o.tolist() for o in lanes))] == want
+        nodes = [n("x", Op.INPUT), n("y", Op.INPUT), n("q", Op.DIV, "x", "y"), n("o", Op.OUTPUT, "q")]
+        div = DFGraph("div", ScalarType.INT16, nodes, ["x", "y"], ["o"])
+        x, y = np.array([-32768, -32768, 32767, 0]), np.array([-1, 1, -1, -32768])
+        want = [-32768, -32768, -32767, 0]
+        assert evaluate_batch(div, [x, y], ArithBackend()).outputs[0].tolist() == want
+        assert [evaluate(div, p, ArithBackend()).outputs[0] for p in zip(x.tolist(), y.tolist())] == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@
 (b) On a drawn int16 single-output graph, `residues_batch` gives the exact
     rational output's image in Z_m, or -1 where a divisor is no unit, at
     each lane dtype's edge moduli; without division it also gives the int16
-    result mod 2^k.
+    result mod 2^k. Half the draws aim at the lane limits, so that a lane
+    that overflows is found.
 (c) A drawn graph survives its file format, and an operand pointed at a
     later node is refused.
 (d) Instrumenting a drawn graph at `auto_sites` leaves every host output and
@@ -114,13 +115,17 @@ class TestScalarAndBatchWalks:
 
 # the last modulus each lane dtype holds, with its neighbours: int16 to 182, int32 to 46341, int64 to 3037000500
 LANE_EDGES = (181, 182, 183, 46340, 46341, 46342, 3037000499, 3037000500, 3037000501)
+# Jobs aimed at those lanes' limits t: inputs and constants whose residues sit near m - 1, and chains of
+# sums and products. A sum of two such residues passes t, and its product with a third overflows the
+# lanes unless the walk reduced the sum first.
+EDGE_JOBS = S.jobs(S.lane_edge_values, kinds=("int16",), one_output=True, ops=S.add_mul, chain=True)
 
 
 class TestResidues:
     """Property (b)."""
 
     @settings(max_examples=150)
-    @given(S.jobs(kinds=("int16",), one_output=True))
+    @given(st.one_of(S.jobs(kinds=("int16",), one_output=True), EDGE_JOBS))
     def test_exact_value_at_lane_edges_and_int16_result_mod_2k(self, job):
         g, cols = job
         lanes = [[c[i].item() for c in cols] for i in range(len(cols[0]))]
