@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success / negative verdict, 2 positive verdict, 3
-inconclusive verdict, 1 any error (bad usage, bad files, bad config).
+Exit codes: a check command (rcc, fbc-judge) exits 0 on a negative
+verdict, 2 on a positive one and 3 on an inconclusive one; every other
+command exits 0 when it succeeds. Any error (bad usage, bad files, bad
+config) exits 1.
 
 --program accepts either a builtin name (fir, fir_filter, conv2x2, euler,
 euler2, euler3, runge_kutta, rk2, rk3, runge_kutta2, runge_kutta3,
@@ -45,10 +47,9 @@ from .scenario import (
     sweep_threshold,
 )
 
-_EXIT_OK = 0
 _EXIT_ERROR = 1
-_EXIT_POSITIVE = 2
-_EXIT_INCONCLUSIVE = 3
+# the one rule from a verdict to the exit code a script acts on
+_EXIT_CODES = {Judgement.NEGATIVE: 0, Judgement.POSITIVE: 2, Judgement.INCONCLUSIVE: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,8 +166,13 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
-def _write_json(path: str | None, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+def _finish(out: str | None, doc, lines, judgement: Judgement = Judgement.NEGATIVE) -> int:
+    """Every job command ends here: `doc` as JSON to `out` when --out is given, `lines` on stdout, `judgement`'s code."""
+    if out is not None:
+        _write_text(out, json.dumps(doc, indent=2) + "\n")
+    for line in lines:
+        print(line)
+    return _EXIT_CODES[judgement]
 
 
 def _cmd_run(args) -> int:
@@ -174,13 +180,9 @@ def _cmd_run(args) -> int:
     inputs = _load_inputs(args.inputs)
     backend = _backend_from_args(args)
     trace = evaluate(g, inputs, backend)
-    if args.out:
-        # evaluate's trace holds Python ints and floats only
-        doc = {"outputs": list(trace.outputs), "exports": trace.exports}
-        _write_json(args.out, doc)
-    for nid, v in zip(g.outputs, trace.outputs):
-        print(f"{nid} {v}")
-    return _EXIT_OK
+    # evaluate's trace holds Python ints and floats only
+    doc = {"outputs": list(trace.outputs), "exports": trace.exports}
+    return _finish(args.out, doc, [f"{nid} {v}" for nid, v in zip(g.outputs, trace.outputs)])
 
 
 def _cmd_rcc(args) -> int:
@@ -194,16 +196,12 @@ def _cmd_rcc(args) -> int:
         "rounds_run": verdict.rounds_run,
         "skipped": list(verdict.skipped),
     }
-    if args.out:
-        _write_json(args.out, doc)
-    if verdict.judgement is Judgement.POSITIVE:
-        print(f"positive (round {verdict.failed_round})")
-        return _EXIT_POSITIVE
-    if verdict.judgement is Judgement.INCONCLUSIVE:
-        print(f"inconclusive (all {len(moduli)} rounds skipped)")
-        return _EXIT_INCONCLUSIVE
-    print(f"negative ({verdict.rounds_run} rounds)")
-    return _EXIT_OK
+    line = {
+        Judgement.POSITIVE: f"positive (round {verdict.failed_round})",
+        Judgement.INCONCLUSIVE: f"inconclusive (all {len(moduli)} rounds skipped)",
+        Judgement.NEGATIVE: f"negative ({verdict.rounds_run} rounds)",
+    }[verdict.judgement]
+    return _finish(args.out, doc, [line], verdict.judgement)
 
 
 def _cmd_fbc_instrument(args) -> int:
@@ -211,10 +209,7 @@ def _cmd_fbc_instrument(args) -> int:
     kinds = [sentinel_kind(k, "--kinds", ConfigError) for k in args.kinds.split(",")]
     sites = None if args.sites == "auto" else args.sites.split(",")
     ins = instrument_seeded(g, kinds, sites, args.seed, g.name, n=args.n, delta=args.delta)
-    _write_json(args.out, instrumented_to_dict(ins))
-    if args.out:
-        print(f"instrumented {g.name}: {len(ins.sentinels)} sentinels -> {args.out}")
-    return _EXIT_OK
+    return _finish(args.out, instrumented_to_dict(ins), [f"instrumented {g.name}: {len(ins.sentinels)} sentinels -> {args.out}"])
 
 
 def _cmd_fbc_judge(args) -> int:
@@ -226,12 +221,8 @@ def _cmd_fbc_judge(args) -> int:
             for r in verdict.results
         ],
     }
-    if args.out:
-        _write_json(args.out, doc)
-    for r in verdict.results:
-        print(f"{r.site} {r.kind.value} distance={r.distance:.3e} {'POSITIVE' if r.positive else 'negative'}")
-    print(verdict.judgement.value)
-    return _EXIT_POSITIVE if verdict.positive else _EXIT_OK
+    lines = [f"{r.site} {r.kind.value} distance={r.distance:.3e} {'POSITIVE' if r.positive else 'negative'}" for r in verdict.results]
+    return _finish(args.out, doc, [*lines, verdict.judgement.value], verdict.judgement)
 
 
 def _make_config(args):
@@ -248,7 +239,7 @@ def _write_report(args, report) -> int:
     _write_text(args.out, report_to_csv(report))
     if args.out:
         print(f"{len(report.rows)} rows -> {args.out}")
-    return _EXIT_OK
+    return 0
 
 
 def _cmd_bench(args) -> int:

@@ -189,8 +189,8 @@ def _residues(graph: DFGraph, inputs, moduli, lanes: bool) -> np.ndarray:
         lazy(operator.mul, operator.mul),
         div,
     )
-    # each input, an int or an int16 column, becomes one (1, n) row
-    xs = [((np.reshape(x, (1, -1)) % m).astype(dtype), top) for x in xs]
+    # each input, an int or an int16 column, becomes one (1, n) row; only an int's int64 row needs the cast
+    xs = [((np.reshape(x, (1, -1)) % m).astype(dtype, copy=False), top) for x in xs]
     ((out, _),), _ = _walk(graph, xs, ring, 0, lanes=True)
     return np.where(no_inverse, -1, out % m).astype(np.result_type(dtype, np.int64))
 

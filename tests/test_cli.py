@@ -25,8 +25,8 @@ from dhac import (
 )
 from dhac import cli, fbc, graph, scenario
 from dhac.cli import main
-from dhac.fbc import instrumented_from_dict, instrumented_to_dict, judge
-from dhac.graph import DFGraph, Trace
+from dhac.fbc import FbcVerdict, instrumented_from_dict, instrumented_to_dict, judge
+from dhac.graph import DFGraph, Judgement, Trace
 from dhac.rng import substream
 from dhac.scenario import REPORT_VERSION, ScenarioConfig, _program_entry, build_instrumented
 from graphs import div_by_const_graph, float_graph
@@ -427,6 +427,15 @@ class TestFbcJudge:
         assert (main(["fbc-judge", "--instrumented", garbled, "--trace", trace]), capsys.readouterr()) == intact
         assert main(["run", "--program", garbled, "--inputs", _json_file(tmp_path, "i.json", [0.5, 1.25])]) == 1
 
+    def test_inconclusive_exits_3(self, tmp_path, instrumented, monkeypatch, capsys):
+        trace = self._trace(tmp_path, instrumented)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "judge", lambda sentinels, trace: FbcVerdict(Judgement.INCONCLUSIVE, ()))
+        out_file = tmp_path / "verdict.json"
+        assert main(["fbc-judge", "--instrumented", instrumented, "--trace", trace, "--out", str(out_file)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "inconclusive"
+        assert json.loads(out_file.read_text()) == {"judgement": "inconclusive", "sentinels": []}
+
     def test_graph_is_neither_parsed_nor_validated(self, tmp_path, instrumented, monkeypatch):
         trace = self._trace(tmp_path, instrumented)
 
@@ -593,6 +602,24 @@ class TestEntryPoint:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {msg}\n")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "rcc", "fbc-instrument", "fbc-judge"])
+    def test_empty_out_path_is_an_error(self, command, conv_inputs, tmp_path, capsys):
+        # a job command writes the --out it is given, an empty path too, before it prints
+        prog = _json_file(tmp_path, "g.json", serialize_program(float_graph()))
+        instrumented, trace = tmp_path / "instrumented.json", tmp_path / "trace.json"
+        main(["fbc-instrument", "--program", prog, "--out", str(instrumented)])
+        main(["run", "--program", str(instrumented), "--inputs", _json_file(tmp_path, "i.json", [0.5, 1.25]), "--out", str(trace)])
+        capsys.readouterr()
+        argv = {
+            "run": ["run", "--program", "conv2x2", "--inputs", conv_inputs],
+            "rcc": ["rcc", "--program", "conv2x2", "--inputs", conv_inputs, "--claimed", "110"],
+            "fbc-instrument": ["fbc-instrument", "--program", prog],
+            "fbc-judge": ["fbc-judge", "--instrumented", str(instrumented), "--trace", str(trace)],
+        }[command]
+        assert main([*argv, "--out", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     FILE_FLAGS = ["--program", "--inputs", "--config", "--instrumented", "--trace"]
 

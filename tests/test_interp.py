@@ -232,6 +232,11 @@ class TestInputChecks:
     def test_nonfinite_float_input(self):
         with pytest.raises(InputError, match="non-finite"):
             evaluate(float_graph(), [float("nan"), 1.0], ACC)
+        for pos, bad in ((0, np.nan), (1, np.inf)):
+            cols = [np.array([0.5, 1.0]), np.array([1.0, 2.0])]
+            cols[pos][1] = bad
+            with pytest.raises(InputError, match=f"^input {pos}: non-finite values$"):
+                evaluate_batch(float_graph(), cols, ACC)
 
     def test_batch_wrong_length(self):
         cols = [np.arange(5), np.arange(4)]

@@ -50,6 +50,8 @@ class TestRegistry:
     def test_bad_params(self):
         with pytest.raises(BuiltinError):
             builtin_spec("euler", order=4)
+        with pytest.raises(BuiltinError, match="runge_kutta: order must be 2 or 3"):
+            builtin_spec("runge_kutta", order=4)
         with pytest.raises(BuiltinError):
             builtin_spec("fir_filter", taps=1)
         with pytest.raises(BuiltinError):

@@ -14,21 +14,23 @@
 (d) Instrumenting a drawn graph at `auto_sites` leaves every host output and
     export bit-identical, and every host failure the same, in both walks;
     the instrumented graph survives its file format.
+(e) Soundness: an honest job is never positive, under RCC or under FBC.
+    Both checks fail it today (strict xfails, ROADMAP item 4).
 """
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
 import strategies as S
 from dhac import ArithBackend, DFGraph, DFNode, EvalError, IntUnitModel, Op, ValidationError
 from dhac import default_combos, evaluate, evaluate_batch, parse_program, serialize_program
-from dhac.fbc import SentinelKind, instrument_seeded
-from dhac.rcc import residues_batch
+from dhac.fbc import DEFAULT_DELTA, DEFAULT_STEPS, SentinelKind, instrument_seeded, judge
+from dhac.rcc import rcc_check, residues_batch
 
 EXACT = ArithBackend()
 DEGENERATE = [
@@ -197,3 +199,38 @@ class TestInstrumenting:
                 check_host_untouched(g, ins.graph, lambda h: evaluate(h, [c[i].item() for c in cols], backend))
             check_host_untouched(g, ins.graph, lambda h: evaluate_batch(h, cols, backend))
         assert parse_program(serialize_program(ins.graph)) == ins.graph
+
+
+# A falsified soundness property is a known defect, not news: the same examples each run, and no shrinking.
+SOUNDNESS = settings(max_examples=100, derandomize=True, phases=[Phase.explicit, Phase.generate])
+UNSOUND = pytest.mark.xfail(strict=True, raises=AssertionError, reason="soundness certificate, ROADMAP item 4")
+
+
+class TestSoundness:
+    """Property (e). RCC rechecks the exact value, which a wrapped int16 step leaves (-2656 * -2656 gives
+    -23552); an FBC tap's honest round-trip error can reach delta (a tan tap at -1.88e6 is 4.9e-5 off)."""
+
+    @UNSOUND
+    @SOUNDNESS
+    @given(S.jobs(kinds=("int16",), one_output=True))
+    def test_rcc_never_flags_an_exact_claim(self, job):
+        g, cols = job
+        for i in range(len(cols[0])):
+            inputs = [c[i].item() for c in cols]
+            trace, error = _run(lambda: evaluate(g, inputs, EXACT))
+            if error is None:
+                assert not rcc_check(g, inputs, trace.outputs[0]).positive, (inputs, trace.outputs)
+
+    @UNSOUND
+    @SOUNDNESS
+    @given(S.jobs(kinds=("float64",)))
+    def test_fbc_never_flags_an_exact_run(self, job):
+        g, cols = job
+        sites = sum(m.op in S.ARITHMETIC for m in g.nodes)  # every node of a float64 graph is float64
+        assume(sites)
+        ins = instrument_seeded(g, list(SentinelKind)[: min(sites, 3)], None, 0, g.name, n=DEFAULT_STEPS, delta=DEFAULT_DELTA)
+        for i in range(len(cols[0])):
+            trace, error = _run(lambda: evaluate(ins.graph, [c[i].item() for c in cols], EXACT))
+            if error is None:
+                verdict = judge(ins.sentinels, trace)
+                assert not verdict.positive, [(r.site, r.kind.value, r.distance) for r in verdict.results if r.positive]
