@@ -3,8 +3,9 @@
 Integer units operate on 16-bit two's-complement patterns and return signed
 values, on Python ints and int16 numpy lanes alike; every unit wraps at 16
 bits, the approximate ones additionally lose information. Lanes wrap by their
-dtype, so every constant a unit applies to a lane fits int16 (seg_carry's top
-segment mask 0xF000 is -4096); a Python int wraps by `wrap16`'s formula:
+dtype, so every constant a unit applies to a lane fits int16 (seg_carry's
+segment tops 0x8888 are -30584); a Python int wraps by `wrap16`'s formula.
+Only log_approx reads whole 16-bit patterns, on int32 lanes. The units:
 
   adders       loa(k)          low k result bits are OR of the operand low bits,
                                high bits are the exact sum of the high parts with
@@ -116,8 +117,8 @@ def wrap16(x):
 
 
 def _pattern16(x):
-    """x's 16-bit pattern in [0, 2^16): a Python int, or int64 lanes for lanes."""
-    return (x if isinstance(x, int) else x.astype(np.int64)) & _MASK16
+    """x's 16-bit pattern in [0, 2^16): a Python int, or int32 lanes (a uint16 lane times a Python int stays uint16)."""
+    return (x if isinstance(x, int) else x.astype(np.int32)) & _MASK16
 
 
 def add16_batch(model: IntUnitModel, a, b):
@@ -133,12 +134,16 @@ def add16_batch(model: IntUnitModel, a, b):
     elif kind == "trunc_add":
         mask = ~((1 << k) - 1)
         u = (a & mask) + (b & mask)
-    else:  # seg_carry: the carry out of each segment is masked off
-        u = 0
-        for lo in range(0, 16, k):
-            seg = wrap16(((1 << min(k, 16 - lo)) - 1) << lo)  # signed, so that it fits int16 lanes
-            u = u | (((a & seg) + (b & seg)) & seg)
+    else:  # seg_carry: each segment's bits below its top add with their carry, its top bit takes no carry out
+        top = _segment_tops(k)
+        u = ((a & ~top) + (b & ~top)) ^ ((a ^ b) & top)
     return wrap16(u)
+
+
+@cache
+def _segment_tops(s: int) -> int:
+    """The top bit of each s-bit segment of 16 bits, signed so that it fits int16 lanes (s = 4: -30584)."""
+    return wrap16(sum(1 << (min(lo + s, 16) - 1) for lo in range(0, 16, s)))
 
 
 def mul16_batch(model: IntUnitModel, a, b):
@@ -153,27 +158,26 @@ def mul16_batch(model: IntUnitModel, a, b):
         u = a * (b & ~((1 << k) - 1))
     elif kind == "broken_array":
         u = a * b & ~((1 << k) - 1)
-    else:  # log_approx, the one unit that reads whole 16-bit patterns: on int64 lanes, as its products need 33 bits
+    else:  # log_approx, the one unit that reads whole 16-bit patterns: on int32 lanes, see _mitchell
         u = _mitchell(_pattern16(a), _pattern16(b))
     return wrap16(u)
 
 
-def _log2_16(x):
-    """floor(log2(x)) of a 16-bit pattern x (0 for x = 0), by halving the search."""
-    k = (x > 0xFF) * 8
-    k = k + ((x >> k) > 0xF) * 4
-    k = k + ((x >> k) > 0x3) * 2
-    return k + ((x >> k) > 0x1)
+def _floor_pow2(x):
+    """The largest power of two <= a 16-bit pattern x, 0 for x = 0; on lanes, float32's exponent bits of x."""
+    if isinstance(x, int):
+        return 1 << x.bit_length() >> 1
+    return (x.astype(np.float32).view(np.int32) & 0x7F800000).view(np.float32).astype(np.int32)
 
 
 def _mitchell(a, b):
-    # log2(x) ~ k + (x - 2^k)/2^k; antilog of the characteristic/fraction sum.
-    p1, p2 = 1 << _log2_16(a), 1 << _log2_16(b)
-    frac = (a - p1) * p2 + (b - p2) * p1  # (x1 + x2) * 2^(k1+k2)
+    # log2(x) ~ k + (x - 2^k)/2^k; antilog of the characteristic/fraction sum. A zero operand has
+    # p = 0, so frac = base = 0 and the product is 0.
+    p1, p2 = _floor_pow2(a), _floor_pow2(b)
+    frac = (a - p1) * p2 + (b - p2) * p1  # (x1 + x2) * 2^(k1+k2) < 2^31, exact on int32 lanes
     base = p1 * p2
-    # base + frac while the fraction sum stays below 1, else 2 * frac
-    out = 2 * frac + (frac < base) * (base - frac)
-    return out * ((a != 0) & (b != 0))
+    # base + frac while the fraction sum stays below 1, else 2 * frac, whose int32 wrap leaves the low 16 bits
+    return 2 * frac + (frac < base) * (base - frac)
 
 
 # ---------------------------------------------------------------------------

@@ -147,13 +147,13 @@ class TestBatchParity:
         return rng.integers(0, 1 << 16, size=n), rng.integers(0, 1 << 16, size=n)
 
     @staticmethod
-    def check(unit, model, a, b, ref):
-        # the lanes hold the same 16-bit patterns, read as signed int16
+    def check(unit, model, a, b, ref, ints=256):
+        # the lanes hold the same 16-bit patterns, read as signed int16; the first `ints` pairs also run as ints
         lanes = unit(model, a.astype(np.uint16).view(np.int16), b.astype(np.uint16).view(np.int16))
         assert lanes.dtype == np.int16
         for x, y, got in zip(a.tolist(), b.tolist(), lanes.tolist()):
             assert got == ref(x, y)
-        for x, y in zip(a[:256].tolist(), b[:256].tolist()):
+        for x, y in zip(a[:ints].tolist(), b[:ints].tolist()):
             one = unit(model, x, y)
             assert type(one) is int and one == ref(x, y)
 
@@ -165,9 +165,7 @@ class TestBatchParity:
             IntUnitModel("loa", 4),
             IntUnitModel("loa", 15),
             IntUnitModel("trunc_add", 6),
-            IntUnitModel("seg_carry", 2),
-            IntUnitModel("seg_carry", 4),
-            IntUnitModel("seg_carry", 7),  # uneven top segment
+            *(IntUnitModel("seg_carry", s) for s in range(2, 17)),  # every width; most leave an uneven top segment
         ],
     )
     def test_adders(self, model):
@@ -201,6 +199,34 @@ class TestBatchParity:
         a[0] = 0  # zero operands zero the mitchell product
         b[1] = 0
         self.check(mul16_batch, model, a, b, ref)
+
+    def test_log_approx_edges(self):
+        # every pair of powers of two, their neighbours, 0 and 0xFFFF: each operand's characteristic edge
+        edges = sorted({0, 0xFFFF} | {v for k in range(16) for v in ((1 << k) - 1, 1 << k, (1 << k) + 1)})
+        pairs = [(x, y) for x in edges for y in edges]
+        # fractions i/2^t and 1 - i/2^t sum to exactly 1, where Mitchell's antilog switches branch; +-1 straddles it
+        for k1 in range(1, 16):
+            for k2 in range(1, 16):
+                t = min(k1, k2)
+                for i in {1, 1 << (t - 1), (1 << t) - 1}:
+                    x, y = (1 << k1) + (i << (k1 - t)), (1 << k2) + (((1 << t) - i) << (k2 - t))
+                    pairs += [(x, y), (x, y - 1), (x, y + 1)]
+        a, b = (np.array(v) for v in zip(*pairs))
+        self.check(mul16_batch, IntUnitModel("log_approx"), a, b, O.ref_mitchell, ints=len(pairs))
+
+    def test_int_operand_against_lanes(self):
+        # a Python-int operand (a constant of the walk) against int16 lanes, in both orders, equals the unit on ints
+        consts = [-32768, -1, 0x7FFF, *(1 << k for k in range(15))]
+        lanes = np.array([-32768, -32767, -1, 0, 1, 32767, *np.random.default_rng(4).integers(-32768, 32768, 58)], np.int16)
+        combos = [ArithBackend(), *default_combos()]
+        units = [(add16_batch, m) for m in {c.adder for c in combos}] + [(mul16_batch, m) for m in {c.multiplier for c in combos}]
+        for unit, model in units:
+            for c in consts:
+                for got, want in [
+                    (unit(model, c, lanes), [unit(model, c, y) for y in lanes.tolist()]),
+                    (unit(model, lanes, c), [unit(model, x, c) for x in lanes.tolist()]),
+                ]:
+                    assert got.dtype == np.int16 and got.tolist() == want, (model, c)
 
     def test_lane_edges(self):
         # every pair of int16 edge values, on every unit kind campaigns run: int16 lanes wrap as the ints do

@@ -402,7 +402,7 @@ class TestFbcJudge:
         rows = [(r.site, r.kind.value, r.distance, r.positive) for r in v.results]
         out = "".join(f"{s} {k} distance={d:.3e} {'POSITIVE' if p else 'negative'}\n" for s, k, d, p in rows)
         sentinels = [{"kind": k, "site": s, "distance": d, "positive": p} for s, k, d, p in rows]
-        return 2 if v.positive else 0, out + v.judgement.value + "\n", {"judgement": v.judgement.value, "sentinels": sentinels}
+        return cli._EXIT_CODES[v.judgement], out + v.judgement.value + "\n", {"judgement": v.judgement.value, "sentinels": sentinels}
 
     @pytest.mark.parametrize("fp_bits", [None, "10", "20"])
     @pytest.mark.parametrize("name", ["floaty", "conv_layer"])
