@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StatsError
+from .errors import ConfigError, StatsError, typed
 from .graph import ScalarType
 
 _MASK16 = 0xFFFF
@@ -55,6 +55,9 @@ class IntUnitModel:
 
     kind: str
     param: int = 0
+
+    def __post_init__(self):
+        typed(self.param, int, f"{self.kind}: parameter", ConfigError)
 
     def check(self, role: str) -> None:
         kinds = ADDER_KINDS if role == "adder" else MUL_KINDS
@@ -185,7 +188,8 @@ def _mitchell(a, b):
 
 
 def check_fp_bits(bits: int) -> None:
-    """ConfigError unless `bits` is a mantissa truncation width: the rule of every truncation."""
+    """ConfigError unless `bits` is a mantissa truncation width, an integer: the rule of every truncation."""
+    typed(bits, int, "fp truncation bits", ConfigError)
     if not 0 <= bits <= 52:
         raise ConfigError(f"fp truncation bits must be in [0, 52], got {bits}")
 

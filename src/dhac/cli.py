@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .approx import EXACT_UNIT, ArithBackend, IntUnitModel
 from .errors import ConfigError, DhacError, InputError, ParseError, typed
@@ -168,8 +168,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _finish(out: str | None, doc, lines, judgement: Judgement = Judgement.NEGATIVE) -> int:
     """Every job command ends here: `doc` as JSON to `out` when --out is given, `lines` on stdout, `judgement`'s code."""
-    if out is not None:
-        _write_text(out, json.dumps(doc, indent=2) + "\n")
+    if out is not None:  # a verdict's doc is its dataclasses.asdict, whose enums JSON writes as their values
+        _write_text(out, json.dumps(doc, indent=2, default=lambda enum: enum.value) + "\n")
     for line in lines:
         print(line)
     return _EXIT_CODES[judgement]
@@ -190,18 +190,12 @@ def _cmd_rcc(args) -> int:
     inputs = _load_inputs(args.inputs)
     moduli = ModuleSet(tuple(_number(m, "--moduli") for m in args.moduli.split(",")))
     verdict = rcc_check(g, inputs, args.claimed, moduli)
-    doc = {
-        "judgement": verdict.judgement.value,
-        "failed_round": verdict.failed_round,
-        "rounds_run": verdict.rounds_run,
-        "skipped": list(verdict.skipped),
-    }
     line = {
         Judgement.POSITIVE: f"positive (round {verdict.failed_round})",
         Judgement.INCONCLUSIVE: f"inconclusive (all {len(moduli)} rounds skipped)",
         Judgement.NEGATIVE: f"negative ({verdict.rounds_run} rounds)",
     }[verdict.judgement]
-    return _finish(args.out, doc, [line], verdict.judgement)
+    return _finish(args.out, asdict(verdict), [line], verdict.judgement)
 
 
 def _cmd_fbc_instrument(args) -> int:
@@ -214,13 +208,8 @@ def _cmd_fbc_instrument(args) -> int:
 
 def _cmd_fbc_judge(args) -> int:
     verdict = judge(_key_file(args.instrumented), _trace_from_dict(_load_json(args.trace)))
-    doc = {
-        "judgement": verdict.judgement.value,
-        "sentinels": [
-            {"kind": r.kind.value, "site": r.site, "distance": r.distance, "positive": r.positive}
-            for r in verdict.results
-        ],
-    }
+    doc = asdict(verdict)
+    doc["sentinels"] = doc.pop("results")  # the file's name for the per-sentinel results
     lines = [f"{r.site} {r.kind.value} distance={r.distance:.3e} {'POSITIVE' if r.positive else 'negative'}" for r in verdict.results]
     return _finish(args.out, doc, [*lines, verdict.judgement.value], verdict.judgement)
 

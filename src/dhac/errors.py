@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all dhac modules, the typing rule for JSON fields and the rule against repeats."""
+"""Exception hierarchy shared by all dhac modules, the typing rule for JSON fields and settings, and the rule against repeats."""
 
 from __future__ import annotations
 
+import numbers
 import sys
 
 
@@ -60,26 +61,38 @@ class TraceError(DhacError):
 
 
 # ---------------------------------------------------------------------------
-# the one typing rule for the fields of every JSON document dhac reads
+# the one typing rule for the fields of every JSON document dhac reads, and for every setting
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+# Each test asks the exact type first, as a document's values are plain ints
+# and floats: an isinstance test against a numbers ABC costs several times more.
+def integer(value) -> bool:
+    """The one integer test: an int or numpy integer (a numbers.Integral), never a bool or np.True_."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def number(value) -> bool:
+    """The one number test: an integer by `integer`'s test, or a float or numpy float (a numbers.Real); never a bool."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def typed(value, kind: type, name: str, error: type[DhacError], of: type | None = None):
     """value if it is a JSON value of `kind`, else `error` naming the field and the value.
 
-    `kind` is int, float (a number), str, list or dict (an object). A bool
-    is never a number, an integer field rejects a float, a number field
-    takes an integer as its float, and a string is never coerced. With
-    `of`, the value is a list whose items are typed as `of`, each named as
-    the list is.
+    `kind` is int (an integer by `integer`'s test), float (a number by
+    `number`'s), str, list or dict (an object). A bool is never a number,
+    an integer field rejects a float, a number field takes an integer as
+    its float, and a string is never coerced. With `of`, the value is a
+    list whose items are typed as `of`, each named as the list is.
     """
-    if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+    if integer(value) if kind is int else number(value) if kind is float else isinstance(value, kind):
         if of is not None:
             return [typed(x, of, name, error) for x in value]
         if kind is not float or isinstance(value, float):
             return value
-        if abs(value) <= sys.float_info.max:  # an integer a float can hold
+        if abs(value) <= sys.float_info.max:  # a number a float can hold
             return float(value)
     want = _KINDS[kind] if of is None else f"a list of {_KINDS[of].split()[1]}s"
     raise error(f"{name} must be {want}, got {value!r}")

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DhacError, SiteError, TraceError, ValidationError, typed
+from .errors import DhacError, SiteError, TraceError, ValidationError, integer, typed
 from .graph import (
     ADD64,
     DIV64,
@@ -78,13 +78,15 @@ def sentinel_kind(value: str, name: str, error: type[DhacError]) -> SentinelKind
 
 
 def check_delta(delta: float, error: type[DhacError]) -> None:
-    """The one threshold rule: `error` unless delta is positive and finite (an infinite one never fires)."""
+    """The one threshold rule: `error` unless delta is a positive, finite number (an infinite one never fires)."""
+    typed(delta, float, "delta", error)
     if not 0.0 < delta < math.inf:  # also rejects nan
         raise error(f"delta must be positive and finite, got {delta!r}")
 
 
 def check_steps(n: int, error: type[DhacError]) -> None:
-    """The one step-count rule: `error` unless a sentinel's step count n is in [1, MAX_STEPS]."""
+    """The one step-count rule: `error` unless a sentinel's step count n is an integer in [1, MAX_STEPS]."""
+    typed(n, int, "sentinel n", error)
     if not 1 <= n <= MAX_STEPS:
         raise error(f"sentinel needs n >= 1 steps and at most {MAX_STEPS}, got {n!r}")
 
@@ -103,7 +105,7 @@ class Sentinel:
         if type(self.kind) is not SentinelKind:
             raise ValidationError(f"sentinel kind must be a SentinelKind, got {self.kind!r}")
         if self.kind is SentinelKind.TAN_ARCTAN:
-            if self.n != 1 or self.operands:
+            if not integer(self.n) or self.n != 1 or self.operands:
                 raise ValidationError("tan sentinel has n=1 and no operands")
         else:
             check_steps(self.n, ValidationError)
@@ -206,11 +208,11 @@ class FbcVerdict:
         return self.judgement is Judgement.POSITIVE
 
 
-def sentinel_distance(s: Sentinel, exports, delta: float | None = None):
+def sentinel_distance(s: Sentinel, exports):
     """One sentinel's |tapped - roundtrip| over lanes, and whether it fires.
 
-    It fires at or above `delta` (the sentinel's own threshold by default)
-    and on a non-finite distance, which no accurate run produces.
+    It fires at or above its own `delta` and on a non-finite distance,
+    which no accurate run produces.
     """
     try:
         a, b = exports[s.entry_export], exports[s.exit_export]
@@ -218,7 +220,7 @@ def sentinel_distance(s: Sentinel, exports, delta: float | None = None):
         raise TraceError(f"trace lacks sentinel export {e.args[0]!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    return d, ~np.isfinite(d) | (d >= (s.delta if delta is None else delta))
+    return d, ~np.isfinite(d) | (d >= s.delta)
 
 
 def judge(sentinels, trace: Trace) -> FbcVerdict:

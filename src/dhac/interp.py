@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import ArithBackend, add16_batch, mul16_batch, truncator, wrap16
-from .errors import EvalError, InputError
+from .errors import EvalError, InputError, integer, number
 from .graph import ADD16, ADD64, ARCTAN64, CONST16, DIV16, DIV64, EXPORT16, MUL16, MUL64, OUTPUT16, SUB16, SUB64, TAN64, WIDEN
 from .graph import INT16_MAX, INT16_MIN, DFGraph, ScalarType, Trace
 
@@ -132,12 +132,12 @@ def _int16_units(backend: ArithBackend, any_true) -> tuple:
 def _check_scalar_input(x, t: ScalarType, where: str):
     """x as a Python int or float of type t, or InputError naming `where`: the rule for n=1 values."""
     if t is ScalarType.INT16:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        if not integer(x):
             raise InputError(f"{where}: expected an integer, got {type(x).__name__}")
         if not INT16_MIN <= int(x) <= INT16_MAX:
             raise InputError(f"{where}: {x} outside int16 range")
         return int(x)
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+    if not number(x):
         raise InputError(f"{where}: expected a number, got {type(x).__name__}")
     if not abs(x) <= sys.float_info.max:  # nan, inf, or an int no float holds
         raise InputError(f"{where}: non-finite value")

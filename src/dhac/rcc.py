@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusError, NoInverseError, ValidationError, unique
+from .errors import ModulusError, NoInverseError, ValidationError, integer, unique
 from .graph import DFGraph, Judgement, ScalarType
 from .interp import _check_scalar_input, _inputs, _walk
 
@@ -34,18 +34,13 @@ class Residue:
 
     def __post_init__(self):
         m, v = _modulus(self.modulus), self.value
-        if not _integer(v) or not 0 <= v < m:
+        if not integer(v) or not 0 <= v < m:
             raise ModulusError(f"residue {v!r} out of range for modulus {m}: must be an integer in [0, {m})")
-
-
-def _integer(v) -> bool:
-    """The value rule of residues: an int or numpy integer, not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def to_residue(x: int, m: int) -> Residue:
     mod = _modulus(m)
-    if not _integer(x):
+    if not integer(x):
         raise ModulusError(f"cannot reduce {x!r} mod {mod}: must be an integer")
     return Residue(int(x) % mod, m)
 
@@ -93,8 +88,8 @@ def ring_div(a: Residue, b: Residue) -> Residue:
 
 
 def _modulus(m) -> int:
-    """m as a Python int by the one modulus rule, for residues and moduli alike: an int, not a bool, >= 2."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+    """m as a Python int by the one modulus rule, for residues and moduli alike: an integer >= 2."""
+    if not integer(m):
         raise ModulusError(f"modulus must be an int >= 2, got {m!r}")
     if m < 2:
         raise ModulusError(f"modulus must be >= 2, got {int(m)}")
@@ -233,9 +228,10 @@ class RccVerdict:
 def rcc_check(graph: DFGraph, inputs, claimed: int, modules: ModuleSet | None = None) -> RccVerdict:
     """Compare the claimed result's residues against ring re-evaluation.
 
-    Stops at the first mismatching round. Rounds that hit a non-invertible
-    division are skipped; if all rounds are skipped the verdict is
-    Inconclusive.
+    One residue walk gives every round's residue; the verdict reports the
+    first mismatching round and counts the rounds up to it. Rounds that
+    hit a non-invertible division are skipped; if all rounds are skipped
+    the verdict is Inconclusive.
     """
     modules = modules if modules is not None else ModuleSet()
     claimed = _check_scalar_input(claimed, ScalarType.INT16, "claimed result")
@@ -243,10 +239,6 @@ def rcc_check(graph: DFGraph, inputs, claimed: int, modules: ModuleSet | None = 
     residues = _residues(graph, inputs, modules, lanes=False)[:, 0]
     failed = int(failed_rounds(residues[:, None], claimed, modules)[0])
     ran = residues[: failed or len(modules)] >= 0
-    skipped = tuple(m for m, r in zip(modules, ran) if not r)
     rounds_run = int(ran.sum())
-    if failed:
-        return RccVerdict(Judgement.POSITIVE, failed, rounds_run, skipped)
-    if rounds_run == 0:
-        return RccVerdict(Judgement.INCONCLUSIVE, None, 0, skipped)
-    return RccVerdict(Judgement.NEGATIVE, None, rounds_run, skipped)
+    judgement = Judgement.POSITIVE if failed else Judgement.NEGATIVE if rounds_run else Judgement.INCONCLUSIVE
+    return RccVerdict(judgement, failed or None, rounds_run, tuple(m for m, r in zip(modules, ran) if not r))

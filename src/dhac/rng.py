@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, typed
 
 
 def _label_entropy(label: str) -> int:
@@ -21,6 +21,7 @@ def _label_entropy(label: str) -> int:
 
 
 def check_seed(seed: int) -> int:
+    typed(seed, int, "seed", ConfigError)
     if seed < 0:  # numpy's SeedSequence takes no negative entropy
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
@@ -28,5 +29,5 @@ def check_seed(seed: int) -> int:
 
 def substream(seed: int, *labels: str) -> np.random.Generator:
     """Return a Generator for (seed, labels), independent across label tuples."""
-    entropy = [check_seed(int(seed))] + [_label_entropy(lab) for lab in labels]
+    entropy = [int(check_seed(seed))] + [_label_entropy(lab) for lab in labels]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -13,7 +13,7 @@ versioned CSV whose bytes depend only on the configuration and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -50,6 +50,9 @@ class ServerStrategy:
     dishonest_prob: float = 1.0
 
     def __post_init__(self):
+        typed(self.honest_warmup, int, "honest_warmup", ConfigError)
+        typed(self.small_job_threshold, int, "small_job_threshold", ConfigError)
+        typed(self.dishonest_prob, float, "dishonest_prob", ConfigError)
         if self.honest_warmup < 0 or self.small_job_threshold < 0:
             raise ConfigError("strategy thresholds must be non-negative")
         if not 0.0 <= self.dishonest_prob <= 1.0:
@@ -170,6 +173,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        typed(self.trials, int, "trials", ConfigError)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         check_delta(self.fbc_delta, ConfigError)
@@ -450,7 +454,7 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
     Each cell is evaluated once; a trial counts as flagged when any
     sentinel fires at the threshold.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = list(deltas)
     if not deltas:
         raise ConfigError("sweep needs at least one delta")
     for delta in deltas:
@@ -463,8 +467,8 @@ def sweep_threshold(cfg: ScenarioConfig, deltas) -> DetectionReport:
     for delta in deltas:
         fp = miss = 0
         for mask, _, sentinels, taps in cells:
-            flag = np.logical_or.reduce([sentinel_distance(s, taps, delta)[1] for s in sentinels])
+            flag = np.logical_or.reduce([sentinel_distance(replace(s, delta=delta), taps)[1] for s in sentinels])
             fp += int((flag & ~mask).sum())
             miss += int((~flag & mask).sum())
-        report.rows.append({"delta": delta, "fp_rate": _rate(fp, n_accurate), "fn_rate": _rate(miss, n_approx)})
+        report.rows.append({"delta": float(delta), "fp_rate": _rate(fp, n_accurate), "fn_rate": _rate(miss, n_approx)})
     return report

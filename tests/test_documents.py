@@ -10,6 +10,7 @@ import copy
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,11 +19,18 @@ from dhac import (
     ArithBackend,
     ConfigError,
     DhacError,
+    IntUnitModel,
+    ScenarioConfig,
+    Sentinel,
+    SentinelKind,
+    ServerStrategy,
+    ValidationError,
     config_from_dict,
     evaluate,
     instrument,
     make_sentinel,
     program_to_dict,
+    sweep_threshold,
 )
 from dhac.cli import main
 from dhac.errors import typed
@@ -194,6 +202,49 @@ def test_bad_config_field(docs, doc, msg):
 def test_an_integer_number_field_is_its_float():
     cfg = config_from_dict({"strategy": {"dishonest_prob": 1}, "fbc": {"delta": 1}})
     assert type(cfg.strategy.dishonest_prob) is float and type(cfg.fbc_delta) is float
+
+
+# ---------------------------------------------------------------------------
+# settings built in code take the same integer and number tests as documents
+
+
+@pytest.mark.parametrize(
+    "build, error, msg",
+    [
+        (lambda: IntUnitModel("loa", 1.5), ConfigError, "loa: parameter must be an integer, got 1.5"),
+        (lambda: IntUnitModel("loa", True), ConfigError, "loa: parameter must be an integer, got True"),
+        (lambda: IntUnitModel("exact", 0.0), ConfigError, "exact: parameter must be an integer, got 0.0"),
+        (lambda: IntUnitModel("loa", np.True_), ConfigError, f"loa: parameter must be an integer, got {np.True_!r}"),
+        (lambda: ArithBackend(fp_bits=1.5), ConfigError, "fp truncation bits must be an integer, got 1.5"),
+        (lambda: ArithBackend(fp_bits=True), ConfigError, "fp truncation bits must be an integer, got True"),
+        (lambda: make_sentinel("add", "a", substream(0), n=2.5), ValidationError, "sentinel n must be an integer, got 2.5"),
+        (lambda: make_sentinel("tan", "a", substream(0), n=True), ValidationError, "sentinel n must be an integer, got True"),
+        (lambda: make_sentinel("mul", "a", substream(0), delta=True), ValidationError, "delta must be a number, got True"),
+        (lambda: Sentinel(SentinelKind.TAN_ARCTAN, "a", True, ()), ValidationError, "tan sentinel has n=1 and no operands"),
+        (lambda: substream(1.5, "x"), ConfigError, "seed must be an integer, got 1.5"),
+        (lambda: substream(True, "x"), ConfigError, "seed must be an integer, got True"),
+        (lambda: ScenarioConfig(trials=1.5), ConfigError, "trials must be an integer, got 1.5"),
+        (lambda: ScenarioConfig(seed=False), ConfigError, "seed must be an integer, got False"),
+        (lambda: ScenarioConfig(fbc_n=3.0), ConfigError, "sentinel n must be an integer, got 3.0"),
+        (lambda: ScenarioConfig(fbc_delta=True), ConfigError, "delta must be a number, got True"),
+        (lambda: ScenarioConfig(fp_bits=(10.0,)), ConfigError, "fp truncation bits must be an integer, got 10.0"),
+        (lambda: ServerStrategy(dishonest_prob=True), ConfigError, "dishonest_prob must be a number, got True"),
+        (lambda: ServerStrategy(honest_warmup=2.5), ConfigError, "honest_warmup must be an integer, got 2.5"),
+        (lambda: ServerStrategy(small_job_threshold=np.True_), ConfigError, f"small_job_threshold must be an integer, got {np.True_!r}"),
+        (lambda: sweep_threshold(ScenarioConfig(fbc_programs=()), [1e-13, True]), ConfigError, "delta must be a number, got True"),
+        (lambda: sweep_threshold(ScenarioConfig(fbc_programs=()), ["1e-13"]), ConfigError, "delta must be a number, got '1e-13'"),
+    ],
+)
+def test_a_setting_refuses_a_bool_or_a_float_for_an_integer(build, error, msg):
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == msg
+
+
+def test_a_numpy_integer_is_an_integer_setting():
+    assert ArithBackend(IntUnitModel("loa", np.int16(4)), fp_bits=np.int64(10)).label() == "loa(4)+exact+fp_trunc(10)"
+    assert substream(np.int64(7), "x").integers(1 << 30) == substream(7, "x").integers(1 << 30)
+    assert ScenarioConfig(seed=np.int32(1), trials=np.int64(5)).trials == 5
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ class TestAutoSites:
         assert auto_sites(mixed_graph(), 2) == ["fm", "fa"]
 
     def test_too_few_sites(self):
-        with pytest.raises(SiteError, match="need 5"):
+        with pytest.raises(SiteError, match="^graph 'floaty' has only 4 float sites, need 5$"):
             auto_sites(float_graph(), 5)
         with pytest.raises(SiteError, match="only 0 float sites"):
             auto_sites(builtin_spec("fir").graph, 1)
