@@ -167,9 +167,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _finish(out: str | None, doc, lines, judgement: Judgement = Judgement.NEGATIVE) -> int:
-    """Every job command ends here: `doc` as JSON to `out` when --out is given, `lines` on stdout, `judgement`'s code."""
+    """Every job command ends here: `doc()` as JSON to `out` when --out is given, `lines` on stdout, `judgement`'s code.
+
+    `doc` builds the document, so that a command without --out builds none.
+    """
     if out is not None:  # a verdict's doc is its dataclasses.asdict, whose enums JSON writes as their values
-        _write_text(out, json.dumps(doc, indent=2, default=lambda enum: enum.value) + "\n")
+        _write_text(out, json.dumps(doc(), indent=2, default=lambda enum: enum.value) + "\n")
     for line in lines:
         print(line)
     return _EXIT_CODES[judgement]
@@ -182,7 +185,7 @@ def _cmd_run(args) -> int:
     trace = evaluate(g, inputs, backend)
     # evaluate's trace holds Python ints and floats only
     doc = {"outputs": list(trace.outputs), "exports": trace.exports}
-    return _finish(args.out, doc, [f"{nid} {v}" for nid, v in zip(g.outputs, trace.outputs)])
+    return _finish(args.out, lambda: doc, [f"{nid} {v}" for nid, v in zip(g.outputs, trace.outputs)])
 
 
 def _cmd_rcc(args) -> int:
@@ -195,7 +198,7 @@ def _cmd_rcc(args) -> int:
         Judgement.INCONCLUSIVE: f"inconclusive (all {len(moduli)} rounds skipped)",
         Judgement.NEGATIVE: f"negative ({verdict.rounds_run} rounds)",
     }[verdict.judgement]
-    return _finish(args.out, asdict(verdict), [line], verdict.judgement)
+    return _finish(args.out, lambda: asdict(verdict), [line], verdict.judgement)
 
 
 def _cmd_fbc_instrument(args) -> int:
@@ -203,15 +206,19 @@ def _cmd_fbc_instrument(args) -> int:
     kinds = [sentinel_kind(k, "--kinds", ConfigError) for k in args.kinds.split(",")]
     sites = None if args.sites == "auto" else args.sites.split(",")
     ins = instrument_seeded(g, kinds, sites, args.seed, g.name, n=args.n, delta=args.delta)
-    return _finish(args.out, instrumented_to_dict(ins), [f"instrumented {g.name}: {len(ins.sentinels)} sentinels -> {args.out}"])
+    return _finish(args.out, lambda: instrumented_to_dict(ins), [f"instrumented {g.name}: {len(ins.sentinels)} sentinels -> {args.out}"])
+
+
+def _judge_doc(verdict) -> dict:
+    doc = asdict(verdict)
+    doc["sentinels"] = doc.pop("results")  # the file's name for the per-sentinel results
+    return doc
 
 
 def _cmd_fbc_judge(args) -> int:
     verdict = judge(_key_file(args.instrumented), _trace_from_dict(_load_json(args.trace)))
-    doc = asdict(verdict)
-    doc["sentinels"] = doc.pop("results")  # the file's name for the per-sentinel results
     lines = [f"{r.site} {r.kind.value} distance={r.distance:.3e} {'POSITIVE' if r.positive else 'negative'}" for r in verdict.results]
-    return _finish(args.out, doc, [*lines, verdict.judgement.value], verdict.judgement)
+    return _finish(args.out, lambda: _judge_doc(verdict), [*lines, verdict.judgement.value], verdict.judgement)
 
 
 def _make_config(args):

@@ -3,7 +3,8 @@
 `evaluate` runs one input vector on Python scalars and `evaluate_batch` runs
 n vectors at once on numpy lanes. Both are the same topological walk over
 the same unit definitions; only a handful of primitives differ by form.
-`rcc._residues` runs that walk too, with Z_m in place of the int16 units.
+`rcc._residues` runs that walk too, with Z_m in place of the int16 units:
+on Python ints for one input vector, on (k, n) lanes for a batch.
 Every walk's inputs are checked by `_inputs`; int16 columns enter the lane
 walk as int16 lanes, which wrap by their dtype, and `evaluate_batch` widens
 its int16 outputs and exports to int64.

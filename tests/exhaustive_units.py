@@ -1,4 +1,4 @@
-"""Exhaustive sweep of the two closed-form units against lane oracles built another way.
+"""Exhaustive sweeps of the two closed-form units and of the residue lanes' reduction, against oracles built another way.
 
 log_approx runs on all 2^32 operand pairs. Its oracle splits each operand by
 `np.frexp` into characteristic and fraction, takes Mitchell's antilog branch
@@ -10,13 +10,22 @@ Its oracle is `oracles.ref_seg_carry` on lanes: a bit-serial ripple whose
 carry restarts at every segment boundary. Both oracles first agree with the
 scalar references in `oracles.py` on a random sample.
 
+The residue walk's int32 lanes reduce by a float64 reciprocal
+(`rcc._reduce`). The sweep runs every modulus 2..46341 those lanes hold on
+values near k * m and k * m +- m / 2, where rounding the quotient is
+hardest, for k spread over the whole range up to the lanes' limit squared,
+and on the int32 extremes. Each result must be congruent to its value mod
+m (by integer remainder) and at most m // 2 in magnitude. The int16 lanes'
+float32 rule is checked on every int16 value and modulus by Tier-1
+(`tests/test_rcc.py`); int64 and object lanes reduce by integer remainder.
+
 pytest does not collect this file (the name lacks `test_`). Run it from the
 repository root:
 
     PYTHONPATH=src python tests/exhaustive_units.py
 
-It prints one line per unit and exits 1 on the first mismatch. The log_approx
-sweep takes a few minutes on one core.
+It prints one line per sweep and exits 1 on the first mismatch. The
+log_approx sweep takes a few minutes on one core.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import numpy as np
 import oracles as O
 from dhac import IntUnitModel
 from dhac.approx import add16_batch, mul16_batch
+from dhac.rcc import _lane_ring, _reduce
 
 PATTERNS = np.arange(1 << 16)  # every 16-bit pattern, as int64
 
@@ -83,6 +93,37 @@ def sweep(unit, model, firsts: np.ndarray, seconds: np.ndarray, oracle) -> bool:
     return True
 
 
+def int32_reduction_sweep() -> bool:
+    """True when the int32 lanes' reduction is exact at every modulus they hold, on values where rounding is hardest."""
+    top = 46341  # the largest int32-lane modulus; it joins each block so that the block runs on int32 lanes
+    limit_sq = 46340**2
+    fractions = np.linspace(-1, 1, 201)
+    for lo in range(2, top + 1, 1024):
+        mods = sorted(set(range(lo, min(lo + 1024, top + 1))) | {top})
+        dtype, _, m, recip, _ = _lane_ring(mods)
+        assert dtype is np.int32, dtype
+        wide = m.astype(np.int64)
+        h = wide // 2
+        k = np.rint(fractions * (limit_sq // wide)).astype(np.int64)  # k * m spread over [-t², t²], both ends included
+        offsets = np.concatenate([h + d for d in (-1, 0, 1)] + [-h + d for d in (-1, 0, 1)] + [np.full_like(h, d) for d in (-1, 0, 1)], axis=1)
+        x = (k[:, :, None] * wide[:, :, None] + offsets[:, None, :]).reshape(len(mods), -1)
+        x = np.concatenate([x, np.broadcast_to([[-(2**31), 2**31 - 1, -limit_sq, limit_sq]], (len(mods), 4))], axis=1)
+        x = np.clip(x, -(2**31), 2**31 - 1)
+        lanes = x.astype(np.int32)
+        if (lanes * recip).dtype != np.float64:  # NumPy 1.x and 2.x promote these arrays alike; a scalar would differ
+            print(f"int32 lanes: the quotient is {(lanes * recip).dtype}, want float64")
+            return False
+        r = _reduce(lanes, m, recip)
+        assert r.dtype == np.int32, r.dtype
+        r = r.astype(np.int64)
+        bad = np.argwhere((np.abs(r) > h) | ((x - r) % wide != 0))
+        if bad.size:
+            i, j = bad[0]
+            print(f"int32 lanes: {x[i, j]} mod {mods[i]} gave {r[i, j]} ({len(bad)} in block)")
+            return False
+    return True
+
+
 def main() -> int:
     print(f"numpy {np.__version__}")
     # the lane oracles agree with the suite's scalar references on a random sample
@@ -102,6 +143,10 @@ def main() -> int:
     if not sweep(mul16_batch, IntUnitModel("log_approx"), PATTERNS, PATTERNS, mitchell_oracle):
         return 1
     print(f"log_approx: all 2^32 pairs equal the frexp oracle ({time.perf_counter() - t0:.1f} s)")
+    t0 = time.perf_counter()
+    if not int32_reduction_sweep():
+        return 1
+    print(f"int32 residue lanes: every modulus 2..46341 reduces exactly at the rounding edges ({time.perf_counter() - t0:.1f} s)")
     return 0
 
 

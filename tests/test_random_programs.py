@@ -16,21 +16,32 @@
     the instrumented graph survives its file format.
 (e) Soundness: an honest job is never positive, under RCC or under FBC.
     Both checks fail it today (strict xfails, ROADMAP item 4).
+(f) The one-vector ring of `rcc_check` and `evaluate_mod` gives, lane by
+    lane, the residues and the first failed round of `residues_batch` and
+    `failed_rounds`, and the exact rational output's image: at each lane
+    edge, and at moduli whose lcm has a divisor no unit that one of them
+    can invert.
 """
 
+import contextlib
+import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
 import strategies as S
-from dhac import ArithBackend, DFGraph, DFNode, EvalError, IntUnitModel, Op, ValidationError
-from dhac import default_combos, evaluate, evaluate_batch, parse_program, serialize_program
+from dhac import ArithBackend, DFGraph, DFNode, EvalError, IntUnitModel, Judgement, ModuleSet, NoInverseError, Op, RccVerdict
+from dhac import Residue, ValidationError, builtin_spec, default_combos, draw_inputs, evaluate, evaluate_batch, evaluate_mod
+from dhac import parse_program, rcc, serialize_program
 from dhac.fbc import DEFAULT_DELTA, DEFAULT_STEPS, SentinelKind, instrument_seeded, judge
-from dhac.rcc import rcc_check, residues_batch
+from dhac.programs import INTEGER_SHORTHANDS
+from dhac.rcc import failed_rounds, rcc_check, residues_batch
+from dhac.rng import substream
+from graphs import div_by_const_graph, int_div_graph
 
 EXACT = ArithBackend()
 DEGENERATE = [
@@ -138,6 +149,111 @@ class TestResidues:
             exact = [O.eval_unbounded(g, x)[0][0] for x in lanes]
             for m in (2, 16, 256, 4096, 65536):
                 assert residues_batch(g, cols, m).tolist() == (out % m).tolist() == [v % m for v in exact], m
+
+
+@contextlib.contextmanager
+def lane_bounds_checked():
+    """Within it, every value the lane ring's table keeps must lie within its declared bound.
+
+    The residue walk's values are (lanes, bound) pairs: its inputs, its
+    constants, and every sum, difference, product and quotient it keeps.
+    Each bound must itself be within the lane dtype's limit isqrt(max), so
+    that two kept values add and multiply without overflow. Yields the list
+    of bounds checked.
+    """
+    real, seen = rcc._walk, []
+
+    def check(value):
+        lanes, bound = value
+        wide = np.asarray(lanes)
+        if wide.dtype != object:
+            assert bound <= math.isqrt(np.iinfo(wide.dtype).max), (wide.dtype, bound)
+            wide = wide.astype(np.int64)
+        assert np.all(np.abs(wide) <= bound), (wide, bound)
+        seen.append(bound)
+        return value
+
+    def walk(graph, xs, ints, bits, lanes):
+        if lanes:
+            const, add, sub, mul, div = ints
+            ints = (
+                lambda v: check(const(v)),
+                lambda a, b: check(add(a, b)),
+                lambda a, b: check(sub(a, b)),
+                lambda a, b: check(mul(a, b)),
+                lambda a, b, nid: check(div(a, b, nid)),
+            )
+            xs = [check(x) for x in xs]
+        return real(graph, xs, ints, bits, lanes=lanes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rcc, "_walk", walk)
+        yield seen
+
+
+class TestLaneBounds:
+    """Every kept lane value of the residue walk within its bound, so no lane ever overflows."""
+
+    @pytest.mark.parametrize("name", INTEGER_SHORTHANDS)
+    def test_every_integer_builtin_at_the_default_moduli(self, name):
+        spec = builtin_spec(name)
+        cols = draw_inputs(spec, substream(16, "lane-bounds", name), 64)
+        with lane_bounds_checked() as seen:
+            got = residues_batch(spec.graph, cols, (3, 5, 7))
+        assert got.tolist() == residues_batch(spec.graph, cols, (3, 5, 7)).tolist()
+        assert len(seen) >= len(spec.graph.nodes) - 1
+
+    @settings(max_examples=60)
+    @given(EDGE_JOBS)
+    def test_edge_jobs_at_lane_edges(self, job):
+        g, cols = job
+        for m in LANE_EDGES:
+            with lane_bounds_checked() as seen:
+                residues_batch(g, cols, m)
+            assert seen
+
+
+# Moduli for the one-vector ring: each lane edge alone, all of them at once (one lcm walk; object lanes in
+# the batch), and sets where a divisor can be no unit mod the lcm yet a unit mod one of the moduli
+RING_MODULI = [(m,) for m in LANE_EDGES] + [LANE_EDGES, (3, 5, 7), (3, 5), (4, 64), (6, 10, 15)]
+
+
+def _verdict_of(residues: list, claim: int, moduli) -> RccVerdict:
+    """The verdict a column of residues gives: the first mismatching round, counting unskipped rounds up to it."""
+    failed = next((j for j, (r, m) in enumerate(zip(residues, moduli), 1) if r >= 0 and r != claim % m), None)
+    ran = [r >= 0 for r in residues[: failed or len(moduli)]]
+    judgement = Judgement.POSITIVE if failed else Judgement.NEGATIVE if any(ran) else Judgement.INCONCLUSIVE
+    return RccVerdict(judgement, failed, sum(ran), tuple(m for m, r in zip(moduli, ran) if not r))
+
+
+class TestScalarRing:
+    """Property (f)."""
+
+    @settings(max_examples=100)
+    @given(st.one_of(S.jobs(kinds=("int16",), one_output=True), EDGE_JOBS), st.integers(-32768, 32767))
+    @example((div_by_const_graph(3), [np.array([44, -3, 0])]), 44)  # 3 is no unit mod 15, but one mod 5
+    @example((int_div_graph(), [np.array([7, 7, 7, -7]), np.array([3, 2, 6, 7])]), 7)  # y = 2, 3, 6: the lcm fallback
+    def test_one_vector_equals_the_lanes(self, job, claim):
+        g, cols = job
+        lanes = [[c[i].item() for c in cols] for i in range(len(cols[0]))]
+        exact = [None if _int16_div(g) else O.eval_unbounded(g, x)[0][0] for x in lanes]
+        for moduli in RING_MODULI:
+            batch = residues_batch(g, cols, moduli)
+            rounds = failed_rounds(batch, np.full(len(lanes), claim), moduli)
+            for i, x in enumerate(lanes):
+                want = [O.residue_rational(g, x, m) for m in moduli]
+                assert batch[:, i].tolist() == want, moduli
+                for m, r in zip(moduli, want):
+                    if r < 0:
+                        with pytest.raises(NoInverseError):
+                            evaluate_mod(g, x, m)
+                    else:
+                        assert evaluate_mod(g, x, m) == Residue(r, m)
+                verdict = _verdict_of(want, claim, moduli)
+                assert rcc_check(g, x, claim, ModuleSet(moduli)) == verdict
+                assert rounds[i] == (verdict.failed_round or 0)
+                if exact[i] is not None and -32768 <= exact[i] <= 32767:  # the honest claim
+                    assert rcc_check(g, x, exact[i], ModuleSet(moduli)).judgement is Judgement.NEGATIVE
 
 
 class TestFileFormat:

@@ -35,6 +35,7 @@ from dhac import (
     ring_sub,
     to_residue,
 )
+from dhac import rcc
 from dhac.rcc import residues_batch
 from dhac.rng import substream
 from graphs import div_by_const_graph, float_graph, int_div_graph, mixed_graph
@@ -526,6 +527,63 @@ class TestResiduesBatch:
         g = DFGraph("constout", ScalarType.INT16, nodes, ["x"], ["out"])
         got = residues_batch(g, [np.array([1, 2, 3])], 3)
         assert got.tolist() == [2, 2, 2]
+
+
+class TestLaneReduction:
+    def test_int16_lanes_reduce_exactly_for_every_value_and_modulus(self):
+        # every int16 value against every modulus the int16 lanes hold, by the rule the walk runs
+        x = np.arange(-32768, 32768, dtype=np.int16)[None, :]
+        wide = x.astype(np.int64)
+        for lo in range(2, 183, 16):
+            mods = list(range(lo, min(lo + 16, 183)))
+            dtype, limit, m, recip, bound = rcc._lane_ring(mods)
+            assert (dtype, limit, bound) == (np.int16, 181, max(mods) // 2)
+            assert (x * recip).dtype == np.float32  # the quotient's float, by NumPy's promotion of these very arrays
+            r = rcc._reduce(x, m, recip)
+            assert r.dtype == np.int16
+            r = r.astype(np.int64)
+            assert np.all(np.abs(r) <= m // 2)
+            assert np.all((wide - r) % m == 0)
+
+    def test_wider_lanes_keep_their_edges(self):
+        # the ladder still changes at 182, 46341 and 3037000500, and only int64 and object lanes divide
+        assert [(dtype, limit) for dtype, limit, _ in rcc._LANES] == [(np.int16, 181), (np.int32, 46340), (np.int64, 3037000499)]
+        for top, dtype, real in ((182, np.int16, np.float32), (46341, np.int32, np.float64), (3037000500, np.int64, None), (3037000501, object, None)):
+            got, _, m, recip, _ = rcc._lane_ring([2, top])
+            assert got is dtype and m.dtype == dtype
+            assert (recip is None) if real is None else recip.dtype == real
+
+    @pytest.mark.parametrize(
+        "graph, inputs, moduli, walks, want",
+        [
+            (builtin_spec("conv2x2").graph, [2, 3, 4, 5, 6, 7, 8, 9], (3, 5, 7), 1, [2, 0, 5]),
+            (div_by_const_graph(3), [44], (3, 5), 3, [-1, 4]),  # 3 is no unit mod 15: one walk per modulus
+            (div_by_const_graph(105), [44], (3, 5, 7), 4, [-1, -1, -1]),
+            (div_by_const_graph(3), [44], (3,), 1, [-1]),  # the lcm walk is the modulus's own
+            (int_div_graph(), [7, 3], (4, 64), 1, [3, 7]),
+            (int_div_graph(), [7, 2], (4, 64), 3, [-1, -1]),
+            (int_div_graph(), [7, 3], (6, 10, 15), 4, [-1, 7, -1]),
+            (int_div_graph(), [-7, 7], (6, 10, 15), 1, [5, 3, 8]),
+        ],
+    )
+    def test_one_vector_walks_once_mod_the_lcm(self, monkeypatch, graph, inputs, moduli, walks, want):
+        calls = []
+        real = rcc._walk
+
+        def walk(*args, **kw):
+            calls.append(kw["lanes"])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(rcc, "_walk", walk)
+        assert rcc._residues(graph, inputs, moduli, lanes=False) == want
+        assert calls == [False] * walks
+        assert residues_batch(graph, [np.array([x]) for x in inputs], moduli)[:, 0].tolist() == want
+        for m, r in zip(moduli, want):
+            if r < 0:
+                with pytest.raises(NoInverseError, match=f"^a divisor has no inverse mod {m}$"):
+                    evaluate_mod(graph, inputs, m)
+            else:
+                assert evaluate_mod(graph, inputs, m) == Residue(r, m)
 
 
 @pytest.mark.parametrize(
